@@ -1,144 +1,51 @@
-"""Runner/service throughput benchmarks; writes ``BENCH_runner.json``.
+"""Runner/service caching and dedupe checks over the paper workloads.
 
-For every paper workload this module times one **cold** run (simulation
+For every paper workload this module makes one **cold** run (simulation
 plus artifact build, cache empty) and one **warm** run (pure cache hit)
 through a private :class:`~repro.runner.Runner`, then drives the whole
-suite as a duplicate-heavy batch through service mode.  The measurements
-land in ``BENCH_runner.json`` at the repository root:
-
-* per workload — wall time, simulated cycles, simulator throughput in
-  cycles/second, warm-hit wall time, and the runner's cache hit rate;
-* for the service batch — batch wall time, the shared backend's
-  hit/miss/put counters, and the dedupe-heavy re-run's hit rate.
-
-Each run also appends one record to the append-only perf-regression
-ledger ``BENCH_history.jsonl`` (see :mod:`repro.obs.regress`), so the
-benchmark suite feeds the same trajectory that ``repro bench record`` /
-``compare`` maintain.
-
-Timings are host-dependent; the asserted facts (results cached, hit
-rates, exactly-one-execution) are not.
+suite as a duplicate-heavy batch through service mode.  It asserts the
+host-independent facts: results are cached and returned unchanged, hit
+rates, and exactly one execution per unique spec.  It writes nothing
+outside pytest's temporary directories; timings live in the ``perfbench``
+harness (see ``perfbench/README.md``).
 """
 
-import json
-import platform
-import sys
-import time
-from pathlib import Path
+from conftest import BENCH_SCALE
 
 import pytest
-
-from conftest import BENCH_SCALE
 
 from repro.runner import ResultCache, Runner, RunSpec
 from repro.service import ServiceConfig
 from repro.workloads import PAPER_ORDER
 
-BENCH_DOC = Path(__file__).resolve().parents[1] / "BENCH_runner.json"
-BENCH_LEDGER = Path(__file__).resolve().parents[1] / "BENCH_history.jsonl"
-
-
-@pytest.fixture(scope="module")
-def perf_doc():
-    doc = {
-        "scale": BENCH_SCALE,
-        "variant": "ssp",
-        "generated_by": "pytest benchmarks/test_runner_perf.py",
-        "workloads": {},
-    }
-    yield doc
-    if doc["workloads"]:
-        BENCH_DOC.write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
-        _append_ledger_record(doc)
-
-
-def _append_ledger_record(doc):
-    """One ledger record per benchmark session (k=1: the cold runs)."""
-    from repro.obs import regress
-    record = {
-        "schema": regress.LEDGER_SCHEMA,
-        "created": time.time(),
-        "label": "benchmarks/test_runner_perf.py",
-        "host": platform.node(),
-        "python": sys.version.split()[0],
-        "scale": doc["scale"],
-        "model": "inorder",
-        "variant": doc["variant"],
-        "k": 1,
-        "inject_slowdown": 1.0,
-        "workloads": {
-            name: {
-                "cycles": row["cycles"],
-                "wall": [row["sim_wall_time"]],
-                "wall_median": row["sim_wall_time"],
-                "wall_mad": 0.0,
-                "cps_median": row["cycles_per_sec"],
-                "cps_mad": 0.0,
-            }
-            for name, row in doc["workloads"].items()
-        },
-    }
-    regress.append_record(record, BENCH_LEDGER)
-
 
 @pytest.mark.parametrize("workload", PAPER_ORDER)
-def test_workload_cold_then_warm(workload, perf_doc, tmp_path):
+def test_workload_cold_then_warm(workload, tmp_path):
     runner = Runner(cache=ResultCache(root=tmp_path / "cache"))
     spec = RunSpec.create(workload, scale=BENCH_SCALE, variant="ssp")
 
-    start = time.perf_counter()
     cold = runner.run_one(spec)
-    cold_wall = time.perf_counter() - start
     assert cold.ok and not cold.cached
 
-    start = time.perf_counter()
     warm = runner.run_one(spec)
-    warm_wall = time.perf_counter() - start
     assert warm.cached
     assert warm.stats_dict == cold.stats_dict
 
-    snapshot = runner.telemetry.snapshot()
-    perf_doc["workloads"][workload] = {
-        "wall_time": round(cold_wall, 4),
-        "sim_wall_time": round(cold.wall_time, 4),
-        "cycles": cold.stats.cycles,
-        "cycles_per_sec": round(
-            cold.stats.cycles / max(cold.wall_time, 1e-9), 1),
-        "warm_wall_time": round(warm_wall, 4),
-        "cache_hit_rate": snapshot["hit_rate"],
-    }
-    assert snapshot["hit_rate"] == 0.5  # one miss, one hit
+    assert runner.telemetry.snapshot()["hit_rate"] == 0.5  # one miss, one hit
 
 
-def test_service_batch_dedupe(perf_doc, tmp_path):
+def test_service_batch_dedupe(tmp_path):
     """The whole suite as one duplicate-heavy service-mode batch."""
     config = ServiceConfig(root=tmp_path / "svc", poll=0.01)
     specs = [RunSpec.create(name, scale=BENCH_SCALE, variant="ssp")
              for name in PAPER_ORDER]
 
     runner = Runner(service=config)
-    start = time.perf_counter()
     results = runner.run(specs + specs)
-    batch_wall = time.perf_counter() - start
     assert all(r.ok for r in results)
-    snapshot = runner.telemetry.snapshot()
-    assert snapshot["launched"] == len(specs)  # duplicates coalesced
+    assert runner.telemetry.snapshot()["launched"] == len(specs)  # coalesced
 
     rerun = Runner(service=config)
-    start = time.perf_counter()
     again = rerun.run(specs)
-    rerun_wall = time.perf_counter() - start
     assert all(r.cached for r in again)
-    rerun_snapshot = rerun.telemetry.snapshot()
-    assert rerun_snapshot["hit_rate"] == 1.0
-
-    perf_doc["service"] = {
-        "batch_specs": len(specs) * 2,
-        "unique_specs": len(specs),
-        "wall_time": round(batch_wall, 4),
-        "rerun_wall_time": round(rerun_wall, 4),
-        "rerun_hit_rate": rerun_snapshot["hit_rate"],
-        "backend": snapshot["cache_backend"],
-    }
+    assert rerun.telemetry.snapshot()["hit_rate"] == 1.0

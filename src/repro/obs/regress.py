@@ -1,7 +1,6 @@
 """Append-only bench ledger + statistical throughput-regression gate.
 
-``BENCH_runner.json`` is a one-shot snapshot; this module gives the
-repository a *trajectory* and a gate:
+This module gives the repository a throughput *trajectory* and a gate:
 
 * :func:`measure` — median-of-K wall-time runs per workload (one
   discarded warm-up pays the artifact build), recording simulator
@@ -34,7 +33,7 @@ from typing import Any, Dict, List, Optional, Sequence
 #: Ledger / baseline schema version.
 LEDGER_SCHEMA = 1
 
-#: Default file names (repository root, next to BENCH_runner.json).
+#: Default file names (repository root).
 LEDGER_NAME = "BENCH_history.jsonl"
 BASELINE_NAME = "BENCH_baseline.json"
 

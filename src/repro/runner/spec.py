@@ -75,13 +75,6 @@ class RunSpec:
     #: on top of the model preset (build with :func:`freeze_overrides`).
     config_overrides: Tuple[Tuple[str, Any], ...] = ()
     max_cycles: int = 200_000_000
-    #: Sampled-simulation knobs (``repro.sim.sampling``): every
-    #: ``sample_interval`` cycles, simulate ``sample_window`` of them in
-    #: detail and fast-forward the rest.  0/0 (the default) is full
-    #: detail.  Sampled specs hash differently from full-detail specs —
-    #: approximate statistics get their own content address.
-    sample_interval: int = 0
-    sample_window: int = 0
 
     def __post_init__(self) -> None:
         from ..sim.machine import MODELS
@@ -91,9 +84,6 @@ class RunSpec:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected "
                              f"one of {VARIANTS}")
-        if self.sample_interval or self.sample_window:
-            from ..sim.sampling import validate_sampling
-            validate_sampling(self.sample_interval, self.sample_window)
 
     @classmethod
     def create(cls, workload: str, scale: str = "small",
@@ -101,17 +91,13 @@ class RunSpec:
                spawning: Optional[bool] = None,
                tool_options: Any = None,
                config_overrides: Any = None,
-               max_cycles: int = 200_000_000,
-               sample_interval: int = 0,
-               sample_window: int = 0) -> "RunSpec":
+               max_cycles: int = 200_000_000) -> "RunSpec":
         """Build a spec from rich inputs (ToolOptions/dicts are frozen)."""
         return cls(workload=workload, scale=scale, model=model,
                    variant=variant, spawning=spawning,
                    tool_options=freeze_options(tool_options),
                    config_overrides=freeze_overrides(config_overrides),
-                   max_cycles=max_cycles,
-                   sample_interval=sample_interval,
-                   sample_window=sample_window)
+                   max_cycles=max_cycles)
 
     def derive(self, **changes: Any) -> "RunSpec":
         """A copy with rich-typed field replacements (options re-frozen).
@@ -142,7 +128,7 @@ class RunSpec:
 
     def key(self) -> Dict[str, Any]:
         """Canonical JSON-safe form used for hashing and cache metadata."""
-        key = {
+        return {
             "workload": self.workload,
             "scale": self.scale,
             "model": self.model,
@@ -154,13 +140,6 @@ class RunSpec:
                 for k, v in self.config_overrides],
             "max_cycles": self.max_cycles,
         }
-        # Only sampled specs carry the sampling fields: every full-detail
-        # spec's key — and therefore its content hash and every cached
-        # result address minted before sampling existed — is unchanged.
-        if self.sample_interval:
-            key["sample_interval"] = self.sample_interval
-            key["sample_window"] = self.sample_window
-        return key
 
     @classmethod
     def from_key(cls, key: Dict[str, Any]) -> "RunSpec":
@@ -171,7 +150,16 @@ class RunSpec:
         ``RunSpec.from_key(s.key()).content_hash() == s.content_hash()``
         — because ``key()`` already records the *effective* spawning
         flag and sorted option/override pairs.
+
+        Raises ``ValueError`` on a field the spec does not define: a key
+        minted elsewhere (another version, a hand-edited job) names a
+        different run, and dropping the field would silently rebuild a
+        spec that hashes to a different address than the key.
         """
+        unknown = sorted(set(key) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"spec key has unknown fields: "
+                             f"{', '.join(unknown)}")
         return cls(
             workload=key["workload"],
             scale=key["scale"],
@@ -183,8 +171,6 @@ class RunSpec:
                 (k, tuple(v) if isinstance(v, list) else v)
                 for k, v in key["config_overrides"]),
             max_cycles=key["max_cycles"],
-            sample_interval=key.get("sample_interval", 0),
-            sample_window=key.get("sample_window", 0),
         )
 
     def content_hash(self) -> str:

@@ -294,14 +294,7 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
                        cycle=running_sim.cycle, label=spec.label())
             resilience["checkpoints"] += 1
 
-    if spec.sample_interval:
-        from ..sim.sampling import run_sampled
-        stats = run_sampled(sim, spec.sample_interval, spec.sample_window,
-                            checkpoint_every=cadence,
-                            on_checkpoint=on_checkpoint)
-    else:
-        stats = sim.run(checkpoint_every=cadence,
-                        on_checkpoint=on_checkpoint)
+    stats = sim.run(checkpoint_every=cadence, on_checkpoint=on_checkpoint)
     if spec.variant in _CHECKED_VARIANTS:
         # After a restore the live heap is the snapshot's, not the one
         # this process built — always check what the simulator ran on.

@@ -337,8 +337,17 @@ class JobQueue:
                         pass
                     continue
                 _write_json_atomic(path, job)
-            return Lease(queue=self, hash=digest,
-                         spec=RunSpec.from_key(job["spec"]), job=job,
+            try:
+                spec = RunSpec.from_key(job["spec"])
+            except ValueError as exc:
+                # A key this version cannot rebuild exactly (a field it
+                # does not define) must not run under another address:
+                # fail the attempt so waiters end on ``failed``.
+                Lease(queue=self, hash=digest, spec=None, job=job,
+                      path=lease_path, stolen=stolen).fail(
+                          f"unrunnable spec: {exc}", worker=worker_id)
+                continue
+            return Lease(queue=self, hash=digest, spec=spec, job=job,
                          path=lease_path, stolen=stolen)
         return None
 

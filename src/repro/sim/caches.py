@@ -142,12 +142,6 @@ class PrefetchStats:
 class MemorySystem:
     """The full memory hierarchy shared by all hardware thread contexts."""
 
-    #: When False (functional warmup in sampled mode), accesses still
-    #: mutate cache/TLB/transit state — keeping the hierarchy warm — but
-    #: no statistics are recorded.  Class-level default so snapshots
-    #: pickled before the flag existed restore to recording mode.
-    recording = True
-
     def __init__(self, config: MachineConfig):
         self.config = config
         self.l1 = CacheLevel(config.l1)
@@ -195,8 +189,7 @@ class MemorySystem:
         tlb[page] = None
         if len(tlb) > self._tlb_entries:
             del tlb[next(iter(tlb))]
-        if self.recording:
-            self.tlb_misses += 1
+        self.tlb_misses += 1
         return self.config.tlb_miss_penalty
 
     def _fill_buffer_start(self, now: int) -> int:
@@ -228,7 +221,7 @@ class MemorySystem:
         # and the global counter agrees with the per-static totals.
         prefetching = is_prefetch or (not is_main and not is_store
                                       and uid in self.prefetch_sources)
-        if prefetching and self.recording:
+        if prefetching:
             self.prefetches_issued += 1
             pstats = self.prefetch_stats.get(uid)
             if pstats is None:
@@ -265,8 +258,7 @@ class MemorySystem:
             tlb[page] = None
             if len(tlb) > self._tlb_entries:
                 del tlb[next(iter(tlb))]
-            if self.recording:
-                self.tlb_misses += 1
+            self.tlb_misses += 1
             start = now + cfg.tlb_miss_penalty
 
         transit = self._in_transit.get(line)
@@ -305,10 +297,9 @@ class MemorySystem:
         self.l1.insert(line)
         self._in_transit[line] = (ready, origin)
         heapq.heappush(self._fills, ready)
-        if prefetching and self.recording:
+        if prefetching:
             # Credit this line's next main-thread consumption to the
-            # prefetch that started the fill.  Warmup installs no credit:
-            # an uncounted issue must not later count as useful.
+            # prefetch that started the fill.
             self._prefetched_lines[line] = uid
         # A non-prefetching demand fill does *not* consume or drop the
         # credit: the first main-thread **load** touch is the sole
@@ -324,8 +315,6 @@ class MemorySystem:
 
     def _record(self, uid: int, result: AccessResult, now: int,
                 line: int) -> None:
-        if not self.recording:
-            return
         stats = self.load_stats.get(uid)
         if stats is None:
             stats = self.load_stats[uid] = LoadStats()

@@ -49,7 +49,6 @@ from ..isa.decode import (
     RES_MEM,
     decode_program,
     resolve_fast_path,
-    step_decoded,
 )
 from ..isa.interp import ExecutionError, ThreadState, execute, spawn_thread
 from ..isa.memory import HEAP_BASE, Heap
@@ -57,7 +56,6 @@ from ..isa.program import Program
 from ..isa import registers as regs
 from .branch import GsharePredictor
 from .caches import L1, MemorySystem
-from .sampling import advance_chain, warm_chk, warm_slice
 from .config import MachineConfig
 from .stats import STALL_CATEGORY, SimStats
 
@@ -125,8 +123,6 @@ class InOrderSimulator:
         #: re-interpreting Instruction objects per cycle.  Byte-identical
         #: SimStats either way; ``None`` resolves via REPRO_SIM_LEGACY.
         self.fast_path = resolve_fast_path(fast_path)
-        # The decoded table is built unconditionally: the sampled mode's
-        # functional fast-forward uses it even on the legacy path.
         self._dcode = decode_program(program)
         self._dreads = [d[D_READS] for d in self._dcode]
         n_ctx = config.hardware_contexts
@@ -562,8 +558,7 @@ class InOrderSimulator:
     # -- main loop --------------------------------------------------------------------
 
     def run(self, checkpoint_every: Optional[int] = None,
-            on_checkpoint=None,
-            until_cycle: Optional[int] = None) -> SimStats:
+            on_checkpoint=None) -> SimStats:
         """Simulate until the main thread halts; returns the statistics.
 
         Args:
@@ -574,9 +569,6 @@ class InOrderSimulator:
             on_checkpoint: ``callback(simulator)`` for periodic
                 checkpoints/heartbeats.  Checkpoint cadence never affects
                 the simulated statistics.
-            until_cycle: stop at the first cycle boundary at or past this
-                cycle instead of running to completion (the sampled mode's
-                detailed-window driver); a later :meth:`run` continues.
 
         A simulator whose state was installed by :meth:`restore` continues
         from the checkpointed cycle instead of starting over.
@@ -584,14 +576,11 @@ class InOrderSimulator:
         # The fast select path tracks at most two candidate threads; fall
         # back to the reference loop for exotic wider-fetch overrides.
         if self.fast_path and self.config.max_threads_per_cycle <= 2:
-            return self._run_fast(checkpoint_every, on_checkpoint,
-                                  until_cycle)
-        return self._run_legacy(checkpoint_every, on_checkpoint,
-                                until_cycle)
+            return self._run_fast(checkpoint_every, on_checkpoint)
+        return self._run_legacy(checkpoint_every, on_checkpoint)
 
     def _run_legacy(self, checkpoint_every: Optional[int] = None,
-                    on_checkpoint=None,
-                    until_cycle: Optional[int] = None) -> SimStats:
+                    on_checkpoint=None) -> SimStats:
         """Reference per-cycle loop interpreting Instruction objects.
 
         Kept verbatim as the behavioural oracle for the pre-decoded fast
@@ -609,8 +598,6 @@ class InOrderSimulator:
             next_checkpoint = now + checkpoint_every
 
         while not main.state.done:
-            if until_cycle is not None and now >= until_cycle:
-                break
             if next_checkpoint is not None and now >= next_checkpoint:
                 self._now = now
                 on_checkpoint(self)
@@ -1163,8 +1150,7 @@ class InOrderSimulator:
         return "Other"  # lost fetch slots to other threads, etc.
 
     def _run_fast(self, checkpoint_every: Optional[int] = None,
-                  on_checkpoint=None,
-                  until_cycle: Optional[int] = None) -> SimStats:
+                  on_checkpoint=None) -> SimStats:
         """Pre-decoded run loop: same cycle structure as
         :meth:`_run_legacy` (one iteration per non-skipped cycle, so _rr
         and all snapshot state evolve identically) with hoisted locals,
@@ -1209,8 +1195,6 @@ class InOrderSimulator:
         reap_due = True
 
         while not (main_state.halted or main_state.killed):
-            if until_cycle is not None and now >= until_cycle:
-                break
             if next_checkpoint is not None and now >= next_checkpoint:
                 self._now = now
                 self._rr = rr
@@ -1386,140 +1370,3 @@ class InOrderSimulator:
         stats.cycles = now
         stats.mispredicts = self.predictor.mispredicts
         return stats
-
-    # -- sampled-mode functional fast-forward -------------------------------------
-
-    def fast_forward(self, max_instructions: int, cpi: float,
-                     chain_rate: float = 0.0) -> int:
-        """Skip ahead by functionally executing the main thread.
-
-        The sampled mode (``repro.sim.sampling``) alternates detailed
-        windows (:meth:`run` with ``until_cycle``) with these skips: up to
-        ``max_instructions`` main-thread instructions execute
-        architecturally (so memory contents — and therefore every later
-        detailed window — stay exact) while the cache hierarchy is warmed
-        with attribution recording off and the clock advances by
-        ``round(n * cpi)`` cycles.  Speculative contexts are *paused*,
-        not dropped: their timing state is re-based to the post-skip
-        clock so the next detailed window starts with the spawn chains
-        (and therefore the SSP steady state) intact — killing them made
-        every window pay a full re-ramp and biased sampled CPI toward
-        the unadapted binary's.  Returns the cycles advanced; the caller
-        charges them to Figure-10 categories pro rata to the last window.
-        """
-        if not self._started:
-            self._begin()
-        contexts = self.contexts
-        main = contexts[0]
-        state = main.state
-        if max_instructions <= 0 or state.halted or state.killed:
-            return 0
-        dcode = self._dcode
-        program = self.program
-        heap = self.heap
-        memory = self.memory
-        stats = self.stats
-        spawning = self.spawning
-        clock = float(self._now)
-        n = 0
-        memory.recording = False
-        try:
-            while n < max_instructions \
-                    and not (state.halted or state.killed):
-                d = dcode[state.pc]
-                in_stub = bool(state.rfi_stack)
-                if d[0] == K_CHK and spawning:
-                    # Warm the stub's spawns on a scratch clone; the main
-                    # thread itself steps with chk_fires=False so its
-                    # instruction stream matches the detailed model's
-                    # common (no-free-context) case.
-                    warm_chk(program, heap, memory, dcode, state,
-                             d[11], int(clock))
-                result = step_decoded(program, heap, state, d, False)
-                n += 1
-                clock += cpi
-                stats.main_instructions += 1
-                if in_stub:
-                    stats.main_stub_instructions += 1
-                addr = result[0]
-                if addr is not None:
-                    kind = d[0]
-                    if kind == K_LD:
-                        memory.access(addr, int(clock), d[13], True)
-                    elif kind == K_ST:
-                        memory.access(addr, int(clock), d[13], True,
-                                      is_store=True)
-                    else:
-                        memory.access(addr, int(clock), d[13], True,
-                                      is_prefetch=True)
-                elif result[2] is not None and self.spawning:
-                    # Warm the spawned p-slice functionally so the cache
-                    # keeps its SSP-accelerated contents across the skip.
-                    warm_slice(program, heap, memory, dcode, state,
-                               result[2], int(clock))
-        finally:
-            memory.recording = True
-        advanced = int(round(n * cpi))
-        if n and advanced <= 0:
-            advanced = 1
-        now = self._now + advanced
-        self._now = now
-        stats.cycles = now
-        main.stall_until = now
-        main.wake = now
-        main.spawn_parked_pc = None
-        main.reg_ready.clear()
-        main.ready_bound = 0
-        main.reg_level.clear()
-        self._main_misses = []
-        # Re-base every live speculative context to the post-skip clock:
-        # their own clocks were stopped during the skip, so pending
-        # scoreboard times and the spawn-cycle budget anchor would
-        # otherwise be thousands of cycles stale (an instant budget
-        # kill).  Dead-but-unreaped contexts are left for the run loop's
-        # first-iteration reap pass.
-        budget = self.config.spec_cycle_budget
-        self._spec_deadlines = deadlines = []
-        live = 0
-        # A chaining workload's prefetch frontier keeps station on the
-        # main thread in the detailed model; advance each paused chain
-        # functionally at the pace the last detailed window measured
-        # (``chain_rate`` slices per retired main instruction) before
-        # re-basing whatever survives to the post-skip clock.
-        live_slots = [slot
-                      for slot in range(1, self.config.hardware_contexts)
-                      if contexts[slot] is not None
-                      and not contexts[slot].state.done]
-        total_links = int(n * chain_rate) if spawning else 0
-        max_links = -(-total_links // len(live_slots)) if live_slots else 0
-        memory.recording = False
-        try:
-            for slot in live_slots:
-                ctx = contexts[slot]
-                survivor, done = advance_chain(
-                    program, heap, memory, dcode, ctx.state, max_links,
-                    now)
-                stats.threads_completed += done
-                if survivor is None:
-                    contexts[slot] = None
-                    continue
-                if survivor is not ctx.state:
-                    survivor.tid = self._next_tid
-                    self._next_tid += 1
-                    ctx.state = survivor
-                    ctx.spec_issued = 0
-                live += 1
-                ctx.stall_until = now
-                ctx.wake = now
-                ctx.spawn_parked_pc = None
-                ctx.spawn_cycle = now
-                ctx.reg_ready.clear()
-                ctx.ready_bound = 0
-                ctx.reg_level.clear()
-                if budget:
-                    deadlines.append(now + budget)
-        finally:
-            memory.recording = True
-        self._live_spec = live
-        heapq.heapify(deadlines)
-        return advanced

@@ -57,7 +57,6 @@ from ..isa.memory import Heap
 from ..isa.program import Program
 from .branch import GsharePredictor
 from .caches import L1, MemorySystem
-from .sampling import advance_chain, warm_chk, warm_slice
 from .config import MachineConfig
 from .stats import STALL_CATEGORY, SimStats
 
@@ -107,8 +106,9 @@ class OOOSimulator:
         self.config = config
         self.spawning = spawning
         self.max_cycles = max_cycles
-        #: Pre-decoded issue table; also used by :meth:`fast_forward` on
-        #: the legacy path, so it is built unconditionally.
+        #: Issue from the pre-decoded table (repro.isa.decode) instead of
+        #: re-interpreting Instruction objects; byte-identical SimStats
+        #: either way, ``None`` resolves via REPRO_SIM_LEGACY.
         self.fast_path = resolve_fast_path(fast_path)
         self._dcode = decode_program(program)
         self.memory = MemorySystem(config)
@@ -296,28 +296,21 @@ class OOOSimulator:
     # -- main loop -----------------------------------------------------------------------
 
     def run(self, checkpoint_every: Optional[int] = None,
-            on_checkpoint=None,
-            until_cycle: Optional[int] = None) -> SimStats:
+            on_checkpoint=None) -> SimStats:
         """Simulate until the main thread's halt retires.
 
         ``checkpoint_every``/``on_checkpoint`` behave as in
         :meth:`repro.sim.inorder.InOrderSimulator.run`: the callback fires
         between fetch groups whenever the earliest pending fetch cycle
         crosses the next checkpoint mark, and a :meth:`restore`-d
-        simulator resumes instead of restarting.  ``until_cycle`` stops
-        the run (resumably) once the earliest pending fetch cycle reaches
-        that mark — the sampled-simulation driver uses it to bound
-        detailed windows.
+        simulator resumes instead of restarting.
         """
         if self.fast_path:
-            return self._run_fast(checkpoint_every, on_checkpoint,
-                                  until_cycle)
-        return self._run_legacy(checkpoint_every, on_checkpoint,
-                                until_cycle)
+            return self._run_fast(checkpoint_every, on_checkpoint)
+        return self._run_legacy(checkpoint_every, on_checkpoint)
 
     def _run_legacy(self, checkpoint_every: Optional[int] = None,
-                    on_checkpoint=None,
-                    until_cycle: Optional[int] = None) -> SimStats:
+                    on_checkpoint=None) -> SimStats:
         """Reference run loop over :class:`Instruction` objects."""
         program = self.program
         config = self.config
@@ -325,7 +318,6 @@ class OOOSimulator:
         stats = self.stats
         if not self._started:
             self._begin()
-        main = self._main
         # (next_fetch_cycle, tie, thread)
         queue = self._queue
         # Outstanding main-thread misses for CacheExec classification.
@@ -335,8 +327,6 @@ class OOOSimulator:
             next_checkpoint = self.cycle + checkpoint_every
 
         while queue:
-            if until_cycle is not None and queue[0][0] >= until_cycle:
-                break
             if next_checkpoint is not None and queue[0][0] >= next_checkpoint:
                 on_checkpoint(self)
                 while next_checkpoint <= queue[0][0]:
@@ -516,11 +506,6 @@ class OOOSimulator:
             heapq.heappush(queue, (max(next_fetch, fetch + 1), self._tie,
                                    thread))
 
-        # A full run set stats.cycles when the main thread retired; an
-        # until_cycle window only tracks progress forward (a resumed
-        # sampled run must never let a stale cycle count linger).
-        if stats.cycles < main.last_retire:
-            stats.cycles = main.last_retire
         stats.mispredicts = self.predictor.mispredicts
         return stats
 
@@ -577,8 +562,7 @@ class OOOSimulator:
     # -- pre-decoded fast path -------------------------------------------------------
 
     def _run_fast(self, checkpoint_every: Optional[int] = None,
-                  on_checkpoint=None,
-                  until_cycle: Optional[int] = None) -> SimStats:
+                  on_checkpoint=None) -> SimStats:
         """Fast run loop over the pre-decoded issue table.
 
         Byte-identical to :meth:`_run_legacy`: same pop order, same
@@ -592,7 +576,6 @@ class OOOSimulator:
         stats = self.stats
         if not self._started:
             self._begin()
-        main = self._main
         queue = self._queue
         main_misses = self._main_misses
         heap = self.heap
@@ -623,8 +606,6 @@ class OOOSimulator:
             next_checkpoint = self.cycle + checkpoint_every
 
         while queue:
-            if until_cycle is not None and queue[0][0] >= until_cycle:
-                break
             if next_checkpoint is not None and queue[0][0] >= next_checkpoint:
                 on_checkpoint(self)
                 while next_checkpoint <= queue[0][0]:
@@ -848,163 +829,5 @@ class OOOSimulator:
             else:
                 queue.append(entry)
 
-        # A full run set stats.cycles when the main thread retired; an
-        # until_cycle window only tracks progress forward (a resumed
-        # sampled run must never let a stale cycle count linger).
-        if stats.cycles < main.last_retire:
-            stats.cycles = main.last_retire
         stats.mispredicts = predictor.mispredicts
         return stats
-
-    # -- quiescent fast-forward ------------------------------------------------------
-
-    def fast_forward(self, max_instructions: int, cpi: float = 1.0,
-                     chain_rate: float = 0.0) -> int:
-        """Functionally execute up to ``max_instructions`` main-thread
-        instructions without per-cycle timing, advancing the clock by
-        ``round(n * cpi)``.
-
-        The sampled-simulation driver (:mod:`repro.sim.sampling`) uses
-        this between detailed windows: architectural state stays exact
-        (so workload output checks still pass), caches and TLB stay warm
-        (accesses are replayed at the estimated clock with statistics
-        recording suppressed), and speculative threads are *paused*,
-        not dropped — their timing is re-based to the post-skip clock
-        so the next detailed window keeps the SSP steady state instead
-        of paying a full spawn-chain re-ramp.  Returns the number of
-        cycles advanced.
-        """
-        if not self._started:
-            self._begin()
-        main = self._main
-        state = main.state
-        if max_instructions <= 0 or state.done:
-            return 0
-        program = self.program
-        heap = self.heap
-        memory = self.memory
-        stats = self.stats
-        spawning = self.spawning
-        dcode = self._dcode
-        # Anchor the skip at the retire clock, not the fetch clock: the
-        # gap-based Figure-10 charges telescope on retire times (which
-        # run ahead of the fetch events in the queue), so starting the
-        # skip below ``last_retire`` would double-charge the in-flight
-        # gap and break ``sum(cycle_breakdown) == cycles``.
-        base = self.cycle
-        if main.last_retire > base:
-            base = main.last_retire
-        clock = float(base)
-        n = 0
-        memory.recording = False
-        try:
-            while n < max_instructions and not state.done:
-                d = dcode[state.pc]
-                in_stub = bool(state.rfi_stack)
-                if d[0] == K_CHK and spawning:
-                    # Warm the stub's spawns on a scratch clone; the main
-                    # thread itself steps with chk_fires=False so its
-                    # instruction stream matches the detailed model's
-                    # common (no-free-context) case.
-                    warm_chk(program, heap, memory, dcode, state,
-                             d[11], int(clock))
-                result = step_decoded(program, heap, state, d, False)
-                n += 1
-                clock += cpi
-                stats.main_instructions += 1
-                if in_stub:
-                    stats.main_stub_instructions += 1
-                addr = result[0]
-                if addr is not None:
-                    kind = d[0]
-                    if kind == K_LD:
-                        memory.access(addr, int(clock), d[13], True)
-                    elif kind == K_ST:
-                        memory.access(addr, int(clock), d[13], True,
-                                      is_store=True)
-                    else:  # lfetch
-                        memory.access(addr, int(clock), d[13], True,
-                                      is_prefetch=True)
-                elif result[2] is not None and self.spawning:
-                    # Warm the spawned p-slice functionally so the cache
-                    # keeps its SSP-accelerated contents across the skip.
-                    warm_slice(program, heap, memory, dcode, state,
-                               result[2], int(clock))
-        finally:
-            memory.recording = True
-        skipped = int(round(n * cpi))
-        if n and skipped <= 0:
-            skipped = 1
-        now = base + skipped
-        # The caller charges the returned count to the cycle breakdown,
-        # so it must cover the whole jump of the *retire* clock: when
-        # the fetch events ran ahead of ``last_retire`` the skip also
-        # swallows that in-flight span, and when ``base`` was clamped up
-        # to ``last_retire`` the two are equal.
-        advanced = now - main.last_retire
-        self._main_misses = []
-        self._issue_used = {}
-        self._port_used = {}
-        self._fetch_used = {}
-        if state.done:
-            self._queue = []
-            self._live_threads = 0
-            self._end_cycle = now
-            stats.cycles = now
-            return advanced
-        # Re-base every live thread to a quiescent machine at ``now``.
-        # The main thread's retire ring is seeded with ``now`` so the
-        # next window's gap-based Figure-10 accounting starts from the
-        # post-skip clock instead of re-charging the whole skip, and
-        # speculative threads keep their contexts (timing re-based, a
-        # fresh cycle-budget anchor) — see InOrderSimulator.fast_forward
-        # for why dropping them biases sampled CPI.
-        main.reg_complete.clear()
-        main.reg_level.clear()
-        main.retire_ring.clear()
-        main.start_ring.clear()
-        main.spawn_retries = 0
-        main.last_retire = now
-        main.fetch_cycle = now
-        main.retire_ring.append(now)
-        self._tie += 1
-        queue = [(now, self._tie, main)]
-        # A chaining workload's prefetch frontier keeps station on the
-        # main thread in the detailed model; advance each paused chain
-        # functionally at the pace the last detailed window measured
-        # (``chain_rate`` slices per retired main instruction) before
-        # re-basing whatever survives to the post-skip clock.
-        chains = [entry[2] for entry in self._queue
-                  if entry[2] is not main and not entry[2].state.done]
-        total_links = int(n * chain_rate) if spawning else 0
-        max_links = -(-total_links // len(chains)) if chains else 0
-        memory.recording = False
-        try:
-            for thread in chains:
-                survivor, done = advance_chain(
-                    program, heap, memory, dcode, thread.state, max_links,
-                    now)
-                stats.threads_completed += done
-                if survivor is None:
-                    continue
-                if survivor is not thread.state:
-                    survivor.tid = self._next_tid
-                    self._next_tid += 1
-                    thread.state = survivor
-                    thread.spec_issued = 0
-                    thread.retire_count = 0
-                thread.reg_complete.clear()
-                thread.reg_level.clear()
-                thread.retire_ring.clear()
-                thread.start_ring.clear()
-                thread.spawn_retries = 0
-                thread.last_retire = now
-                thread.fetch_cycle = now
-                thread.spawn_cycle = now
-                self._tie += 1
-                queue.append((now, self._tie, thread))
-        finally:
-            memory.recording = True
-        self._queue = queue
-        self._live_threads = len(queue)
-        return advanced

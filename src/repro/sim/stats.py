@@ -78,36 +78,6 @@ class SimStats:
     def charge(self, category: str, cycles: int = 1) -> None:
         self.cycle_breakdown[category] += cycles
 
-    def charge_proportional(self, weights: Dict[str, int],
-                            cycles: int) -> None:
-        """Charge ``cycles`` across categories pro rata to ``weights``.
-
-        The sampled mode uses this to attribute fast-forwarded cycles to
-        Figure 10 categories in proportion to the last detailed window's
-        breakdown.  Apportionment is largest-remainder so the charges sum
-        to exactly ``cycles`` (ties broken by fraction, then by category
-        order), keeping the invariant ``sum(cycle_breakdown) == cycles``
-        intact.  With no weights (an empty or all-zero window) everything
-        lands in ``Other``.
-        """
-        if cycles <= 0:
-            return
-        total = sum(weights.get(cat, 0) for cat in CYCLE_CATEGORIES)
-        if total <= 0:
-            self.cycle_breakdown["Other"] += cycles
-            return
-        shares = []
-        assigned = 0
-        for index, cat in enumerate(CYCLE_CATEGORIES):
-            exact = cycles * weights.get(cat, 0) / total
-            base = int(exact)
-            assigned += base
-            shares.append((-(exact - base), index, cat, base))
-        shares.sort()
-        leftover = cycles - assigned
-        for slot, (_, _, cat, base) in enumerate(shares):
-            self.cycle_breakdown[cat] += base + (1 if slot < leftover else 0)
-
     def breakdown_fractions(self) -> Dict[str, float]:
         total = sum(self.cycle_breakdown.values()) or 1
         return {cat: count / total

@@ -191,8 +191,7 @@ def _adapt_and_report(name: str, scale: str, model: str,
                       metrics_json: Optional[str] = None,
                       gantt: Optional[str] = None,
                       profile_out: Optional[str] = None,
-                      profile_interval: Optional[int] = None,
-                      sample=None) -> int:
+                      profile_interval: Optional[int] = None) -> int:
     observing = bool(trace or metrics_json or gantt)
     profiler = None
     if profile_out:
@@ -202,12 +201,6 @@ def _adapt_and_report(name: str, scale: str, model: str,
     tracer = Tracer() if observing else NULL_TRACER
     ssp_spec = RunSpec.create(name, scale=scale, model=model,
                               variant="ssp")
-    if sample:
-        ssp_spec = ssp_spec.derive(sample_interval=sample[0],
-                                   sample_window=sample[1])
-        print(f"[sampled] detailed window {sample[1]} of every "
-              f"{sample[0]} cycles; timing is approximate, program "
-              f"results exact")
     artifacts = (_observed_artifacts(ssp_spec, tracer) if observing
                  else artifacts_for(ssp_spec))
     print(f"[1/4] profiling {name} ({scale}) on the baseline in-order "
@@ -1119,14 +1112,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--inject-seed", type=int, default=0, metavar="N",
                         help="seed for the deterministic fault injector "
                              "(default: 0)")
-    parser.add_argument("--sample", metavar="INTERVAL[:WINDOW]",
-                        default=None,
-                        help="sampled simulation: out of every INTERVAL "
-                             "cycles simulate WINDOW in full detail "
-                             "(default WINDOW: INTERVAL//5) and "
-                             "fast-forward the rest at the window's "
-                             "measured CPI; approximate timing, exact "
-                             "program results (see README)")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -1134,25 +1119,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             marker = "*" if name in PAPER_ORDER else " "
             print(f" {marker} {name}")
         return EXIT_OK
-    sample = None
-    if args.sample:
-        from ..sim.sampling import validate_sampling
-        try:
-            if ":" in args.sample:
-                interval_text, window_text = args.sample.split(":", 1)
-                sample = (int(interval_text), int(window_text))
-            else:
-                interval = int(args.sample)
-                sample = (interval, interval // 5)
-            validate_sampling(*sample)
-        except ValueError as exc:
-            print(f"--sample: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        if args.trace or args.metrics_json or args.gantt or args.profile:
-            print("--sample runs through the batch runner and cannot be "
-                  "combined with the in-process observers (--trace, "
-                  "--metrics-json, --gantt, --profile)", file=sys.stderr)
-            return EXIT_USAGE
     injector = None
     if args.inject:
         if "list" in args.inject:
@@ -1180,8 +1146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                      metrics_json=args.metrics_json,
                                      gantt=args.gantt,
                                      profile_out=args.profile,
-                                     profile_interval=args.profile_interval,
-                                     sample=sample)
+                                     profile_interval=args.profile_interval)
         if args.telemetry_json:
             with open(args.telemetry_json, "w", encoding="utf-8") as fh:
                 json.dump(runner.telemetry.to_dict(), fh, indent=2,

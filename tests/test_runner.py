@@ -114,6 +114,28 @@ class TestRunSpec:
         spec = RunSpec.create("mcf", tool_options=ToolOptions())
         assert pickle.loads(pickle.dumps(spec)) == spec
 
+    # Literal digests: every cache entry, queue job and checkpoint is
+    # addressed by these, so a key() change must not move them.
+    @pytest.mark.parametrize("kwargs, digest", [
+        (dict(model="inorder", variant="base"),
+         "a5c40c08900669c128632578598218aaa10de5db020497454fb9dc87b9f37378"),
+        (dict(model="inorder", variant="ssp"),
+         "2d7f2f32223e88f4fa5958fef8737acc4fc59644ab7e468af3cef7d701747b78"),
+        (dict(model="ooo", variant="base"),
+         "b7800d61e36458e1ef81fea6b7042a05cb163091eb82ebc211a296a6a3366db4"),
+        (dict(model="ooo", variant="ssp"),
+         "5a3ff45bf45478c0e7c456372f838e389423c7526bdad840cb4f16949142e9a9"),
+        (dict(model="inorder", variant="ssp",
+              tool_options={"disable_chaining": True,
+                            "max_delinquent_loads": 1},
+              config_overrides={"perfect_load_uids": [7, 3],
+                                "memory_latency": 200}),
+         "a29279a902574585814a64d10aceaee16904c52d9228558e708f23dcb7bd90e8"),
+    ])
+    def test_content_hash_is_pinned(self, kwargs, digest):
+        spec = RunSpec.create("mcf", scale="tiny", **kwargs)
+        assert spec.content_hash() == digest
+
 
 class TestResultCache:
     def test_miss_then_hit(self, tmp_path):

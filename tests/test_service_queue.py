@@ -40,6 +40,12 @@ class TestSpecRoundTrip:
         assert clone.content_hash() == spec.content_hash()
         assert clone.label() == spec.label()
 
+    def test_from_key_rejects_unknown_fields(self):
+        key = RunSpec.create("mcf", scale="tiny", variant="ssp").key()
+        key["sample_interval"] = 10000
+        with pytest.raises(ValueError, match="sample_interval"):
+            RunSpec.from_key(key)
+
 
 class TestSubmission:
     def test_submit_is_idempotent(self, queue):
@@ -144,6 +150,30 @@ class TestLifecycle:
         record = queue.read_done(spec.content_hash())
         assert record["error"] == "boom 2"
         assert record["attempts"] == 2
+
+    def test_unrebuildable_spec_fails_instead_of_running(self, tmp_path):
+        # A job whose key carries a field this version does not define
+        # (here a sampled-simulation knob) would run under a different
+        # address than the one waiters poll; claiming fails it instead.
+        queue = JobQueue(tmp_path / "svc", max_attempts=2)
+        key = RunSpec.create("mcf", scale="tiny", variant="ssp").key()
+        key["sample_interval"] = 10000
+        key["sample_window"] = 2000
+        digest = "0" * 64          # sorts first: claimed before spec_n(0)
+        queue.ensure()
+        (queue.pending_dir / f"{digest}.json").write_text(
+            json.dumps({"hash": digest, "spec": key, "attempts": 0}),
+            encoding="utf-8")
+        queue.submit(spec_n(0))
+        lease = queue.claim("w1")
+        assert lease.hash == spec_n(0).content_hash()
+        assert queue.state_of(digest) == "queued"
+        assert queue.claim("w2") is None
+        assert queue.state_of(digest) == "failed"
+        record = queue.read_done(digest)
+        assert "sample_interval" in record["error"]
+        assert record["attempts"] == 2
+        assert record["spec"] == key
 
     def test_state_progression(self, queue):
         spec = spec_n(0)
