@@ -23,7 +23,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..guard import faultinject
-from ..isa.interp import ExecutionError, ThreadState, execute, spawn_thread
+from ..isa.decode import D_KIND, K_CHK, R_SPAWN, decode_program, \
+    step_decoded
+from ..isa.instructions import OP_CHK_C, OP_SPAWN
+from ..isa.interp import ExecutionError, ThreadState, spawn_thread
 from ..isa.memory import Heap
 from ..isa.program import Program
 
@@ -158,6 +161,8 @@ def is_well_formed(program: Program) -> bool:
 # thread's architectural outcome (registers, predicates, halted state) and
 # the final heap.  Speculative work must be architecturally invisible, so
 # any divergence means the adaptation is unsound and must be rolled back.
+# Both runs step the pre-decoded table (repro.isa.decode), and the run of
+# the original is skipped when the profile already recorded it.
 
 
 @dataclass
@@ -205,6 +210,7 @@ class ShadowInterpreter:
         if not program.finalized:
             program.finalize()
         self.program = program
+        self._dcode = decode_program(program)
         self.heap = heap
         self.fire_limit = fire_limit
         self.spec_step_budget = spec_step_budget
@@ -217,53 +223,61 @@ class ShadowInterpreter:
 
     def run(self) -> ThreadState:
         program = self.program
+        dcode = self._dcode
+        heap = self.heap
         state = ThreadState(tid=0,
                             pc=program.function_entry[program.entry])
-        code = program.code
+        chk_fires = self._chk_fires
+        fire_limit = self.fire_limit
+        max_steps = self.max_steps
         steps = 0
-        while not state.done:
-            if steps >= self.max_steps:
+        while not (state.halted or state.killed):
+            if steps >= max_steps:
                 raise ExecutionError(
-                    f"exceeded {self.max_steps} steps; infinite loop?")
-            instr = code[state.pc]
+                    f"exceeded {max_steps} steps; infinite loop?")
+            pc = state.pc
+            d = dcode[pc]
             fires = False
-            if instr.op == "chk.c":
-                fired = self._chk_fires.get(state.pc, 0)
-                if fired < self.fire_limit:
-                    self._chk_fires[state.pc] = fired + 1
+            if d[D_KIND] == K_CHK:
+                fired = chk_fires.get(pc, 0)
+                if fired < fire_limit:
+                    chk_fires[pc] = fired + 1
                     fires = True
-            result = execute(program, self.heap, state, instr,
-                             chk_fires=fires)
-            if result.spawn_target is not None:
+            target = step_decoded(program, heap, state, d, fires)[R_SPAWN]
+            if target is not None:
                 home = program.function_of_index[state.pc]
-                self._run_speculative(state, result.spawn_target, home)
+                self._run_speculative(state, target, home)
             steps += 1
         return state
 
     def _run_speculative(self, parent: ThreadState, target_pc: int,
                          home: str) -> None:
         """Eagerly run one speculative thread (and any chains it spawns)."""
+        program = self.program
+        dcode = self._dcode
+        heap = self.heap
+        budget = self.spec_step_budget
         chained = 0
         pending = [spawn_thread(parent, self._tid(), target_pc)]
         while pending:
             child = pending.pop()
             self.spawned_threads += 1
             steps = 0
-            while not child.done:
-                if steps >= self.spec_step_budget:
+            while not (child.halted or child.killed):
+                if steps >= budget:
                     self.killed_by_budget += 1
                     break  # silent containment kill, not an error
-                instr = self.program.code[child.pc]
+                d = dcode[child.pc]
                 try:
-                    result = execute(self.program, self.heap, child, instr)
+                    target = step_decoded(program, heap, child, d)[R_SPAWN]
                 except ExecutionError as exc:
                     raise SpeculativeEffectError(str(exc), function=home) \
                         from exc
-                if result.spawn_target is not None:
+                if target is not None:
                     chained += 1
                     if chained <= self.max_chained:
                         pending.append(spawn_thread(
-                            child, self._tid(), result.spawn_target))
+                            child, self._tid(), target))
                     # past the cap: silently drop the chain spawn
                 steps += 1
 
@@ -294,11 +308,42 @@ def _architectural_outcome(state: ThreadState) -> Dict[str, Any]:
     }
 
 
+@dataclass(frozen=True)
+class ReferenceRun:
+    """A recorded run of an original binary, standing in for the
+    differential check's reference run.
+
+    :func:`repro.profiling.collect_profile` records one from its
+    functional run.  It is only valid for a binary with no ``chk.c`` and
+    no ``spawn`` (:func:`speculation_free`): there a functional run and a
+    shadow run step identically, so re-running the shadow interpreter
+    would repeat the recorded run on the same heap.
+    """
+
+    #: :meth:`~repro.isa.memory.Heap.digest` of the initial heap.
+    heap_digest: str
+    #: :func:`_architectural_outcome` of the final main-thread state.
+    outcome: Dict[str, Any]
+    #: :meth:`~repro.isa.memory.Heap.digest` of the final heap.
+    final_digest: str
+    #: The binary's ``_decode_version`` when it ran (bumped by every
+    #: ``finalize()``), so a re-finalised binary is never trusted.
+    decode_version: int
+
+
+def speculation_free(program: Program) -> bool:
+    """True when ``program`` contains no ``chk.c`` and no ``spawn``."""
+    return not any(instr.op in (OP_CHK_C, OP_SPAWN)
+                   for instr in program.code)
+
+
 def differential_check(original: Program, adapted: Program,
                        heap_factory: Callable[[], Heap], *,
                        fire_limit: int = 8,
                        spec_step_budget: int = 4096,
-                       max_chained: int = 4096) -> DifferentialReport:
+                       max_chained: int = 4096,
+                       reference: Optional[ReferenceRun] = None
+                       ) -> DifferentialReport:
     """Compare main-thread architectural outcomes of the two programs.
 
     Both run under the :class:`ShadowInterpreter` on freshly built heaps;
@@ -306,16 +351,29 @@ def differential_check(original: Program, adapted: Program,
     execute.  Any speculative store, interpreter failure in the adapted
     run, or divergence of registers / predicates / final heap yields a
     non-equivalent report naming the culprit function when known.
+
+    ``reference`` is a recorded run of ``original``.  It replaces the
+    reference run only when it provably is that run (same initial heap,
+    same ``_decode_version``) *and* the adapted run matches it (same
+    outcome, same final heap); otherwise the original runs as usual, so
+    a non-equivalent report is identical with or without ``reference``.
     """
-    ref = ShadowInterpreter(original, heap_factory(),
-                            fire_limit=fire_limit,
-                            spec_step_budget=spec_step_budget,
-                            max_chained=max_chained)
-    ref_state = ref.run()
-    shadow = ShadowInterpreter(adapted, heap_factory(),
-                               fire_limit=fire_limit,
-                               spec_step_budget=spec_step_budget,
-                               max_chained=max_chained)
+    def shadow_of(program: Program, heap: Heap) -> ShadowInterpreter:
+        return ShadowInterpreter(program, heap, fire_limit=fire_limit,
+                                 spec_step_budget=spec_step_budget,
+                                 max_chained=max_chained)
+
+    heap = heap_factory()
+    if reference is not None and not (
+            original.finalized
+            and reference.decode_version == original._decode_version
+            and reference.heap_digest == heap.digest()):
+        reference = None
+    if reference is None:
+        ref = shadow_of(original, heap)
+        ref_state = ref.run()
+        heap = heap_factory()
+    shadow = shadow_of(adapted, heap)
     try:
         adapted_state = shadow.run()
     except SpeculativeEffectError as exc:
@@ -339,6 +397,17 @@ def differential_check(original: Program, adapted: Program,
             spawned_threads=shadow.spawned_threads,
             killed_by_budget=shadow.killed_by_budget)
 
+    adapted_out = _architectural_outcome(adapted_state)
+    if reference is not None:
+        if adapted_out == reference.outcome and \
+                shadow.heap.digest() == reference.final_digest:
+            return DifferentialReport(
+                equivalent=True,
+                spawned_threads=shadow.spawned_threads,
+                killed_by_budget=shadow.killed_by_budget)
+        ref = shadow_of(original, heap_factory())
+        ref_state = ref.run()
+
     mismatches = ref.heap.diff(shadow.heap)
     if mismatches:
         return DifferentialReport(
@@ -349,7 +418,6 @@ def differential_check(original: Program, adapted: Program,
             spawned_threads=shadow.spawned_threads,
             killed_by_budget=shadow.killed_by_budget)
     ref_out = _architectural_outcome(ref_state)
-    adapted_out = _architectural_outcome(adapted_state)
     if ref_out != adapted_out:
         keys = [k for k in ref_out if ref_out[k] != adapted_out[k]]
         return DifferentialReport(

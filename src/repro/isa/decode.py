@@ -1,4 +1,4 @@
-"""Pre-decoded issue tables for the timing simulators' hot loops.
+"""Pre-decoded issue tables for the simulators' and interpreters' hot loops.
 
 ``repro.isa`` instructions are convenient value objects, but the per-cycle
 issue path pays for that convenience on every tick: ``Instruction.reads``
@@ -8,14 +8,19 @@ dispatch is a string-compare chain, and ``execute`` allocates an
 a finalised :class:`~repro.isa.program.Program` **once** into flat
 per-instruction tuples of plain ints/strings/callables so the simulators'
 fast paths (``repro.sim.inorder``, ``repro.sim.ooo``) do zero dict lookups
-and zero ``getattr`` per issued instruction.
+and zero ``getattr`` per issued instruction.  The post-pass tool's
+functional runs — the profiler's
+:class:`~repro.isa.interp.FunctionalInterpreter` and the differential
+verify's :class:`~repro.codegen.verify.ShadowInterpreter` — step the same
+tables.
 
 :func:`step_decoded` is a semantics-preserving mirror of
 :func:`repro.isa.interp.execute` over a decoded entry — byte-identical
-architectural behaviour is the contract (enforced by the differential suite
-in ``tests/test_sim_fastpath.py``), the only difference being that results
-are plain tuples (shared singletons for the common cases) instead of
-``ExecResult`` objects.
+architectural behaviour is the contract (enforced against ``execute`` by
+``tests/test_sim_fastpath.py`` for the simulators and
+``tests/test_isa_decoded_interp.py`` for the interpreters), the only
+difference being that results are plain tuples (shared singletons for the
+common cases) instead of ``ExecResult`` objects.
 
 The decode cache is keyed on ``Program._decode_version``, bumped by every
 ``Program.finalize()`` — the tool's in-place nop→``chk.c`` patching is

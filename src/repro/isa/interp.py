@@ -2,9 +2,13 @@
 
 A :class:`ThreadState` is one hardware thread context's architectural state.
 :func:`execute` steps one instruction functionally and reports what happened
-in an :class:`ExecResult`; both timing simulators (``repro.sim.inorder``,
-``repro.sim.ooo``) and the fast :class:`FunctionalInterpreter` are built on
-it, so there is exactly one definition of what each opcode *does*.
+in an :class:`ExecResult`; the simulators' legacy loops step through it.
+:func:`repro.isa.decode.step_decoded` is its mirror over a pre-decoded
+table, and every fast engine steps through that instead: both simulators'
+fast paths, the :class:`FunctionalInterpreter` below and the post-pass
+tool's shadow interpreter (``repro.codegen.verify``).  The two definitions
+of what each opcode *does* are held equal by ``tests/test_sim_fastpath.py``
+(simulators) and ``tests/test_isa_decoded_interp.py`` (interpreters).
 
 Speculative threads never modify the main thread's architectural state: they
 have their own :class:`ThreadState`, may not execute stores (the emitter
@@ -287,7 +291,8 @@ class FunctionalInterpreter:
     """Timing-free whole-program execution.
 
     Used by workload unit tests to validate program semantics and by the
-    block/call-graph profilers.  Runs a single thread; ``chk.c`` never fires
+    block/call-graph profilers; steps the pre-decoded table
+    (:mod:`repro.isa.decode`).  Runs a single thread; ``chk.c`` never fires
     and ``spawn`` is ignored (a spawn with no free context is dropped, and
     functionally a p-slice has no architectural effect anyway).
     """
@@ -305,27 +310,33 @@ class FunctionalInterpreter:
 
     def run(self, count: bool = True) -> ThreadState:
         """Run from the program entry until halt; returns the final state."""
+        # Imported here: repro.isa.decode builds on this module.
+        from .decode import D_KIND, D_SRC0, D_UID, K_CALLI, \
+            decode_program, step_decoded
         program = self.program
+        dcode = decode_program(program)
+        heap = self.heap
         state = ThreadState(tid=0,
                             pc=program.function_entry[program.entry])
         counts = self.exec_counts
-        code = program.code
+        max_steps = self.max_steps
         steps = 0
-        while not state.done:
-            if steps >= self.max_steps:
+        while not (state.halted or state.killed):
+            if steps >= max_steps:
                 raise ExecutionError(
-                    f"exceeded {self.max_steps} steps; infinite loop?")
-            instr = code[state.pc]
+                    f"exceeded {max_steps} steps; infinite loop?")
+            d = dcode[state.pc]
             if count:
-                uid = instr.uid
+                uid = d[D_UID]
                 counts[uid] = counts.get(uid, 0) + 1
-            if instr.op == "br.call.ind":
-                fid = state.regs.get(instr.srcs[0], 0)
+            if d[D_KIND] == K_CALLI:
+                fid = state.regs.get(d[D_SRC0], 0)
                 if 0 <= fid < len(program.function_by_id):
-                    per_site = self.indirect_targets.setdefault(instr.uid, {})
+                    per_site = self.indirect_targets.setdefault(
+                        d[D_UID], {})
                     name = program.function_by_id[fid]
                     per_site[name] = per_site.get(name, 0) + 1
-            execute(program, self.heap, state, instr)
+            step_decoded(program, heap, state, d)
             steps += 1
         self.steps += steps
         return state

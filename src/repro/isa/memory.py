@@ -9,6 +9,7 @@ defines (Itanium ``ld8``/``st8``).
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, List, Tuple
 
 
@@ -106,6 +107,19 @@ class Heap:
         if self.size != other.size:
             out.append((n * WORD, self.size // WORD, other.size // WORD))
         return out
+
+    def digest(self) -> str:
+        """SHA-256 of the heap's architectural contents.
+
+        Covers ``size`` and every non-zero word, so an explicitly stored
+        zero digests like an absent word — two heaps digest equal exactly
+        when :meth:`diff` finds nothing between them.
+        """
+        words = self._words
+        keys = sorted([k for k, v in words.items() if v])
+        values = [words[k] for k in keys]
+        return hashlib.sha256(
+            repr((self.size, keys, values)).encode()).hexdigest()
 
     def valid(self, addr: int) -> bool:
         """True if ``addr`` is a mapped, aligned word address.

@@ -9,7 +9,9 @@ Two profiling runs are made:
 1. a timing run on the baseline in-order model (``chk.c`` disabled) for the
    cache profile and the baseline cycle count, and
 2. a functional run for exact per-instruction execution counts and the
-   dynamic call graph of indirect calls.
+   dynamic call graph of indirect calls.  For a binary that does not
+   speculate yet, this run is also recorded as the reference run the
+   tool's differential verify would otherwise repeat.
 
 Both runs need their own freshly initialised heap (programs mutate their
 data), which is why the API takes a ``heap_factory``.
@@ -19,6 +21,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..codegen.verify import ReferenceRun, _architectural_outcome, \
+    speculation_free
 from ..isa.interp import FunctionalInterpreter
 from ..isa.memory import Heap
 from ..isa.program import Program
@@ -38,8 +42,17 @@ def collect_profile(program: Program,
     sim = InOrderSimulator(program, heap_factory(), config, spawning=False)
     stats = sim.run()
 
-    interp = FunctionalInterpreter(program, heap_factory())
-    interp.run()
+    heap = heap_factory()
+    initial_digest = heap.digest() if speculation_free(program) else None
+    interp = FunctionalInterpreter(program, heap)
+    final = interp.run()
+    reference = None
+    if initial_digest is not None:
+        reference = ReferenceRun(
+            heap_digest=initial_digest,
+            outcome=_architectural_outcome(final),
+            final_digest=heap.digest(),
+            decode_version=program._decode_version)
 
     return ProgramProfile(
         program=program,
@@ -48,4 +61,5 @@ def collect_profile(program: Program,
         indirect_targets=dict(interp.indirect_targets),
         baseline_cycles=stats.cycles,
         l1_latency=config.l1.latency,
+        reference=reference,
     )

@@ -9,15 +9,21 @@ A :class:`ProgramProfile` bundles everything the post-pass tool consumes:
   control-flow speculative slicing and trip-count estimation,
 * the **dynamic call graph** for indirect call sites ("we instrument all
   the indirect procedural calls to capture the call graph during
-  profiling").
+  profiling"),
+* the **reference run** — the functional run's initial and final heap
+  digests and final main-thread state, which the tool's differential
+  verify reuses instead of re-running the original binary.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..isa.program import Program
 from ..sim.caches import LoadStats
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..codegen.verify import ReferenceRun
 
 
 class ProgramProfile:
@@ -28,13 +34,17 @@ class ProgramProfile:
                  exec_counts: Dict[int, int],
                  indirect_targets: Dict[int, Dict[str, int]],
                  baseline_cycles: int,
-                 l1_latency: int = 2):
+                 l1_latency: int = 2,
+                 reference: Optional["ReferenceRun"] = None):
         self.program = program
         self.load_stats = load_stats
         self.exec_counts = exec_counts
         self.indirect_targets = indirect_targets
         self.baseline_cycles = baseline_cycles
         self.l1_latency = l1_latency
+        #: Recorded functional run of ``program`` (None when the program
+        #: already speculates, so a functional run is not a shadow run).
+        self.reference = reference
         self.block_freq: Dict[str, Dict[str, int]] = {}
         for name, func in program.functions.items():
             freqs: Dict[str, int] = {}

@@ -37,7 +37,7 @@ from ..analysis.cfg import CFG
 from ..analysis.depgraph import DependenceGraph
 from ..analysis.regions import LOOP, Region, RegionGraph
 from ..codegen.emit import AdaptedBinary, SSPEmitter
-from ..codegen.verify import differential_check
+from ..codegen.verify import ReferenceRun, differential_check
 from ..profiling.delinquent import select_delinquent_loads
 from ..profiling.profile import ProgramProfile
 from ..scheduling.basic import BasicScheduler
@@ -330,8 +330,18 @@ class SSPPostPassTool:
         if result.adapted is not None and opts.differential_verify and \
                 heap_factory is not None:
             with tracer.span("verify") as sp:
-                emitted = self._verify_and_rollback(
-                    program, emitted, result, heap_factory)
+                reference = (profile.reference
+                             if profile.program is program else None)
+                with recovery_boundary(report, "verify",
+                                       tracer=tracer) as b:
+                    emitted = self._verify_and_rollback(
+                        program, emitted, result, heap_factory, reference)
+                if not b.ok:
+                    # An unverified binary never ships.
+                    report.record_rollback(
+                        None, f"verify stage failed: {b.error}")
+                    result.adapted = None
+                    emitted = []
                 sp.set(rollbacks=len(report.rollbacks),
                        equivalent=result.adapted is not None)
         return emitted
@@ -389,20 +399,23 @@ class SSPPostPassTool:
                              placements: List[Tuple[ScheduledSlice,
                                                     list]],
                              result: ToolResult,
-                             heap_factory: Callable[[], Heap]
+                             heap_factory: Callable[[], Heap],
+                             reference: Optional[ReferenceRun]
                              ) -> List[Tuple[ScheduledSlice, list]]:
         """Differential check + per-function rollback loop.
 
-        Re-emission always starts from the pristine original, so a
-        rolled-back function is byte-identical to the unadapted input by
-        construction.
+        ``reference`` is the profile's recorded run of ``program``, which
+        spares each check its reference run when the adapted binary
+        matches it.  Re-emission always starts from the pristine
+        original, so a rolled-back function is byte-identical to the
+        unadapted input by construction.
         """
         report = result.guard
         tracer = self.tracer
         remaining = list(placements)
         for _ in range(len(placements) + 1):
             diff = differential_check(program, result.adapted.program,
-                                      heap_factory)
+                                      heap_factory, reference=reference)
             tracer.event("differential_check", category="verify",
                          **diff.to_dict())
             if diff.equivalent:
