@@ -19,13 +19,13 @@ timing simulator), ``repro.profiling``, ``repro.analysis``,
 (the seven benchmarks), ``repro.runner`` (parallel run orchestration with
 a content-addressed result cache) and ``repro.experiments`` (the paper's
 evaluation).
+
+The top-level names resolve on first use: ``import repro`` loads no
+subpackage, and ``repro.simulate`` imports :mod:`repro.sim` when it is
+first read.  A command therefore pays only for the layers it runs.
 """
 
-from .profiling import collect_profile
-from .runner import ResultCache, Runner, RunSpec
-from .sim import inorder_config, ooo_config, simulate
-from .tool import SSPPostPassTool, ToolOptions
-from .workloads import PAPER_ORDER, make_workload, workload_names
+import importlib
 
 __version__ = "1.0.0"
 
@@ -34,11 +34,29 @@ PAPER = ("Liao, Wang, Wang, Hoflehner, Lavery, Shen: Post-Pass Binary "
          "Adaptation for Software-Based Speculative Precomputation. "
          "PLDI 2002. DOI 10.1145/512529.512544")
 
-__all__ = [
-    "collect_profile",
-    "ResultCache", "Runner", "RunSpec",
-    "inorder_config", "ooo_config", "simulate",
-    "SSPPostPassTool", "ToolOptions",
-    "PAPER_ORDER", "make_workload", "workload_names",
-    "PAPER", "__version__",
-]
+#: Re-exported name -> the subpackage that defines it.
+_EXPORTS = {
+    "collect_profile": ".profiling",
+    "ResultCache": ".runner", "Runner": ".runner", "RunSpec": ".runner",
+    "inorder_config": ".sim", "ooo_config": ".sim", "simulate": ".sim",
+    "SSPPostPassTool": ".tool", "ToolOptions": ".tool",
+    "PAPER_ORDER": ".workloads", "make_workload": ".workloads",
+    "workload_names": ".workloads",
+}
+
+__all__ = [*_EXPORTS, "PAPER", "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a re-exported name's subpackage on first access (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

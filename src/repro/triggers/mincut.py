@@ -13,13 +13,16 @@ formulation as an alternative/validation mode: edges are weighted by
 profiled frequency times a unit triggering cost, infrequent edges are
 filtered, and the min cut separating the function entry from the delinquent
 load's block is returned.
+
+The tool itself never calls this mode, so :mod:`networkx` is imported
+inside :func:`optimal_trigger_cut`: the runtime stays standard-library
+only, and only that call raises :class:`ImportError` where networkx is
+not installed.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
-
-import networkx as nx
 
 from ..analysis.cfg import CFG, EXIT
 
@@ -51,6 +54,7 @@ def optimal_trigger_cut(cfg: CFG, block_freq: Dict[str, int],
     Every returned edge carries exactly one trigger; together they cover
     each path from the entry to the delinquent load exactly once.
     """
+    import networkx as nx
     freqs = edge_frequencies(cfg, block_freq)
     hottest = max(freqs.values(), default=0.0)
     graph = nx.DiGraph()
