@@ -12,17 +12,20 @@ Top-level convenience API::
     stats = repro.simulate(result.program, workload.build_heap(),
                            "inorder")
 
-Subpackages: ``repro.isa`` (the Itanium-like ISA), ``repro.sim`` (the SMT
-timing simulator), ``repro.profiling``, ``repro.analysis``,
-``repro.slicing``, ``repro.scheduling``, ``repro.triggers``,
-``repro.codegen``, ``repro.tool`` (the post-pass tool), ``repro.workloads``
-(the seven benchmarks), ``repro.runner`` (parallel run orchestration with
-a content-addressed result cache) and ``repro.experiments`` (the paper's
+Subpackages (import each one explicitly, e.g. ``import repro.sim``):
+``repro.isa`` (the Itanium-like ISA), ``repro.sim`` (the SMT timing
+simulator), ``repro.profiling``, ``repro.analysis``, ``repro.slicing``,
+``repro.scheduling``, ``repro.triggers``, ``repro.codegen``,
+``repro.tool`` (the post-pass tool), ``repro.workloads`` (the seven
+benchmarks), ``repro.runner`` (parallel run orchestration with a
+content-addressed result cache) and ``repro.experiments`` (the paper's
 evaluation).
 
 The top-level names resolve on first use: ``import repro`` loads no
 subpackage, and ``repro.simulate`` imports :mod:`repro.sim` when it is
-first read.  A command therefore pays only for the layers it runs.
+first read.  So ``import repro.workloads`` (or ``repro.isa``) does not
+pull in the simulator, the tool and the runner, and a subpackage is an
+attribute of ``repro`` only once something has imported it.
 """
 
 import importlib
@@ -56,7 +59,3 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(module, __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

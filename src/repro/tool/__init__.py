@@ -1,23 +1,10 @@
-"""The SSP post-pass adaptation tool (the paper's contribution).
+"""The SSP post-pass adaptation tool (the paper's contribution)."""
 
-The names below resolve on first use, so importing :mod:`repro.tool.cli`
-does not load the post-pass pipeline.
-"""
-
-import importlib
+from .postpass import (
+    RegionDecision,
+    SSPPostPassTool,
+    ToolOptions,
+    ToolResult,
+)
 
 __all__ = ["RegionDecision", "SSPPostPassTool", "ToolOptions", "ToolResult"]
-
-
-def __getattr__(name: str):
-    """Import :mod:`repro.tool.postpass` on first access (PEP 562)."""
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute "
-                             f"{name!r}")
-    value = getattr(importlib.import_module(".postpass", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

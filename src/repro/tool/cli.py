@@ -66,11 +66,6 @@ the ladder, which is recorded in telemetry and
 ``RunResult.metrics["resilience"]`` rather than the exit code — still
 exits 0/3/4 per the guard semantics above; only a spec the supervisor
 had to *skip* (ladder and retries exhausted) surfaces as failure (1).
-
-Start-up: this module imports only the standard library and
-:mod:`repro.workloads`, which is all the parsers and ``--list`` need.
-Each command imports the layers it runs inside its handler, so a fresh
-interpreter pays only for what the command uses.
 """
 
 from __future__ import annotations
@@ -80,12 +75,28 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
+from ..guard import faultinject
+from ..guard.faultinject import FaultInjector, FaultSpec, describe_sites
+from ..obs import (
+    NULL_TRACER,
+    Tracer,
+    chrome_trace_events,
+    collect_metrics,
+    jsonl_records,
+    render_report,
+    write_chrome_trace,
+    write_jsonl,
+)
+from ..runner import (
+    ResultCache,
+    Runner,
+    RunSpec,
+    WorkloadArtifacts,
+    artifacts_for,
+)
 from ..workloads import PAPER_ORDER, workload_names
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..runner import Runner, RunSpec, WorkloadArtifacts
 
 #: Exit codes.  0/1/2 keep their conventional meanings; 3 and 4 let
 #: scripts distinguish a run that *succeeded but degraded* (some loads
@@ -113,7 +124,6 @@ def _guard_exit_code(guard, base: int) -> int:
 
 
 def _make_runner(args) -> Runner:
-    from ..runner import Runner
     resilience = None
     if (getattr(args, "deadline", None) is not None
             or getattr(args, "checkpoint_every", None) is not None
@@ -141,7 +151,6 @@ def _observed_artifacts(spec: RunSpec, tracer) -> WorkloadArtifacts:
     profile/adaptation for this spec, in which case no spans would be
     recorded; an observed run pays the rebuild to get a complete trace.
     """
-    from ..runner import WorkloadArtifacts
     artifacts = WorkloadArtifacts(spec.workload, spec.scale,
                                   spec.tool_options_dict())
     artifacts.tracer = tracer
@@ -183,17 +192,6 @@ def _adapt_and_report(name: str, scale: str, model: str,
                       gantt: Optional[str] = None,
                       profile_out: Optional[str] = None,
                       profile_interval: Optional[int] = None) -> int:
-    from ..obs import (
-        NULL_TRACER,
-        Tracer,
-        chrome_trace_events,
-        collect_metrics,
-        jsonl_records,
-        write_chrome_trace,
-        write_jsonl,
-    )
-    from ..runner import RunSpec, artifacts_for
-
     observing = bool(trace or metrics_json or gantt)
     profiler = None
     if profile_out:
@@ -362,7 +360,6 @@ def _cache_command(argv: List[str]) -> int:
                         help="with clear: only remove generations from "
                              "older source-tree versions")
     args = parser.parse_args(argv)
-    from ..runner import ResultCache
     cache = ResultCache()
     if args.action == "stats":
         info = cache.stats()
@@ -427,7 +424,6 @@ def _service_config(args):
 
 
 def _service_specs(args) -> List[RunSpec]:
-    from ..runner import RunSpec
     names = args.workloads or list(PAPER_ORDER)
     variants = args.variant or ["ssp"]
     return [RunSpec.create(name, scale=args.scale, model=args.model,
@@ -666,21 +662,19 @@ def _service_command(argv: List[str]) -> int:
         return EXIT_OK if not failures else EXIT_FAILURE
 
     if args.action == "worker":
-        from ..guard import faultinject
         injector = None
         if args.inject:
             if "list" in args.inject:
-                for line in faultinject.describe_sites():
+                for line in describe_sites():
                     print(line)
                 return EXIT_OK
             try:
-                specs = [faultinject.FaultSpec.parse(text)
-                         for text in args.inject]
+                specs = [FaultSpec.parse(text) for text in args.inject]
             except ValueError as exc:
                 print(f"--inject: {exc}", file=sys.stderr)
                 return EXIT_USAGE
             injector = faultinject.install(
-                faultinject.FaultInjector(specs, seed=args.inject_seed))
+                FaultInjector(specs, seed=args.inject_seed))
         resilience = None
         if (args.checkpoint_every is not None
                 or args.deadline is not None
@@ -922,8 +916,6 @@ def _report_command(argv: List[str]) -> int:
                              "backend)")
     args = parser.parse_args(argv)
 
-    from ..obs import Tracer, collect_metrics, render_report
-
     if args.from_file:
         with open(args.from_file, "r", encoding="utf-8") as fh:
             metrics = json.load(fh)
@@ -933,7 +925,6 @@ def _report_command(argv: List[str]) -> int:
         parser.print_usage()
         return 2
 
-    from ..runner import Runner, RunSpec
     tracer = Tracer()
     spec = RunSpec.create(args.workload, scale=args.scale,
                           model=args.model, variant="ssp")
@@ -998,7 +989,6 @@ def _check_command(argv: List[str]) -> int:
     args = parser.parse_args(argv)
 
     from ..check import lint_program, run_fuzz, run_oracle
-    from ..runner import WorkloadArtifacts
 
     names = args.workloads or list(PAPER_ORDER)
     failures = 0
@@ -1129,21 +1119,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             marker = "*" if name in PAPER_ORDER else " "
             print(f" {marker} {name}")
         return EXIT_OK
-    from ..guard import faultinject
     injector = None
     if args.inject:
         if "list" in args.inject:
-            for line in faultinject.describe_sites():
+            for line in describe_sites():
                 print(line)
             return EXIT_OK
         try:
-            specs = [faultinject.FaultSpec.parse(text)
-                     for text in args.inject]
+            specs = [FaultSpec.parse(text) for text in args.inject]
         except ValueError as exc:
             print(f"--inject: {exc}", file=sys.stderr)
             return EXIT_USAGE
         injector = faultinject.install(
-            faultinject.FaultInjector(specs, seed=args.inject_seed))
+            FaultInjector(specs, seed=args.inject_seed))
     try:
         runner = _make_runner(args)
         if args.experiments:
