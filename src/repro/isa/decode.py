@@ -7,7 +7,7 @@ dispatch is a string-compare chain, and ``execute`` allocates an
 :class:`~repro.isa.interp.ExecResult` per instruction.  This module decodes
 a finalised :class:`~repro.isa.program.Program` **once** into flat
 per-instruction tuples of plain ints/strings/callables so the simulators'
-fast paths (``repro.sim.inorder``, ``repro.sim.ooo``) do zero dict lookups
+run loops (``repro.sim.inorder``, ``repro.sim.ooo``) do zero dict lookups
 and zero ``getattr`` per issued instruction.  The post-pass tool's
 functional runs — the profiler's
 :class:`~repro.isa.interp.FunctionalInterpreter` and the differential
@@ -31,9 +31,8 @@ assumes the program is not mutated *between* ``finalize()`` and the run.
 
 from __future__ import annotations
 
-import os
 import weakref
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from .instructions import (
     ALU_OPS,
@@ -145,19 +144,6 @@ def decode_program(program: Program) -> List[DecodedEntry]:
              for pc, instr in enumerate(program.code)]
     _DECODE_CACHE[program] = (version, table)
     return table
-
-
-def resolve_fast_path(fast_path: Optional[bool]) -> bool:
-    """Resolve a simulator's ``fast_path`` constructor argument.
-
-    ``None`` (the default) enables the fast path unless the
-    ``REPRO_SIM_LEGACY`` environment variable is set truthy — the escape
-    hatch CI uses to pin a legacy-interpretation baseline for the speedup
-    gate, and users can use to cross-check a suspect run.
-    """
-    if fast_path is not None:
-        return fast_path
-    return os.environ.get("REPRO_SIM_LEGACY", "") not in ("1", "true", "yes")
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 A :class:`ThreadState` is one hardware thread context's architectural state.
 :func:`execute` steps one instruction functionally and reports what happened
-in an :class:`ExecResult`; the simulators' legacy loops step through it.
+in an :class:`ExecResult`; it is the ISA reference that the test suite's
+Instruction-object loops (``tests/sim_reference.py``) step through.
 :func:`repro.isa.decode.step_decoded` is its mirror over a pre-decoded
-table, and every fast engine steps through that instead: both simulators'
-fast paths, the :class:`FunctionalInterpreter` below and the post-pass
-tool's shadow interpreter (``repro.codegen.verify``).  The two definitions
-of what each opcode *does* are held equal by ``tests/test_sim_fastpath.py``
-(simulators) and ``tests/test_isa_decoded_interp.py`` (interpreters).
+table, and every production engine steps through that instead: both
+simulators' run loops, the :class:`FunctionalInterpreter` below and the
+post-pass tool's shadow interpreter (``repro.codegen.verify``).  The two
+definitions of what each opcode *does* are held equal by
+``tests/test_sim_fastpath.py`` (simulators) and
+``tests/test_isa_decoded_interp.py`` (interpreters).
 
 Speculative threads never modify the main thread's architectural state: they
 have their own :class:`ThreadState`, may not execute stores (the emitter

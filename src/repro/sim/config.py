@@ -46,7 +46,6 @@ class MachineConfig:
     #: Max bundles fetched+issued per cycle: 2 from one thread, or 1 each
     #: from two threads.
     bundles_per_cycle: int = 2
-    max_threads_per_cycle: int = 2
 
     # OOO structures (ignored by the in-order model).
     rob_entries: int = 255

@@ -43,33 +43,24 @@ def make_config(model: str) -> MachineConfig:
 
 def make_simulator(program: Program, heap: Heap, model: str = "inorder",
                    config: Optional[MachineConfig] = None,
-                   spawning: bool = True, max_cycles: int = 200_000_000,
-                   fast_path: Optional[bool] = None):
+                   spawning: bool = True, max_cycles: int = 200_000_000):
     """Construct (without running) the simulator for a model name.
 
     This is the entry point for checkpoint/resume callers, which need the
     simulator object itself to drive ``snapshot()``/``restore()`` and the
     ``run(checkpoint_every=..., on_checkpoint=...)`` hooks.
-
-    ``fast_path`` selects the pre-decoded issue tables (True), the legacy
-    Instruction-object interpreter (False), or the environment default
-    (None: fast unless ``REPRO_SIM_LEGACY`` is set).  Statistics are
-    byte-identical either way — the knob exists for the differential
-    suite and for bisecting.
     """
     config_factory, sim_cls = _lookup(model)
     if config is None:
         config = config_factory()
-    return sim_cls(program, heap, config, spawning, max_cycles,
-                   fast_path=fast_path)
+    return sim_cls(program, heap, config, spawning, max_cycles)
 
 
 def simulate(program: Program, heap: Heap, model: str = "inorder",
              config: Optional[MachineConfig] = None, spawning: bool = True,
              max_cycles: int = 200_000_000,
              checkpoint_every: Optional[int] = None,
-             on_checkpoint=None,
-             fast_path: Optional[bool] = None) -> SimStats:
+             on_checkpoint=None) -> SimStats:
     """Run ``program`` on the selected machine model and return statistics.
 
     Args:
@@ -85,7 +76,6 @@ def simulate(program: Program, heap: Heap, model: str = "inorder",
             forwarded to the simulator's ``run`` (cadence never affects
             the statistics).
     """
-    sim = make_simulator(program, heap, model, config, spawning, max_cycles,
-                         fast_path=fast_path)
+    sim = make_simulator(program, heap, model, config, spawning, max_cycles)
     return sim.run(checkpoint_every=checkpoint_every,
                    on_checkpoint=on_checkpoint)

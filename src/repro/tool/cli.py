@@ -17,7 +17,6 @@ adaptation and its effect::
     ssp-postpass service status BATCH && ssp-postpass service fetch BATCH
     ssp-postpass service top --watch 2
     ssp-postpass mcf --profile profile.json --trace out.jsonl
-    ssp-postpass bench record --pin && ssp-postpass bench compare
 
 All simulations go through :mod:`repro.runner`: results are cached under
 ``.repro-cache/`` (disable with ``--no-cache``) and ``--jobs N`` fans each
@@ -32,10 +31,7 @@ chart, and ``--telemetry-json`` the runner's cache/wall-time summary; the
 simulation (in-process) and writes its phase/stall/tick document to
 FILE; with ``--trace`` the profiler's counter tracks ride along in the
 Perfetto trace.  ``service top`` renders fleet-wide telemetry for a
-service root (``--watch`` refreshes), and ``bench record`` /
-``bench compare`` maintain the append-only ``BENCH_history.jsonl``
-ledger and gate throughput against the pinned ``BENCH_baseline.json``
-(nonzero exit on a statistically significant regression).
+service root (``--watch`` refreshes).
 
 Robustness (:mod:`repro.guard`): every run prints a one-line guard
 summary; exit codes distinguish success (0) from tool/simulation failure
@@ -745,132 +741,6 @@ def _service_command(argv: List[str]) -> int:
     return EXIT_OK
 
 
-def _bench_command(argv: List[str]) -> int:
-    from ..obs import regress
-
-    parser = argparse.ArgumentParser(
-        prog="ssp-postpass bench",
-        description="Perf-regression ledger: 'record' appends a "
-                    "median-of-K timing record to the append-only "
-                    "BENCH_history.jsonl (and can pin it as the "
-                    "baseline); 'compare' measures again and gates "
-                    "against the pinned baseline, exiting nonzero on a "
-                    "statistically significant throughput regression.")
-    sub = parser.add_subparsers(dest="action", required=True)
-
-    def _common(p) -> None:
-        p.add_argument("workloads", nargs="*",
-                       help="benchmarks to time (default: the seven "
-                            "paper workloads)")
-        p.add_argument("--scale", default="tiny",
-                       choices=("tiny", "small", "default"))
-        p.add_argument("--model", default="inorder",
-                       choices=("inorder", "ooo"))
-        p.add_argument("--k", type=int, default=5, metavar="N",
-                       help="measured runs per workload, after one "
-                            "discarded warm-up (default: 5)")
-        p.add_argument("--label", default="", metavar="TEXT",
-                       help="free-form label stored in the record")
-        p.add_argument("--ledger", default=regress.LEDGER_NAME,
-                       metavar="FILE",
-                       help=f"append-only JSONL ledger (default: "
-                            f"{regress.LEDGER_NAME})")
-        p.add_argument("--baseline", default=regress.BASELINE_NAME,
-                       metavar="FILE",
-                       help=f"pinned baseline file (default: "
-                            f"{regress.BASELINE_NAME})")
-
-    p_record = sub.add_parser(
-        "record", help="time the workloads and append to the ledger")
-    _common(p_record)
-    p_record.add_argument("--pin", action="store_true",
-                          help="also pin this record as the baseline "
-                               "'bench compare' gates against")
-
-    p_compare = sub.add_parser(
-        "compare", help="time the workloads and gate against the "
-                        "pinned baseline (nonzero exit on regression)")
-    _common(p_compare)
-    p_compare.add_argument("--nsigma", type=float,
-                           default=regress.DEFAULT_NSIGMA, metavar="N",
-                           help="noise band width in combined sigmas "
-                                f"(default: {regress.DEFAULT_NSIGMA:g})")
-    p_compare.add_argument("--min-rel", type=float,
-                           default=regress.DEFAULT_MIN_REL, metavar="R",
-                           help="relative drop floor below which nothing "
-                                "regresses (default: "
-                                f"{regress.DEFAULT_MIN_REL:g})")
-    p_compare.add_argument("--inject-slowdown", type=float, default=1.0,
-                           metavar="X",
-                           help="multiply measured wall times by X — "
-                                "self-test knob proving the gate fires "
-                                "(used by CI)")
-    p_compare.add_argument("--no-ledger", action="store_true",
-                           help="do not append this measurement to the "
-                                "ledger (injected self-tests should not "
-                                "pollute the trajectory)")
-    p_compare.add_argument("--assert-speedup", type=float, default=0.0,
-                           metavar="X",
-                           help="also fail unless the median throughput "
-                                "ratio vs the baseline is at least X "
-                                "(CI gate for deliberate speedups)")
-
-    args = parser.parse_args(argv)
-    names = args.workloads or list(PAPER_ORDER)
-    if args.k < 3:
-        if args.action == "record" and args.pin:
-            # A pinned baseline is what every later compare gates
-            # against: with K < 3 the MAD is meaningless (K=1 gives 0 —
-            # an infinitely confident band) and the gate goes blind.
-            print(f"bench record --pin: --k {args.k} cannot pin a "
-                  f"baseline; a usable noise estimate needs K >= 3",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        print(f"bench: warning: --k {args.k} gives a degenerate noise "
-              f"estimate (MAD needs K >= 3)", file=sys.stderr)
-    inject = getattr(args, "inject_slowdown", 1.0)
-    try:
-        record = regress.measure(
-            names, scale=args.scale, k=args.k, model=args.model,
-            label=args.label, inject_slowdown=inject,
-            progress=lambda line: print(f"  {line}"))
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.action == "record":
-        regress.append_record(record, args.ledger)
-        print(f"recorded {len(names)} workload(s) at {args.scale} scale "
-              f"-> {args.ledger} "
-              f"({len(regress.read_ledger(args.ledger))} record(s))")
-        if args.pin:
-            regress.pin_baseline(record, args.baseline)
-            print(f"baseline pinned -> {args.baseline}")
-        return EXIT_OK
-
-    # compare
-    baseline = regress.load_baseline(args.baseline)
-    if baseline is None:
-        print(f"bench compare: no baseline at {args.baseline}; pin one "
-              f"with 'ssp-postpass bench record --pin'", file=sys.stderr)
-        return EXIT_USAGE
-    if not args.no_ledger and inject == 1.0:
-        regress.append_record(record, args.ledger)
-    result = regress.compare(baseline, record, nsigma=args.nsigma,
-                             min_rel=args.min_rel)
-    print(regress.render_compare(result))
-    if args.assert_speedup > 0:
-        ratio = result.get("median_speedup", 0.0)
-        if ratio < args.assert_speedup:
-            print(f"bench compare: median throughput ratio {ratio:.2f}x "
-                  f"below asserted {args.assert_speedup:g}x",
-                  file=sys.stderr)
-            return EXIT_FAILURE
-        print(f"asserted speedup met: {ratio:.2f}x >= "
-              f"{args.assert_speedup:g}x")
-    return EXIT_OK if result["ok"] else EXIT_FAILURE
-
-
 def _runs_command(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="ssp-postpass runs",
@@ -1039,8 +909,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _runs_command(argv[1:])
     if argv and argv[0] == "service":
         return _service_command(argv[1:])
-    if argv and argv[0] == "bench":
-        return _bench_command(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="ssp-postpass",

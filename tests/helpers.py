@@ -2,11 +2,48 @@
 
 from __future__ import annotations
 
+import json
 import random
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.isa import FunctionBuilder, Heap, Program
 from repro.isa.instructions import Instruction
+
+
+def rebased_stats(stats: Dict) -> Dict:
+    """A ``SimStats.to_dict()`` with instruction uids densely renumbered.
+
+    Uid numbering depends on artifact build order within a process: a
+    worker that built another workload first numbers this one higher,
+    and because the program parse (load uids) is memoised while the
+    adaptation (slice uids) is lazy, a worker that touched a workload,
+    got faulted off it, did other work and came back can shift the two
+    uid families by *different* offsets.  What IS stable is the relative
+    order — loads are numbered before their slices, deterministically
+    within each family — so mapping the sorted union of uids (table
+    keys plus ``prefetch_sources`` values) to dense ranks restores
+    byte-comparability across any build history; every other field is
+    untouched."""
+    doc = json.loads(json.dumps(stats))
+    memory = doc.get("memory") or {}
+    tables = ("load_stats", "prefetch_stats", "prefetch_sources")
+    uids = {int(key) for name in tables
+            for key in (memory.get(name) or {})}
+    uids |= {int(value) for value
+             in (memory.get("prefetch_sources") or {}).values()}
+    if not uids:
+        return doc
+    rank = {uid: i for i, uid in enumerate(sorted(uids))}
+    for name in tables:
+        table = memory.get(name)
+        if table:
+            memory[name] = {str(rank[int(key)]): value
+                            for key, value in table.items()}
+    if memory.get("prefetch_sources"):
+        memory["prefetch_sources"] = {
+            key: rank[int(value)]
+            for key, value in memory["prefetch_sources"].items()}
+    return doc
 
 
 def linked_list_heap(n: int, *, node_bytes: int = 64, shuffle: bool = True,

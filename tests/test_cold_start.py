@@ -153,8 +153,6 @@ SMOKE_ARGVS = [
     *(["service", action, "--help"]
       for action in ("submit", "wait", "status", "fetch", "worker", "top",
                      "gc")),
-    ["bench", "--help"], ["bench", "record", "--help"],
-    ["bench", "compare", "--help"],
 ]
 
 

@@ -2,11 +2,14 @@
 
 Workload construction, profiling, adaptation and simulation involve no
 wall-clock or unseeded randomness, so the tiny-scale end-to-end numbers
-are exactly reproducible.  ``golden_tiny.json`` pins them; any change to
+are exactly reproducible.  ``golden_tiny.json`` pins them — including a
+digest of the full ``SimStats`` of the base and SSP binaries on both
+machine models — so any change to
 these values is a behavioural change that must be reviewed (and the file
 regenerated deliberately — see the module-level `regenerate()` helper).
 """
 
+import hashlib
 import json
 import os
 
@@ -20,7 +23,16 @@ from repro import (
     simulate,
 )
 
+from helpers import rebased_stats
+
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_tiny.json")
+
+
+def stats_digest(stats) -> str:
+    """SHA-256 of a run's full ``SimStats``, uids densely renumbered."""
+    blob = json.dumps(rebased_stats(stats.to_dict()), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def compute(name: str) -> dict:
@@ -28,7 +40,11 @@ def compute(name: str) -> dict:
     prog = w.build_program()
     profile = collect_profile(prog, w.build_heap)
     result = SSPPostPassTool().adapt(prog, profile)
-    ssp = simulate(result.program, w.build_heap(), "inorder")
+    runs = {f"{model}/{variant}": simulate(binary, w.build_heap(), model)
+            for model in ("inorder", "ooo")
+            for variant, binary in (("base", prog),
+                                    ("ssp", result.program))}
+    ssp = runs["inorder/ssp"]
     row = result.table2_row()
     return {
         "baseline_cycles": profile.baseline_cycles,
@@ -39,6 +55,8 @@ def compute(name: str) -> dict:
         "avg_live_ins": row["avg_live_ins"],
         "delinquent_count": len(result.delinquent_uids),
         "expected_output": w.expected_output(w.layout),
+        "stats_digest": {key: stats_digest(stats)
+                         for key, stats in runs.items()},
     }
 
 

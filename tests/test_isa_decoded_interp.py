@@ -3,7 +3,7 @@
 :class:`~repro.isa.interp.FunctionalInterpreter` and
 :class:`~repro.codegen.verify.ShadowInterpreter` step the pre-decoded table
 through :func:`~repro.isa.decode.step_decoded`, as do both simulators'
-fast paths, the cross-model oracle and the pipeline fuzzer.  This suite
+run loops, the cross-model oracle and the pipeline fuzzer.  This suite
 keeps one check that does not share that step: the two loops below are
 plain re-statements of both interpreters over the generic
 :func:`~repro.isa.interp.execute`, and every run must agree with them on

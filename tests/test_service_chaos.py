@@ -42,6 +42,8 @@ from repro.sim.stats import SimStats
 from repro.tool.cli import EXIT_DEADLINE, EXIT_POISONED, main
 from repro.workloads import PAPER_ORDER
 
+from helpers import rebased_stats
+
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 EMPTY_STATS = SimStats(MemorySystem(MachineConfig())).to_dict()
@@ -566,42 +568,6 @@ worker.write_summary()
 CHAOS_SEED = 20020617
 
 
-def _rebased_stats(stats):
-    """Stats with process-global instruction uids densely renumbered.
-
-    Uid numbering depends on artifact build order within a process: a
-    worker that built another workload first numbers this one higher,
-    and because the program parse (load uids) is memoised while the
-    adaptation (slice uids) is lazy, a worker that touched a workload,
-    got faulted off it, did other work and came back can shift the two
-    uid families by *different* offsets.  What IS stable is the relative
-    order — loads are numbered before their slices, deterministically
-    within each family — so mapping the sorted union of uids (table
-    keys plus ``prefetch_sources`` values) to dense ranks restores
-    byte-comparability across any build history; every other field is
-    untouched."""
-    doc = json.loads(json.dumps(stats))
-    memory = doc.get("memory") or {}
-    tables = ("load_stats", "prefetch_stats", "prefetch_sources")
-    uids = {int(key) for name in tables
-            for key in (memory.get(name) or {})}
-    uids |= {int(value) for value
-             in (memory.get("prefetch_sources") or {}).values()}
-    if not uids:
-        return doc
-    rank = {uid: i for i, uid in enumerate(sorted(uids))}
-    for name in tables:
-        table = memory.get(name)
-        if table:
-            memory[name] = {str(rank[int(key)]): value
-                            for key, value in table.items()}
-    if memory.get("prefetch_sources"):
-        memory["prefetch_sources"] = {
-            key: rank[int(value)]
-            for key, value in memory["prefetch_sources"].items()}
-    return doc
-
-
 class TestChaosFleet:
     SPECS = [RunSpec.create(name, scale="tiny", variant="ssp")
              for name in PAPER_ORDER]
@@ -716,9 +682,9 @@ class TestChaosFleet:
         standalone = Runner(cache=None).run(self.SPECS)
         for service_result, plain in zip(fetched, standalone):
             assert plain.ok
-            assert json.dumps(_rebased_stats(service_result.stats_dict),
+            assert json.dumps(rebased_stats(service_result.stats_dict),
                               sort_keys=True) \
-                == json.dumps(_rebased_stats(plain.stats_dict),
+                == json.dumps(rebased_stats(plain.stats_dict),
                               sort_keys=True), \
                 service_result.spec.label()
 

@@ -1,18 +1,17 @@
-"""Differential suite for the pre-decoded fast path.
+"""Differential suite for the simulators' pre-decoded run loops.
 
-The fast path (pre-decoded issue tables + event-driven quiescent
-fast-forward inside the run loops) must be *byte-identical* to the
-legacy interpretation loop: same cycles, same Figure 10 breakdown, same
-spawn/chk/prefetch counters, on every paper workload and on randomly
-generated programs.  These tests are the gate for that claim:
+Each production ``run()`` (pre-decoded issue tables, hoisted locals,
+inline accounting) must be *byte-identical* to the Instruction-object
+reference loop of ``tests/sim_reference.py``: same cycles, same Figure
+10 breakdown, same spawn/chk/prefetch counters, on every paper workload
+and on randomly generated programs.  These tests are the gate for that
+claim:
 
 * all seven paper workloads x both machine models, one shared adapted
   binary per workload (adaptation itself is deterministic; sharing it
   isolates the comparison to the simulators),
 * a fuzz corpus of generated workloads through the same comparison,
-* the accounting invariant ``sum(cycle_breakdown) == cycles``,
-* the ``REPRO_SIM_LEGACY`` escape hatch actually selects the legacy
-  loop.
+* the accounting invariant ``sum(cycle_breakdown) == cycles``.
 """
 
 from __future__ import annotations
@@ -21,9 +20,10 @@ import pytest
 
 from repro import SSPPostPassTool, collect_profile
 from repro.check.fuzz import FuzzWorkload
-from repro.isa.decode import resolve_fast_path
-from repro.sim.machine import make_simulator
+from repro.sim.machine import make_config, make_simulator
 from repro.workloads.base import make_workload
+
+from sim_reference import ReferenceInOrderSimulator, ReferenceOOOSimulator
 
 PAPER_WORKLOADS = ("mcf", "em3d", "health", "mst", "vpr",
                    "treeadd.df", "treeadd.bf")
@@ -31,18 +31,25 @@ MODELS = ("inorder", "ooo")
 
 FUZZ_SEEDS = tuple(range(25))
 
+REFERENCE = {"inorder": ReferenceInOrderSimulator,
+             "ooo": ReferenceOOOSimulator}
+
 
 def _adapted(workload):
-    """One adapted binary, shared between the fast and legacy runs."""
+    """One adapted binary, shared between the production and reference
+    runs."""
     program = workload.build_program()
     profile = collect_profile(program, workload.build_heap)
     result = SSPPostPassTool().adapt(program, profile)
     return result.program if result.program is not None else program
 
 
-def _run(program, workload, model, fast):
-    sim = make_simulator(program, workload.build_heap(), model=model,
-                         fast_path=fast)
+def _run(program, workload, model, reference=False):
+    heap = workload.build_heap()
+    if reference:
+        sim = REFERENCE[model](program, heap, make_config(model))
+    else:
+        sim = make_simulator(program, heap, model=model)
     sim.run()
     return sim.stats.to_dict()
 
@@ -52,9 +59,9 @@ def _run(program, workload, model, fast):
 def test_fast_path_byte_identical_on_paper_workloads(name, model):
     w = make_workload(name, "tiny")
     adapted = _adapted(w)
-    fast = _run(adapted, w, model, True)
-    legacy = _run(adapted, w, model, False)
-    assert fast == legacy
+    fast = _run(adapted, w, model)
+    ref = _run(adapted, w, model, reference=True)
+    assert fast == ref
     assert sum(fast["cycle_breakdown"].values()) == fast["cycles"]
 
 
@@ -64,11 +71,11 @@ def test_fast_path_byte_identical_on_fuzz_corpus(model):
     for seed in FUZZ_SEEDS:
         w = FuzzWorkload(seed)
         adapted = _adapted(w)
-        fast = _run(adapted, w, model, True)
-        legacy = _run(adapted, w, model, False)
-        if fast != legacy:
-            diff = {k: (fast[k], legacy[k]) for k in fast
-                    if fast[k] != legacy[k]}
+        fast = _run(adapted, w, model)
+        ref = _run(adapted, w, model, reference=True)
+        if fast != ref:
+            diff = {k: (fast[k], ref[k]) for k in fast
+                    if fast[k] != ref[k]}
             mismatches.append((seed, diff))
         assert sum(fast["cycle_breakdown"].values()) == fast["cycles"], seed
     assert not mismatches
@@ -83,27 +90,3 @@ def test_breakdown_sums_to_cycles_without_spawning(model):
                          spawning=False)
     sim.run()
     assert sum(sim.stats.cycle_breakdown.values()) == sim.stats.cycles
-
-
-def test_legacy_env_escape_hatch(monkeypatch):
-    monkeypatch.delenv("REPRO_SIM_LEGACY", raising=False)
-    assert resolve_fast_path(None) is True
-    for value in ("1", "true", "yes"):
-        monkeypatch.setenv("REPRO_SIM_LEGACY", value)
-        assert resolve_fast_path(None) is False
-    monkeypatch.setenv("REPRO_SIM_LEGACY", "")
-    assert resolve_fast_path(None) is True
-    # An explicit argument beats the environment.
-    monkeypatch.setenv("REPRO_SIM_LEGACY", "1")
-    assert resolve_fast_path(True) is True
-    assert resolve_fast_path(False) is False
-
-    # And the simulators honour it end to end.
-    w = make_workload("mcf", "tiny")
-    program = w.build_program()
-    monkeypatch.setenv("REPRO_SIM_LEGACY", "1")
-    assert make_simulator(program, w.build_heap(),
-                          model="inorder").fast_path is False
-    monkeypatch.delenv("REPRO_SIM_LEGACY")
-    assert make_simulator(program, w.build_heap(),
-                          model="inorder").fast_path is True

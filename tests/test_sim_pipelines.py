@@ -3,7 +3,9 @@
 import pytest
 
 from repro.isa import FunctionBuilder, FunctionalInterpreter, Heap, Program
+from repro.runner import RunSpec, execute_spec
 from repro.sim import inorder_config, ooo_config, simulate
+from repro.workloads import PAPER_ORDER
 
 from helpers import linked_list_heap, list_sum_program, mcf_like_workload
 
@@ -123,3 +125,19 @@ class TestBranchPredictionEffects:
         stats = simulate(prog, heap, "inorder")
         # A monotone loop branch should mispredict only around the exit.
         assert stats.mispredicts < 20
+
+
+@pytest.mark.parametrize("model", ("inorder", "ooo"))
+@pytest.mark.parametrize("name", PAPER_ORDER)
+def test_single_hardware_context(name, model):
+    # One context leaves no room for speculative threads: the base binary
+    # times exactly as on four contexts, and the SSP binary's triggers
+    # never fire but its output stays correct (execute_spec checks it).
+    def run(variant, contexts):
+        overrides = {"hardware_contexts": contexts} if contexts else None
+        return execute_spec(RunSpec.create(
+            name, scale="tiny", model=model, variant=variant,
+            config_overrides=overrides))["stats"]
+
+    assert run("base", 1) == run("base", None)
+    assert run("ssp", 1)["spawns"] == 0
