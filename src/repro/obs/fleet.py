@@ -118,7 +118,7 @@ def collect_fleet(root=None, config=None,
     ``root`` resolves like everything in the service layer (explicit >
     ``REPRO_SERVICE_ROOT`` > ``.repro-service``); pass a ready
     :class:`~repro.service.client.ServiceConfig` as ``config`` instead
-    to keep sharding/tier settings.  Never raises on a missing or
+    to keep its queue settings.  Never raises on a missing or
     half-formed root — an empty fleet document is still a document.
     """
     # Imported lazily: repro.service imports the runner, which imports
@@ -167,8 +167,6 @@ def collect_fleet(root=None, config=None,
         # worker's own lifetime counters.
         "hit_rate": hits / (hits + misses) if (hits + misses) else None,
     }
-    if counters.get("shards"):
-        backend_doc["shards"] = counters["shards"]
 
     doc: Dict[str, Any] = {
         "schema": FLEET_SCHEMA,
@@ -234,8 +232,6 @@ def fleet_summary_lines(doc: Dict[str, Any]) -> List[str]:
                  for site, row in sorted(faults.items())]
         lines.append("faults (injected/recovered): " + "  ".join(parts))
     parts = [f"kind={backend.get('kind', '?')}"]
-    if backend.get("shards"):
-        parts.append(f"shards={backend['shards']}")
     parts.append(f"entries={backend.get('entries', 0)}")
     parts.append(f"bytes={backend.get('bytes', 0)}")
     if backend.get("hit_rate") is not None:

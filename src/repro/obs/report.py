@@ -147,10 +147,8 @@ def render_report(metrics: Dict[str, Any]) -> str:
         backend = runner.get("cache_backend")
         if backend:
             parts = [f"kind={backend.get('kind', 'local')}"]
-            if backend.get("shards"):
-                parts.append(f"shards={backend['shards']}")
             for counter in ("hits", "misses", "puts", "evictions",
-                            "quarantines", "promotions"):
+                            "quarantines"):
                 if backend.get(counter):
                     parts.append(f"{counter}={backend[counter]}")
             lines.append("cache backend: " + "  ".join(parts))

@@ -47,28 +47,20 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 class CacheCounters:
-    """Per-backend hit/miss/evict accounting.
+    """Per-cache hit/miss/evict accounting.
 
-    Every cache backend (this local store, and the sharded/tiered
-    composites in :mod:`repro.service.backend`) owns one of these; the
-    runner exposes the snapshot through
+    Every :class:`ResultCache` owns one of these; the runner exposes the
+    snapshot through
     :meth:`~repro.runner.telemetry.RunnerTelemetry.snapshot` so the
     counters land in metrics documents and ``repro report``.
     """
 
-    FIELDS = ("hits", "misses", "puts", "quarantines", "evictions",
-              "promotions")
+    FIELDS = ("hits", "misses", "puts", "quarantines", "evictions")
     __slots__ = FIELDS
 
     def __init__(self) -> None:
         for field in self.FIELDS:
             setattr(self, field, 0)
-
-    def merge(self, other: "CacheCounters") -> "CacheCounters":
-        for field in self.FIELDS:
-            setattr(self, field,
-                    getattr(self, field) + getattr(other, field))
-        return self
 
     def snapshot(self) -> Dict[str, int]:
         return {field: getattr(self, field) for field in self.FIELDS}
@@ -245,12 +237,19 @@ class ResultCache:
             self.counters.puts += 1
             return path
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(entry, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())
-        with self._entry_lock(path):
-            os.replace(tmp, path)
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                json.dump(entry, fh, sort_keys=True)
+                fh.flush()
+                os.fsync(fh.fileno())
+            with self._entry_lock(path):
+                os.replace(tmp, path)
+        except BaseException:
+            # Unserialisable metrics, ENOSPC, an interrupt: the temp
+            # file is this writer's own, so it never outlives the put.
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
         self.counters.puts += 1
         return path
 
@@ -313,10 +312,16 @@ class ResultCache:
                 for path in gen.glob(pattern):
                     path.unlink()
                     removed += 1
-            # Advisory lock files are housekeeping, not cached results:
-            # removed silently so the count stays "results deleted".
+            # Lock files, and in a stale generation the temp files of
+            # failed or killed writers, are housekeeping, not cached
+            # results: removed silently so the count stays "results
+            # deleted".  The current generation keeps its temp files,
+            # which a live writer may still own.
             for path in gen.glob("*.json.lock"):
                 path.unlink()
+            if gen.name != self.salt:
+                for path in gen.glob("*.tmp.*"):
+                    path.unlink()
             try:
                 gen.rmdir()
             except OSError:  # pragma: no cover - non-cache files present

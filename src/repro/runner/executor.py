@@ -176,8 +176,7 @@ class Runner:
                 executed = [self._run_serial(spec) for spec in pending]
             for result in executed:
                 by_hash[result.spec.content_hash()] = result
-        if self.cache is not None and hasattr(self.cache,
-                                              "counters_snapshot"):
+        if self.cache is not None:
             self.telemetry.record_backend_stats(
                 self.cache.counters_snapshot(),
                 backend_id=f"{type(self.cache).__name__}:{id(self.cache)}")

@@ -1,11 +1,9 @@
-"""Sharded cache backends, a multi-host job queue, and an async batch API.
+"""A multi-host job queue and an async batch API over one shared store.
 
-``repro.service`` scales the runner's content-addressed result cache
-from one directory on one host to a shared store worked by many
-processes on many hosts:
+``repro.service`` puts the runner's content-addressed result cache — a
+plain :class:`~repro.runner.cache.ResultCache` under ``<root>/cache`` —
+behind a queue worked by many processes on many hosts sharing the root:
 
-* :mod:`~repro.service.backend` — the :class:`CacheBackend` protocol and
-  its local, sharded and tiered implementations (plus eviction/GC);
 * :mod:`~repro.service.queue` — a file/dir work queue with ``O_EXCL``
   leases, heartbeat-refreshed visibility, and at-least-once delivery
   made harmless by content addressing;
@@ -17,18 +15,13 @@ processes on many hosts:
   delegates to when ``REPRO_SERVICE_ROOT`` is configured.
 """
 
-from .backend import (
+from .client import (
     DEFAULT_SERVICE_ROOT,
-    ENV_SERVICE_LOCAL_TIER,
     ENV_SERVICE_ROOT,
-    ENV_SERVICE_SHARDS,
-    CacheBackend,
-    LocalDirBackend,
-    ShardedBackend,
-    TieredBackend,
-    backend_for,
+    ServiceClient,
+    ServiceConfig,
+    batch_id_for,
 )
-from .client import ServiceClient, ServiceConfig, batch_id_for
 from .queue import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_POISON_THRESHOLD,
@@ -40,10 +33,7 @@ from .queue import (
 from .worker import ServiceWorker
 
 __all__ = [
-    "CacheBackend", "LocalDirBackend", "ShardedBackend", "TieredBackend",
-    "backend_for",
-    "DEFAULT_SERVICE_ROOT", "ENV_SERVICE_ROOT", "ENV_SERVICE_SHARDS",
-    "ENV_SERVICE_LOCAL_TIER",
+    "DEFAULT_SERVICE_ROOT", "ENV_SERVICE_ROOT",
     "JobQueue", "Lease", "default_worker_id",
     "DEFAULT_VISIBILITY_TIMEOUT", "DEFAULT_MAX_ATTEMPTS",
     "DEFAULT_POISON_THRESHOLD",

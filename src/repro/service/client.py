@@ -28,18 +28,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..runner.cache import ResultCache
 from ..runner.executor import RunResult
 from ..runner.spec import RunSpec
 from ..runner.worker import execute_spec
 from ..sim.stats import SimStats
-from .backend import (
-    DEFAULT_SERVICE_ROOT,
-    ENV_SERVICE_LOCAL_TIER,
-    ENV_SERVICE_ROOT,
-    ENV_SERVICE_SHARDS,
-    CacheBackend,
-    backend_for,
-)
 from .queue import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_POISON_THRESHOLD,
@@ -47,6 +40,12 @@ from .queue import (
     JobQueue,
 )
 from .worker import ServiceWorker
+
+#: Environment variable naming the service root.
+ENV_SERVICE_ROOT = "REPRO_SERVICE_ROOT"
+
+#: Default service root when the CLI is used without --root or the env.
+DEFAULT_SERVICE_ROOT = ".repro-service"
 
 #: Hex digits of the batch digest used as the batch id.
 _BATCH_ID_DIGITS = 12
@@ -57,10 +56,6 @@ class ServiceConfig:
     """Where the service lives and how its queue behaves."""
 
     root: Path
-    #: Shard the shared store across N roots (0/1 = flat local dir).
-    shards: int = 0
-    #: Optional host-local write-through tier in front of the shared root.
-    local_tier: Optional[Path] = None
     visibility_timeout: float = DEFAULT_VISIBILITY_TIMEOUT
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     #: Lease steals before the queue quarantines a job as poison.
@@ -78,30 +73,22 @@ class ServiceConfig:
 
     @classmethod
     def from_environment(cls) -> Optional["ServiceConfig"]:
-        """Config from ``REPRO_SERVICE_*``, or None when no root is set."""
+        """Config from ``REPRO_SERVICE_ROOT``, or None when it is unset."""
         root = os.environ.get(ENV_SERVICE_ROOT)
-        if not root:
-            return None
-        shards = int(os.environ.get(ENV_SERVICE_SHARDS) or 0)
-        local_tier = os.environ.get(ENV_SERVICE_LOCAL_TIER) or None
-        return cls(root=Path(root), shards=shards,
-                   local_tier=Path(local_tier) if local_tier else None)
+        return cls(root=Path(root)) if root else None
 
     @classmethod
     def resolve(cls, root: Optional[os.PathLike] = None
                 ) -> "ServiceConfig":
         """Explicit root > environment > ``.repro-service``."""
         if root is not None:
-            env = cls.from_environment()
-            if env is not None and Path(root) == env.root:
-                return env
             return cls(root=Path(root))
         return cls.from_environment() or cls(
             root=Path(DEFAULT_SERVICE_ROOT))
 
-    def make_backend(self, salt: Optional[str] = None) -> CacheBackend:
-        return backend_for(self.root, shards=self.shards,
-                           local_tier=self.local_tier, salt=salt)
+    def make_backend(self, salt: Optional[str] = None) -> ResultCache:
+        """The shared result store, ``<root>/cache``."""
+        return ResultCache(root=self.root / "cache", salt=salt)
 
     def make_queue(self) -> JobQueue:
         return JobQueue(self.root,
@@ -120,7 +107,7 @@ class ServiceClient:
     """Submit/status/fetch against one service root."""
 
     def __init__(self, root: Optional[os.PathLike] = None,
-                 backend: Optional[CacheBackend] = None,
+                 backend: Optional[ResultCache] = None,
                  config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig.resolve(root)
         self.root = self.config.root

@@ -5,9 +5,10 @@ loop per job is:
 
 1. claim a lease from the :class:`~repro.service.queue.JobQueue`
    (``O_EXCL`` lease file = in-flight dedupe);
-2. look the spec up in the shared :class:`CacheBackend` — a hit means
-   some other worker (or an earlier batch) already paid for this
-   simulation, so the job completes as a **dedupe** without executing;
+2. look the spec up in the shared :class:`~repro.runner.cache.ResultCache`
+   — a hit means some other worker (or an earlier batch) already paid
+   for this simulation, so the job completes as a **dedupe** without
+   executing;
 3. otherwise execute it — the default unit of work is
    :func:`repro.runner.worker.execute_task` with the *lease file as the
    heartbeat path*, so the same machinery that keeps the resilience
@@ -54,9 +55,9 @@ from ..resilience.supervisor import (
     ResilienceConfig,
     classify_failure,
 )
+from ..runner.cache import ResultCache
 from ..runner.spec import RunSpec
 from ..runner.worker import WorkerTask, execute_spec, execute_task
-from .backend import CacheBackend
 from .queue import JobQueue, Lease, default_worker_id
 
 #: Exit status of a ``worker.crash`` chaos death (``os._exit`` — no
@@ -68,7 +69,7 @@ CRASH_EXIT_STATUS = 23
 class ServiceWorker:
     """One queue consumer bound to a shared backend."""
 
-    def __init__(self, queue: JobQueue, backend: CacheBackend,
+    def __init__(self, queue: JobQueue, backend: ResultCache,
                  task_fn: Callable[..., Dict] = execute_spec,
                  telemetry=None,
                  worker_id: Optional[str] = None,

@@ -386,14 +386,6 @@ def _add_service_root_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--root", default=None, metavar="DIR",
                         help="service root directory (default: "
                              "$REPRO_SERVICE_ROOT or .repro-service)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="shard the shared store across N roots by "
-                             "spec-hash prefix (default: "
-                             "$REPRO_SERVICE_SHARDS or flat)")
-    parser.add_argument("--local-tier", default=None, metavar="DIR",
-                        help="host-local write-through cache tier in "
-                             "front of the shared root (default: "
-                             "$REPRO_SERVICE_LOCAL_TIER or none)")
     parser.add_argument("--visibility-timeout", type=float, default=None,
                         metavar="SECS",
                         help="seconds of lease silence before another "
@@ -408,10 +400,6 @@ def _add_service_root_options(parser: argparse.ArgumentParser) -> None:
 def _service_config(args):
     from ..service import ServiceConfig
     config = ServiceConfig.resolve(args.root)
-    if args.shards is not None:
-        config.shards = args.shards
-    if args.local_tier is not None:
-        config.local_tier = Path(args.local_tier)
     if args.visibility_timeout is not None:
         config.visibility_timeout = args.visibility_timeout
     if getattr(args, "poison_threshold", None) is not None:

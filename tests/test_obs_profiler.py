@@ -8,6 +8,7 @@ the CLI ``--profile`` surface.
 """
 
 import json
+import statistics
 import time
 
 import pytest
@@ -73,23 +74,33 @@ class TestCycleProfiler:
     def test_overhead_within_budget_at_default_interval(self):
         # Measured overhead at the default interval is well under 5%
         # (the per-iteration cost of the *off* state is one integer
-        # compare; samples land every 4096 cycles).  The assertion
-        # leaves slack for shared-CI timer noise at smoke scale.
-        def best_of(runs, profiled):
-            best = float("inf")
-            for _ in range(runs):
-                sim = _fresh_sim("inorder")
-                if profiled:
-                    sim.attach_profiler(CycleProfiler())
-                t0 = time.perf_counter()
-                sim.run()
-                best = min(best, time.perf_counter() - t0)
-            return best
-        plain = best_of(5, profiled=False)
-        attached = best_of(5, profiled=True)
-        assert attached <= plain * 1.25, (
-            f"profiler overhead {attached / plain - 1:.1%} blows the "
-            f"budget (plain {plain:.4f}s, profiled {attached:.4f}s)")
+        # compare; samples land every 4096 cycles).  Each pair times a
+        # plain and a profiled run back to back, alternating which goes
+        # first, and the median of the per-pair ratios is asserted:
+        # host drift between two separate batches of runs dwarfs the
+        # overhead on a ~15 ms simulation.
+        def timed(profiled):
+            sim = _fresh_sim("inorder")
+            if profiled:
+                sim.attach_profiler(CycleProfiler())
+            t0 = time.perf_counter()
+            sim.run()
+            return time.perf_counter() - t0
+
+        ratios = []
+        for pair in range(10):
+            if pair % 2:
+                attached = timed(profiled=True)
+                plain = timed(profiled=False)
+            else:
+                plain = timed(profiled=False)
+                attached = timed(profiled=True)
+            ratios.append(attached / plain)
+        ratio = statistics.median(ratios)
+        assert ratio <= 1.25, (
+            f"profiler overhead {ratio - 1:.1%} blows the budget "
+            f"(per-pair profiled/plain ratios "
+            f"{', '.join(f'{r:.3f}' for r in sorted(ratios))})")
 
     def test_profiler_state_stays_out_of_checkpoints(self):
         # Checkpoints are host-independent; a restored simulator is

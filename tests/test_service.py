@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import Runner, RunnerTelemetry, RunSpec
+from repro.runner import ResultCache, Runner, RunnerTelemetry, RunSpec
 from repro.service import (
     JobQueue,
     ServiceClient,
@@ -172,11 +172,11 @@ class TestRunnerServiceMode:
 
     def test_environment_enables_service(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_ROOT", str(tmp_path / "svc"))
-        monkeypatch.setenv("REPRO_SERVICE_SHARDS", "3")
         runner = Runner(task_fn=fake_task)
         assert runner.service is not None
         assert runner.service.root == tmp_path / "svc"
-        assert runner.cache.kind == "sharded"
+        assert isinstance(runner.cache, ResultCache)
+        assert runner.cache.root == tmp_path / "svc" / "cache"
 
     def test_runner_is_submit_plus_wait(self, tmp_path):
         _CALLS.clear()

@@ -1,11 +1,11 @@
-"""Backend conformance suite: one contract, three implementations.
+"""Result-store conformance suite.
 
-Every :class:`~repro.service.backend.CacheBackend` — the classic local
-directory, the hash-prefix-sharded store, and the tiered local-over-
-shared composite — must honour the same get/put/corruption/eviction
-contract, so the tests here are parametrized over a backend factory and
-run identically against all three.  Implementation-specific behaviour
-(shard routing, tier promotion) gets its own focused classes below.
+:class:`~repro.runner.cache.ResultCache` is the one result store: the
+runner's local cache, the service's shared store under
+``<root>/cache`` and ``ssp-postpass cache`` all use it.  The contract
+here is what the runner, the service worker and the GC expect of it:
+get/put, counters, corruption quarantine, clearing, eviction and
+concurrent writers.
 """
 
 import os
@@ -14,13 +14,8 @@ import time
 import pytest
 
 from repro.runner import RunSpec
-from repro.runner.cache import CacheCounters
-from repro.service import (
-    LocalDirBackend,
-    ShardedBackend,
-    TieredBackend,
-    backend_for,
-)
+from repro.runner.cache import CacheCounters, ResultCache
+from repro.service import ServiceConfig
 from repro.sim.caches import MemorySystem
 from repro.sim.config import MachineConfig
 from repro.sim.stats import SimStats
@@ -30,29 +25,18 @@ EMPTY_STATS = SimStats(MemorySystem(MachineConfig())).to_dict()
 SALT = "saltsalt00000000"
 
 
-def make_backend(kind, root):
-    if kind == "local":
-        return LocalDirBackend(root=root / "store", salt=SALT)
-    if kind == "sharded":
-        return ShardedBackend.create(root / "store", 4, salt=SALT)
-    assert kind == "tiered"
-    return TieredBackend(
-        LocalDirBackend(root=root / "local", salt=SALT),
-        LocalDirBackend(root=root / "shared", salt=SALT))
-
-
 def spec_n(i):
     return RunSpec(workload=f"wl-{i}")
 
 
 def entry_files(root, spec):
-    """Every on-disk copy of a spec's entry (tiered keeps two)."""
+    """Every on-disk copy of a spec's entry."""
     return sorted(root.rglob(f"{spec.content_hash()}.json"))
 
 
-@pytest.fixture(params=["local", "sharded", "tiered"])
-def backend(request, tmp_path):
-    return make_backend(request.param, tmp_path)
+@pytest.fixture
+def backend(tmp_path):
+    return ResultCache(root=tmp_path / "store", salt=SALT)
 
 
 class TestBackendContract:
@@ -164,103 +148,36 @@ class TestBackendContract:
         assert entry["stats"] == EMPTY_STATS
 
 
-class TestShardedBackend:
-    def test_distribution_covers_shards(self, tmp_path):
-        backend = ShardedBackend.create(tmp_path, 4, salt=SALT)
-        specs = [spec_n(i) for i in range(32)]
-        for spec in specs:
-            backend.put(spec, EMPTY_STATS)
-        occupied = {id(backend.shard_for(spec)) for spec in specs}
-        assert len(occupied) > 1, "32 hashes should span several shards"
-        info = backend.stats()
-        assert info["entries"] == 32
-        assert sum(s["entries"] for s in info["shards"]) == 32
+class TestTempFiles:
+    def test_failed_put_leaves_no_temp_file(self, backend):
+        with pytest.raises(TypeError):
+            backend.put(spec_n(0), EMPTY_STATS, metrics={"bad": object()})
+        assert list(backend.generation_dir.iterdir()) == []
+        assert backend.counters.puts == 0
 
-    def test_routing_is_deterministic(self, tmp_path):
-        a = ShardedBackend.create(tmp_path / "a", 4, salt=SALT)
-        b = ShardedBackend.create(tmp_path / "b", 4, salt=SALT)
-        for i in range(16):
-            spec = spec_n(i)
-            assert (a.shards.index(a.shard_for(spec))
-                    == b.shards.index(b.shard_for(spec)))
+    def test_clear_stale_reaps_orphaned_temp_file(self, tmp_path):
+        old = ResultCache(root=tmp_path / "store", salt="old0000000000000")
+        old.put(spec_n(0), EMPTY_STATS)
+        orphan = old.generation_dir / "deadbeef.tmp.12345"
+        orphan.write_text("{half", encoding="utf-8")
+        current = ResultCache(root=tmp_path / "store", salt=SALT)
+        assert current.clear(stale_only=True) == 1
+        assert not orphan.exists()
+        assert not old.generation_dir.exists()
 
-    def test_entry_lands_in_its_shard_only(self, tmp_path):
-        backend = ShardedBackend.create(tmp_path, 4, salt=SALT)
-        spec = spec_n(0)
-        path = backend.put(spec, EMPTY_STATS)
-        home = backend.shard_for(spec)
-        assert str(path).startswith(str(home.root))
-        others = [s for s in backend.shards if s is not home]
-        assert all(s.get(spec) is None for s in others)
-        assert backend.get(spec) is not None
-
-    def test_needs_at_least_one_root(self):
-        with pytest.raises(ValueError):
-            ShardedBackend([])
+    def test_clear_keeps_current_generation_temp_files(self, backend):
+        backend.put(spec_n(0), EMPTY_STATS)
+        live = backend.generation_dir / "deadbeef.tmp.12345"
+        live.write_text("{in flight", encoding="utf-8")
+        assert backend.clear() == 1
+        assert live.exists()
 
 
-class TestTieredBackend:
-    def make(self, tmp_path):
-        return TieredBackend(
-            LocalDirBackend(root=tmp_path / "local", salt=SALT),
-            LocalDirBackend(root=tmp_path / "shared", salt=SALT))
-
-    def test_write_through_lands_in_both_tiers(self, tmp_path):
-        backend = self.make(tmp_path)
-        spec = spec_n(0)
-        path = backend.put(spec, EMPTY_STATS)
-        # The returned path is the shared (authoritative) copy.
-        assert str(path).startswith(str(tmp_path / "shared"))
-        assert backend.local.get(spec) is not None
-        assert backend.shared.get(spec) is not None
-
-    def test_shared_hit_promotes_to_local(self, tmp_path):
-        backend = self.make(tmp_path)
-        spec = spec_n(1)
-        backend.shared.put(spec, EMPTY_STATS, wall_time=3.0)
-        assert backend.local.get(spec) is None
-        entry = backend.get(spec)
-        assert entry["wall_time"] == 3.0
-        assert backend.counters.promotions == 1
-        assert backend.local.get(spec) is not None
-        # Second read is served without another promotion.
-        backend.get(spec)
-        assert backend.counters.promotions == 1
-
-    def test_snapshot_nests_tier_counters(self, tmp_path):
-        backend = self.make(tmp_path)
-        backend.put(spec_n(2), EMPTY_STATS)
-        snap = backend.counters_snapshot()
-        assert snap["kind"] == "tiered"
-        assert snap["local"]["kind"] == "local"
-        assert snap["shared"]["kind"] == "local"
-        assert snap["local"]["puts"] == 1
-        assert snap["shared"]["puts"] == 1
-
-
-class TestBackendFor:
-    def test_flat_by_default(self, tmp_path):
-        backend = backend_for(tmp_path / "svc")
-        assert backend.kind == "local"
-        assert str(backend.root) == str(tmp_path / "svc" / "cache")
-
-    def test_sharded_when_asked(self, tmp_path):
-        backend = backend_for(tmp_path / "svc", shards=3)
-        assert backend.kind == "sharded"
-        assert len(backend.shards) == 3
-
-    def test_tiered_wraps_either(self, tmp_path):
-        backend = backend_for(tmp_path / "svc", shards=2,
-                              local_tier=tmp_path / "fast")
-        assert backend.kind == "tiered"
-        assert backend.shared.kind == "sharded"
-        assert str(backend.local.root) == str(tmp_path / "fast")
-
-    def test_shared_root_interoperates(self, tmp_path):
-        # Two hosts: one flat view, one tiered view of the same root.
-        writer = backend_for(tmp_path / "svc")
-        reader = backend_for(tmp_path / "svc",
-                             local_tier=tmp_path / "host2")
+class TestServiceStore:
+    def test_service_entry_is_a_plain_result_cache_hit(self, tmp_path):
+        root = tmp_path / "svc"
+        writer = ServiceConfig(root=root).make_backend()
         spec = spec_n(0)
         writer.put(spec, EMPTY_STATS)
+        reader = ResultCache(root=root / "cache")
         assert reader.get(spec)["stats"] == EMPTY_STATS
