@@ -1,27 +1,43 @@
-"""Correctness subsystem: binary linter, differential oracle, fuzzing.
+"""Correctness subsystem: binary linter, static proof, differential oracle,
+fuzzing.
 
-Three layers of assurance over the post-pass adaptation pipeline:
+Four layers of assurance over the post-pass adaptation pipeline:
 
 * :mod:`repro.check.lint` — static rules (control-flow integrity,
   register discipline, trigger legality) over adapted binaries;
+* :mod:`repro.check.proof` — the static equivalence proof the tool's
+  verify stage tries before it runs the shadow check;
 * :mod:`repro.check.oracle` — cross-model differential testing of the
   interpreter and both timing pipelines on the benchmark workloads;
 * :mod:`repro.check.fuzz` — seeded random-program generation driving the
   whole pipeline and re-asserting the above on every generated binary.
 
-``python -m repro check`` runs all three.
+``python -m repro check`` runs the linter, the oracle and the fuzzer.
+
+The names below resolve on first use (PEP 562): the tool imports the
+linter and the proof, and the fuzzer imports the tool, so importing this
+package must not import the fuzzer.
 """
 
-from .fuzz import FuzzReport, run_case, run_fuzz
-from .lint import LintViolation, lint_program
-from .oracle import OracleResult, run_oracle
+import importlib
 
-__all__ = [
-    "FuzzReport",
-    "LintViolation",
-    "OracleResult",
-    "lint_program",
-    "run_case",
-    "run_fuzz",
-    "run_oracle",
-]
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    "FuzzReport": ".fuzz", "run_case": ".fuzz", "run_fuzz": ".fuzz",
+    "LintViolation": ".lint", "lint_program": ".lint",
+    "OracleResult": ".oracle", "run_oracle": ".oracle",
+    "prove_equivalent": ".proof",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import a re-exported name's submodule on first access."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value

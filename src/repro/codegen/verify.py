@@ -162,7 +162,15 @@ def is_well_formed(program: Program) -> bool:
 # the final heap.  Speculative work must be architecturally invisible, so
 # any divergence means the adaptation is unsound and must be rolled back.
 # Both runs step the pre-decoded table (repro.isa.decode), and the run of
-# the original is skipped when the profile already recorded it.
+# the original is skipped when the profile already recorded it.  The
+# tool first tries repro.check.proof, which proves this check's verdict
+# without running anything, and runs the check only when the proof
+# does not go through.
+
+#: Forced fires per ``chk.c`` site in a shadow run.
+FIRE_LIMIT = 8
+#: Main-thread step limit of a shadow run.
+MAX_SHADOW_STEPS = 50_000_000
 
 
 @dataclass
@@ -205,8 +213,9 @@ class ShadowInterpreter:
     """
 
     def __init__(self, program: Program, heap: Heap, *,
-                 fire_limit: int = 8, spec_step_budget: int = 4096,
-                 max_chained: int = 4096, max_steps: int = 50_000_000):
+                 fire_limit: int = FIRE_LIMIT, spec_step_budget: int = 4096,
+                 max_chained: int = 4096,
+                 max_steps: int = MAX_SHADOW_STEPS):
         if not program.finalized:
             program.finalize()
         self.program = program
@@ -314,10 +323,11 @@ class ReferenceRun:
     differential check's reference run.
 
     :func:`repro.profiling.collect_profile` records one from its
-    functional run.  It is only valid for a binary with no ``chk.c`` and
-    no ``spawn`` (:func:`speculation_free`): there a functional run and a
-    shadow run step identically, so re-running the shadow interpreter
-    would repeat the recorded run on the same heap.
+    in-order profiling run.  It is only valid for a binary with no
+    ``chk.c`` and no ``spawn`` (:func:`speculation_free`): there the
+    timing run's main thread and a shadow run step identically, so
+    re-running the shadow interpreter would repeat the recorded run on
+    the same heap.
     """
 
     #: :meth:`~repro.isa.memory.Heap.digest` of the initial heap.
@@ -339,7 +349,7 @@ def speculation_free(program: Program) -> bool:
 
 def differential_check(original: Program, adapted: Program,
                        heap_factory: Callable[[], Heap], *,
-                       fire_limit: int = 8,
+                       fire_limit: int = FIRE_LIMIT,
                        spec_step_budget: int = 4096,
                        max_chained: int = 4096,
                        reference: Optional[ReferenceRun] = None

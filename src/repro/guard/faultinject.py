@@ -185,6 +185,12 @@ def fires(site: str) -> bool:
     return _ACTIVE is not None and _ACTIVE.fires(site)
 
 
+def armed(site: str) -> bool:
+    """True when the active injector's plan names ``site`` (whether or
+    not a given consult will fire it); nothing is consulted or counted."""
+    return _ACTIVE is not None and site in _ACTIVE.plan
+
+
 def check(site: str) -> None:
     """Raise :class:`InjectedFault` if the active injector fires ``site``."""
     if _ACTIVE is not None:

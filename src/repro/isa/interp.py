@@ -292,11 +292,14 @@ def spawn_thread(parent: ThreadState, tid: int, target_pc: int) -> ThreadState:
 class FunctionalInterpreter:
     """Timing-free whole-program execution.
 
-    Used by workload unit tests to validate program semantics and by the
-    block/call-graph profilers; steps the pre-decoded table
-    (:mod:`repro.isa.decode`).  Runs a single thread; ``chk.c`` never fires
-    and ``spawn`` is ignored (a spawn with no free context is dropped, and
-    functionally a p-slice has no architectural effect anyway).
+    The oracle of :mod:`repro.check` and the tests: workload unit tests
+    validate program semantics with it, and the in-order simulator's
+    execution profile (what ``collect_profile`` reads) is held equal to
+    its ``exec_counts`` and ``indirect_targets``.  Steps the pre-decoded
+    table (:mod:`repro.isa.decode`).  Runs a single thread; ``chk.c``
+    never fires and ``spawn`` is ignored (a spawn with no free context is
+    dropped, and functionally a p-slice has no architectural effect
+    anyway).
     """
 
     def __init__(self, program: Program, heap: Heap,

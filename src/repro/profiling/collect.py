@@ -4,26 +4,24 @@
 pass, we use the profiling information collected from running the original
 binary to enhance the binary for SSP."
 
-Two profiling runs are made:
+One profiling run is made: a timing run on the baseline in-order model
+(``chk.c`` disabled).  It yields the cache profile and the baseline cycle
+count, and, because the simulator counts the main thread's issues exactly
+as :class:`~repro.isa.interp.FunctionalInterpreter` counts steps, the
+per-instruction execution counts and the dynamic call graph of indirect
+calls too.  For a binary that does not speculate yet, the run is also
+recorded as the reference run the tool's verify would otherwise repeat.
 
-1. a timing run on the baseline in-order model (``chk.c`` disabled) for the
-   cache profile and the baseline cycle count, and
-2. a functional run for exact per-instruction execution counts and the
-   dynamic call graph of indirect calls.  For a binary that does not
-   speculate yet, this run is also recorded as the reference run the
-   tool's differential verify would otherwise repeat.
-
-Both runs need their own freshly initialised heap (programs mutate their
-data), which is why the API takes a ``heap_factory``.
+The run mutates its freshly initialised heap (programs mutate their data),
+which is why the API takes a ``heap_factory``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from ..codegen.verify import ReferenceRun, _architectural_outcome, \
     speculation_free
-from ..isa.interp import FunctionalInterpreter
 from ..isa.memory import Heap
 from ..isa.program import Program
 from ..sim.config import MachineConfig, inorder_config
@@ -33,32 +31,39 @@ from .profile import ProgramProfile
 
 def collect_profile(program: Program,
                     heap_factory: Callable[[], Heap],
-                    config: MachineConfig = None) -> ProgramProfile:
-    """Profile ``program`` and return the tool's input feedback."""
+                    config: MachineConfig = None,
+                    on_run: Optional[Callable[[InOrderSimulator],
+                                              None]] = None
+                    ) -> ProgramProfile:
+    """Profile ``program`` and return the tool's input feedback.
+
+    ``on_run``, when given, sees the finished simulator (its statistics
+    and final heap) before it is dropped; the runner uses it to serve
+    the in-order base run from this run instead of simulating again.
+    """
     config = config or inorder_config()
     if not program.finalized:
         program.finalize()
 
-    sim = InOrderSimulator(program, heap_factory(), config, spawning=False)
-    stats = sim.run()
-
     heap = heap_factory()
     initial_digest = heap.digest() if speculation_free(program) else None
-    interp = FunctionalInterpreter(program, heap)
-    final = interp.run()
+    sim = InOrderSimulator(program, heap, config, spawning=False)
+    stats = sim.run()
     reference = None
     if initial_digest is not None:
         reference = ReferenceRun(
             heap_digest=initial_digest,
-            outcome=_architectural_outcome(final),
+            outcome=_architectural_outcome(sim.main_state),
             final_digest=heap.digest(),
             decode_version=program._decode_version)
+    if on_run is not None:
+        on_run(sim)
 
     return ProgramProfile(
         program=program,
         load_stats=dict(sim.memory.load_stats),
-        exec_counts=dict(interp.exec_counts),
-        indirect_targets=dict(interp.indirect_targets),
+        exec_counts=sim.exec_counts,
+        indirect_targets=sim.indirect_targets,
         baseline_cycles=stats.cycles,
         l1_latency=config.l1.latency,
         reference=reference,

@@ -10,9 +10,9 @@ A :class:`ProgramProfile` bundles everything the post-pass tool consumes:
 * the **dynamic call graph** for indirect call sites ("we instrument all
   the indirect procedural calls to capture the call graph during
   profiling"),
-* the **reference run** — the functional run's initial and final heap
-  digests and final main-thread state, which the tool's differential
-  verify reuses instead of re-running the original binary.
+* the **reference run** — the profiling run's initial and final heap
+  digests and final main-thread state, which the tool's verify reuses
+  instead of re-running the original binary.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ class ProgramProfile:
         self.indirect_targets = indirect_targets
         self.baseline_cycles = baseline_cycles
         self.l1_latency = l1_latency
-        #: Recorded functional run of ``program`` (None when the program
-        #: already speculates, so a functional run is not a shadow run).
+        #: Recorded profiling run of ``program`` (None when the program
+        #: already speculates, so its run is not a shadow run).
         self.reference = reference
         self.block_freq: Dict[str, Dict[str, int]] = {}
         for name, func in program.functions.items():

@@ -17,10 +17,15 @@ are memoised per process and per (workload, scale, tool options), so the
 many specs of one experiment share one profiling run and one adaptation
 within each worker.  Under the default ``fork`` start method the pool's
 workers even inherit artifacts already built by the parent.
+
+The profiling run *is* the in-order base run (same binary, machine,
+heap and cycle limit, no spawning), so a plain ``inorder/base`` spec
+takes its statistics from that run instead of simulating again.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import time
 from dataclasses import dataclass
@@ -35,6 +40,7 @@ from ..profiling.profile import ProgramProfile
 from ..resilience.checkpoint import CheckpointStore
 from ..resilience.heartbeat import Heartbeat
 from ..sim.config import MachineConfig
+from ..sim.inorder import DEFAULT_MAX_CYCLES, InOrderSimulator
 from ..sim.machine import make_config, make_simulator
 from ..tool.postpass import SSPPostPassTool, ToolOptions, ToolResult
 from ..workloads import make_workload
@@ -62,6 +68,9 @@ class WorkloadArtifacts:
         #: access to :attr:`profile` / :attr:`tool_result`.
         self.tracer = NULL_TRACER
         self._profile: Optional[ProgramProfile] = None
+        #: ``SimStats.to_dict()`` of the profiling run — the document,
+        #: never the live stats or heap, so it costs no memory to keep.
+        self._base_stats: Optional[Dict[str, Any]] = None
         self._tool_result: Optional[ToolResult] = None
         self._hand_workload = None
 
@@ -70,11 +79,28 @@ class WorkloadArtifacts:
         if self._profile is None:
             with self.tracer.span("collect_profile",
                                   category="profiling") as sp:
-                self._profile = collect_profile(self.program,
-                                                self.workload.build_heap)
+                self._profile = collect_profile(
+                    self.program, self.workload.build_heap,
+                    on_run=self._keep_base_run)
                 sp.set(baseline_cycles=self._profile.baseline_cycles,
                        total_miss_cycles=self._profile.total_miss_cycles())
         return self._profile
+
+    def _keep_base_run(self, sim: InOrderSimulator) -> None:
+        try:
+            self.workload.check_output(sim.heap)
+        except AssertionError:
+            # Keep nothing: the base spec then simulates, and its own
+            # output check fails exactly as it always did.
+            return
+        self._base_stats = sim.stats.to_dict()
+
+    def base_stats(self) -> Optional[Dict[str, Any]]:
+        """The in-order base run's statistics document, taken from the
+        profiling run (a copy, so callers may keep or change it); None
+        when that run failed its output check."""
+        self.profile  # profiles on first use, which keeps the document
+        return copy.deepcopy(self._base_stats)
 
     @property
     def tool_result(self) -> ToolResult:
@@ -198,6 +224,19 @@ _WORKER_SITES = ("worker.hang", "worker.oom",
                  "runner.worker_crash", "runner.worker_timeout")
 
 
+def _served_by_profile(task: WorkerTask) -> bool:
+    """True for a plain in-order base run, which the profiling run is:
+    no overrides, the default cycle limit, and none of the resilience
+    features (heartbeats, checkpoints, resume, budgets) switched on."""
+    spec = task.spec
+    return (spec.model == "inorder" and spec.variant == "base"
+            and not spec.effective_spawning and not spec.config_overrides
+            and spec.max_cycles == DEFAULT_MAX_CYCLES
+            and task.heartbeat_path is None and not task.checkpoint_every
+            and not task.resume and task.deadline is None
+            and task.rss_budget_mb is None)
+
+
 def _peak_rss_mb() -> Optional[float]:
     try:
         import resource
@@ -242,12 +281,19 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
     resilience: Dict[str, Any] = {"checkpoints": 0,
                                   "resumed_from_cycle": None,
                                   "checkpoint_errors": []}
+    artifacts = artifacts_for(spec)
+    if _served_by_profile(task):
+        stats_doc = artifacts.base_stats()
+        if stats_doc is not None:
+            return {"stats": stats_doc,
+                    "wall_time": time.perf_counter() - started,
+                    "resilience": resilience}
+
     store: Optional[CheckpointStore] = None
     key = spec.content_hash()
     if task.checkpoint_every or task.resume:
         store = CheckpointStore(root=task.checkpoint_root)
 
-    artifacts = artifacts_for(spec)
     program, heap_workload = artifacts.run_inputs(spec.variant)
     heap = heap_workload.build_heap()
     sim = make_simulator(program, heap, spec.model,

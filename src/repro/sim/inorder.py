@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 
 from ..isa.decode import (
     D_READS,
+    D_UID,
     K_ALU,
     K_BR,
     K_BRC,
@@ -61,6 +62,9 @@ from .stats import STALL_CATEGORY, SimStats
 
 #: Sentinel wake cycle for threads with nothing to wait for.
 _FAR_FUTURE = 1 << 60
+
+#: Cycle limit of a run that names none (the profiling run's).
+DEFAULT_MAX_CYCLES = 200_000_000
 
 
 class HWThread:
@@ -114,7 +118,8 @@ class InOrderSimulator:
     SPAWN_WAIT_LIMIT = 1500
 
     def __init__(self, program: Program, heap: Heap, config: MachineConfig,
-                 spawning: bool = True, max_cycles: int = 200_000_000):
+                 spawning: bool = True,
+                 max_cycles: int = DEFAULT_MAX_CYCLES):
         if not program.finalized:
             program.finalize()
         self.program = program
@@ -168,6 +173,37 @@ class InOrderSimulator:
         # the run loop's profiling gate is one always-false int compare.
         self._profiler = None
         self._prof_next = _FAR_FUTURE
+        # Execution profile of the main thread, the functional block and
+        # call-graph profile (see :attr:`exec_counts`): issues per pc,
+        # squashed ones included, and per-site ``br.call.ind`` targets.
+        # Speculative contexts count into a scratch table that is never
+        # read, which keeps the issue loop branch-free.  Neither is part
+        # of a snapshot: a restored simulator counts from the restore.
+        self._issue_counts = [0] * len(self._dcode)
+        self._spec_issue_counts = [0] * len(self._dcode)
+        #: ``br.call.ind`` uid -> {callee name: main-thread calls}.
+        self.indirect_targets: Dict[int, Dict[str, int]] = {}
+
+    @property
+    def exec_counts(self) -> Dict[int, int]:
+        """Main-thread issues per instruction uid, squashed ones included
+        — what :class:`~repro.isa.interp.FunctionalInterpreter` counts
+        as steps, since the main thread steps the same instructions."""
+        counts: Dict[int, int] = {}
+        for d, n in zip(self._dcode, self._issue_counts):
+            if n:
+                uid = d[D_UID]
+                counts[uid] = counts.get(uid, 0) + n
+        return counts
+
+    def _note_indirect(self, uid: int, fid: int) -> None:
+        """Record one main-thread ``br.call.ind`` target (valid ids only,
+        before the call executes, as the functional profiler does)."""
+        program = self.program
+        if 0 <= fid < len(program.function_by_id):
+            per_site = self.indirect_targets.setdefault(uid, {})
+            name = program.function_by_id[fid]
+            per_site[name] = per_site.get(name, 0) + 1
 
     def attach_profiler(self, profiler) -> None:
         """Sample wall-time attribution into ``profiler`` during run().
@@ -380,6 +416,7 @@ class InOrderSimulator:
         # triggers.
         n_stub = 0
         spec_base = thread.spec_issued
+        counts = self._issue_counts if is_main else self._spec_issue_counts
         ready = thread.reg_ready
         bound = thread.ready_bound
         levels = thread.reg_level
@@ -460,6 +497,7 @@ class InOrderSimulator:
                     self._context_waiters.append(thread)
                     break
 
+            counts[pc] += 1
             chk_fires = False
             if kind == K_CHK:
                 chk_fires = self.spawning and self._free_slot() is not None
@@ -493,6 +531,8 @@ class InOrderSimulator:
                         thread.wake = thread.stall_until
                         break
                 elif K_BR <= kind <= K_RET:
+                    if kind == K_CALLI and is_main:
+                        self._note_indirect(d[13], rd.get(d[3], 0))
                     break
                 elif kind == K_CHK:
                     stats.chk_ignored += 1
@@ -667,6 +707,8 @@ class InOrderSimulator:
 
             if kind == K_CALLI:
                 fid = rd.get(d[3], 0)
+                if is_main:
+                    self._note_indirect(d[13], fid)
                 if 0 <= fid < len(program.function_by_id):
                     state.call_stack.append((pc + 1, dict(rd)))
                     state.pc = program.function_entry[
@@ -998,7 +1040,8 @@ class InOrderSimulator:
                     heappop(main_misses)
                 breakdown["CacheExec" if main_misses else "Exec"] += 1
             else:
-                breakdown[self._main_category_fast(main, 0, now)] += 1
+                category = self._main_category_fast(main, 0, now)
+                breakdown[category] += 1
             if prof is not None:
                 prof.lap("account", t_prof)
                 self._prof_next = prof_next = prof.sample(
@@ -1011,7 +1054,8 @@ class InOrderSimulator:
                 now += 1
                 continue
 
-            # Nothing issuable: skip to the earliest wake-up.
+            # Nothing issuable (so nothing issued and ``category`` is this
+            # cycle's): skip to the earliest wake-up.
             wake = _FAR_FUTURE
             for ctx in contexts:
                 if ctx is None:
@@ -1037,7 +1081,7 @@ class InOrderSimulator:
                 wake = now + 1
             skip = wake - now - 1
             if skip > 0:
-                breakdown[self._main_category_fast(main, 0, now)] += skip
+                breakdown[category] += skip
             now = wake
 
         self._rr = rr

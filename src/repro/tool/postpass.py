@@ -36,8 +36,10 @@ from ..analysis.callgraph import CallGraph
 from ..analysis.cfg import CFG
 from ..analysis.depgraph import DependenceGraph
 from ..analysis.regions import LOOP, Region, RegionGraph
+from ..check.proof import prove_equivalent
 from ..codegen.emit import AdaptedBinary, SSPEmitter
-from ..codegen.verify import ReferenceRun, differential_check
+from ..codegen.verify import DifferentialReport, differential_check
+from ..guard import faultinject
 from ..profiling.delinquent import select_delinquent_loads
 from ..profiling.profile import ProgramProfile
 from ..scheduling.basic import BasicScheduler
@@ -330,12 +332,11 @@ class SSPPostPassTool:
         if result.adapted is not None and opts.differential_verify and \
                 heap_factory is not None:
             with tracer.span("verify") as sp:
-                reference = (profile.reference
-                             if profile.program is program else None)
                 with recovery_boundary(report, "verify",
                                        tracer=tracer) as b:
                     emitted = self._verify_and_rollback(
-                        program, emitted, result, heap_factory, reference)
+                        program, emitted, result, heap_factory, profile,
+                        sp)
                 if not b.ok:
                     # An unverified binary never ships.
                     report.record_rollback(
@@ -395,29 +396,59 @@ class SSPPostPassTool:
             return adapted, survivors
         return None, []
 
+    def _check(self, program: Program, adapted: Program,
+               heap_factory: Callable[[], Heap], profile: ProgramProfile,
+               span) -> DifferentialReport:
+        """One equivalence check of ``adapted``: the static proof when it
+        goes through, else the differential check (the shadow run).
+
+        The proof only ever accepts, so every rejection is the
+        differential check's own.  ``profile``'s recorded run of
+        ``program`` is what the proof stands on and what spares the
+        check its reference run.  An armed ``verify.mismatch`` fault
+        site (which fires inside the differential check) skips the
+        proof, so injected mismatches report as they always have.
+        """
+        tracer = self.tracer
+        reference = profile.reference if profile.program is program \
+            else None
+        if reference is not None \
+                and not faultinject.armed("verify.mismatch"):
+            failed = prove_equivalent(program, adapted, profile,
+                                      heap_factory)
+            tracer.event("static_proof", category="verify",
+                         proved=failed is None, failed=failed)
+            if failed is None:
+                tracer.counter("guard.verify.static").add()
+                span.set(mode="static")
+                return DifferentialReport(equivalent=True)
+        tracer.counter("guard.verify.dynamic").add()
+        span.set(mode="dynamic")
+        diff = differential_check(program, adapted, heap_factory,
+                                  reference=reference)
+        tracer.event("differential_check", category="verify",
+                     **diff.to_dict())
+        return diff
+
     def _verify_and_rollback(self, program: Program,
                              placements: List[Tuple[ScheduledSlice,
                                                     list]],
                              result: ToolResult,
                              heap_factory: Callable[[], Heap],
-                             reference: Optional[ReferenceRun]
+                             profile: ProgramProfile, span
                              ) -> List[Tuple[ScheduledSlice, list]]:
-        """Differential check + per-function rollback loop.
+        """Equivalence check + per-function rollback loop.
 
-        ``reference`` is the profile's recorded run of ``program``, which
-        spares each check its reference run when the adapted binary
-        matches it.  Re-emission always starts from the pristine
-        original, so a rolled-back function is byte-identical to the
-        unadapted input by construction.
+        Re-emission always starts from the pristine original, so a
+        rolled-back function is byte-identical to the unadapted input by
+        construction.
         """
         report = result.guard
         tracer = self.tracer
         remaining = list(placements)
         for _ in range(len(placements) + 1):
-            diff = differential_check(program, result.adapted.program,
-                                      heap_factory, reference=reference)
-            tracer.event("differential_check", category="verify",
-                         **diff.to_dict())
+            diff = self._check(program, result.adapted.program,
+                               heap_factory, profile, span)
             if diff.equivalent:
                 return remaining
             culprit = diff.function
