@@ -124,7 +124,6 @@ class FunctionDataflow:
     def _build_du_chains(self) -> None:
         """use (uid, reg) -> set of defining instruction uids."""
         self.use_defs: Dict[Tuple[int, str], Set[int]] = {}
-        self.def_uses: Dict[Tuple[int, str], Set[int]] = {}
         func = self.func
         for block in func.blocks:
             start = self._block_start[block.label]
@@ -144,9 +143,6 @@ class FunctionDataflow:
                                 defs.add(self.instrs[dpos].uid)
                     if defs:
                         self.use_defs[(ins.uid, reg)] = defs
-                        for d in defs:
-                            self.def_uses.setdefault(
-                                (d, reg), set()).add(ins.uid)
                 for reg in instruction_defs(ins):
                     if reg == regs.ZERO:
                         continue
@@ -154,9 +150,6 @@ class FunctionDataflow:
 
     def defs_reaching_use(self, uid: int, reg: str) -> Set[int]:
         return self.use_defs.get((uid, reg), set())
-
-    def uses_of_def(self, uid: int, reg: str) -> Set[int]:
-        return self.def_uses.get((uid, reg), set())
 
 
 def block_liveness(func: Function, cfg: CFG) -> Tuple[Dict[str, Set[str]],

@@ -133,14 +133,6 @@ class RegionGraph:
             return self._loop_region[function][loop.header]
         return self.proc_region[function]
 
-    def region_of_instruction(self, instr: Instruction) -> Region:
-        for name, func in self.program.functions.items():
-            for block in func.blocks:
-                for ins in block.instrs:
-                    if ins.uid == instr.uid:
-                        return self.region_of_block(name, block.label)
-        raise KeyError(f"instruction uid {instr.uid} not in program")
-
     def instructions_in(self, region: Region) -> List[Instruction]:
         func = self.program.function(region.function)
         out: List[Instruction] = []

@@ -74,10 +74,6 @@ class AdaptedBinary:
         self.program = program
         self.records = records
 
-    @property
-    def num_slices(self) -> int:
-        return len(self.records)
-
 
 class EmitError(Exception):
     """Raised when a slice cannot be emitted soundly."""

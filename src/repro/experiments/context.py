@@ -73,11 +73,6 @@ class WorkloadRun:
     def delinquent_uids(self) -> List[int]:
         return self.tool_result.delinquent_uids
 
-    @property
-    def hand_program(self) -> Program:
-        """The hand-adapted binary (mcf and health only, Section 4.5)."""
-        return self._artifacts.hand_workload.build_program()
-
     # -- simulation ------------------------------------------------------------------
 
     def spec(self, model: str, variant: str = "base") -> RunSpec:

@@ -36,7 +36,7 @@ SITES: Dict[str, str] = {
     "runner.worker_crash":
         "a runner worker crashes before simulating its spec",
     "runner.worker_timeout":
-        "a runner worker hangs and surfaces as a timeout",
+        "a runner worker stalls briefly, then fails with a TimeoutError",
     "cache.corrupt":
         "an on-disk cache entry is overwritten with garbage before a read",
     "cache.truncate":

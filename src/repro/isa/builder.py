@@ -90,10 +90,6 @@ class FunctionBuilder:
         self._block = self.func.add_block(name)
         return name
 
-    @property
-    def current_block(self):
-        return self._block
-
     def emit(self, instr: ins.Instruction) -> ins.Instruction:
         """Append a raw instruction to the current block.
 

@@ -22,8 +22,9 @@ adaptation replaces a nop slot (Figure 7).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Opcodes
@@ -79,12 +80,38 @@ FIXED_LATENCY = {
 }
 
 
-_UID_COUNTER = [0]
+#: The uid the next :class:`Instruction` receives: the process counter,
+#: or the counter of the innermost :func:`numbered_after` block.
+_NEXT_UID = [1]
 
 
 def _next_uid() -> int:
-    _UID_COUNTER[0] += 1
-    return _UID_COUNTER[0]
+    uid = _NEXT_UID[0]
+    _NEXT_UID[0] = uid + 1
+    return uid
+
+
+@contextmanager
+def numbered_after(existing: Iterable["Instruction"] = ()
+                   ) -> Iterator[None]:
+    """Number the instructions created inside the block from the largest
+    uid in ``existing`` + 1 (from 1 when it is empty).
+
+    Profiles, delinquent-load lists and per-load statistics name a load
+    by its uid, so a program's uids must depend on the program alone,
+    not on what its process built before it: ``Workload.build_program``
+    builds each program in ``numbered_after()``, and
+    ``SSPPostPassTool.adapt`` numbers what it adds after the program's
+    own instructions.  On exit the outer counter resumes above every uid
+    the block handed out, so instructions built outside any block never
+    collide with one built inside.
+    """
+    saved = _NEXT_UID[0]
+    _NEXT_UID[0] = max((i.uid for i in existing), default=0) + 1
+    try:
+        yield
+    finally:
+        _NEXT_UID[0] = max(saved, _NEXT_UID[0])
 
 
 @dataclass
@@ -104,7 +131,7 @@ class Instruction:
             always execute.
         relation: comparison relation for ``cmp``.
         uid: program-unique id, stable across rewrites; profiling and the
-            dependence graph key on it.
+            dependence graph key on it (see :func:`numbered_after`).
         addr: linear "binary address", assigned by ``Program.finalize``.
     """
 

@@ -88,9 +88,6 @@ class ThreadState:
     def read(self, reg: str) -> int:
         return self.regs.get(reg, 0)
 
-    def read_pred(self, pred: str) -> bool:
-        return self.preds.get(pred, False)
-
 
 class ExecResult:
     """What one functional step did (consumed by the timing layer)."""

@@ -5,8 +5,8 @@ into :class:`~repro.sim.stats.SimStats`, in this order of preference:
 
 1. the content-addressed :class:`~repro.runner.cache.ResultCache`
    (near-instant, zero simulations);
-2. a ``ProcessPoolExecutor`` across ``jobs`` worker processes, with a
-   per-run timeout and bounded retry of transient failures;
+2. a ``ProcessPoolExecutor`` across ``jobs`` worker processes, with
+   bounded retry of transient failures;
 3. in-process serial execution — both the one-job fast path and the
    graceful fallback when a process pool cannot be used (broken pool,
    unpicklable spec, sandboxed interpreter).
@@ -59,8 +59,10 @@ class RunResult:
     attempts: int = 0
     error: Optional[str] = None
     stats_dict: Dict = field(default_factory=dict, repr=False)
-    #: Observability metrics attached by the worker (per-delinquent-load
-    #: prefetch effectiveness for SSP runs); survives cache hits.
+    #: Metadata attached to the run, kept in the cache entry: the
+    #: supervisor's ``resilience`` record, a quarantined job's
+    #: ``poisoned`` diagnostic, or whatever a custom ``task_fn`` put
+    #: under the payload's ``metrics``.
     metrics: Dict = field(default_factory=dict, repr=False)
 
     @property
@@ -73,7 +75,6 @@ class Runner:
 
     def __init__(self, jobs: int = 1,
                  cache=_DEFAULT_CACHE,
-                 timeout: Optional[float] = None,
                  retries: int = 1,
                  telemetry: Optional[RunnerTelemetry] = None,
                  task_fn: Callable[[RunSpec], Dict] = execute_spec,
@@ -84,9 +85,6 @@ class Runner:
             jobs: worker processes; 1 runs everything in-process.
             cache: a :class:`ResultCache`, None to disable caching, or the
                 default — honours ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE``.
-            timeout: per-run seconds before a parallel run is abandoned
-                and retried serially (serial runs rely on the simulator's
-                own ``max_cycles`` runaway guard instead).
             retries: extra attempts after a failed one.
             telemetry: shared counters; a fresh instance by default.
             task_fn: the unit of work (overridable for tests); must be a
@@ -114,7 +112,6 @@ class Runner:
         self.cache: Optional[ResultCache] = (
             ResultCache.from_environment() if cache is _DEFAULT_CACHE
             else cache)
-        self.timeout = timeout
         self.retries = max(0, int(retries))
         self.telemetry = telemetry or RunnerTelemetry()
         self.task_fn = task_fn
@@ -237,7 +234,7 @@ class Runner:
     def _run_parallel(self, specs: List[RunSpec]) -> List[RunResult]:
         """Fan out over a process pool; degrade to serial on pool trouble.
 
-        Timed-out or crashed runs are retried serially in-process (one
+        Runs that raised or crashed are retried serially in-process (one
         pool attempt counts against the retry budget), so a flaky pool
         can slow a batch down but not fail it.
         """
@@ -247,7 +244,6 @@ class Runner:
         except (OSError, ValueError):  # pragma: no cover - depends on host
             return [self._run_serial(spec) for spec in specs]
         results: List[RunResult] = []
-        abandoned = False
         pool_broken = False
         futures = []
         for spec in specs:
@@ -261,13 +257,7 @@ class Runner:
                 results.append(self._run_serial(spec))
                 continue
             try:
-                payload = future.result(timeout=self.timeout)
-            except concurrent.futures.TimeoutError:
-                future.cancel()
-                abandoned = True
-                results.append(self._retry_after_pool(
-                    spec, TimeoutError(
-                        f"no result within {self.timeout}s")))
+                payload = future.result()
             except concurrent.futures.process.BrokenProcessPool as exc:
                 pool_broken = True
                 results.append(self._retry_after_pool(spec, exc))
@@ -275,10 +265,7 @@ class Runner:
                 results.append(self._retry_after_pool(spec, exc))
             else:
                 results.append(self._complete(spec, payload, 1))
-        # Don't block on workers still chewing abandoned runs: a plain
-        # (wait=True) shutdown would join a timed-out simulation.
-        pool.shutdown(wait=not (abandoned or pool_broken),
-                      cancel_futures=True)
+        pool.shutdown(wait=not pool_broken, cancel_futures=True)
         return results
 
     def _retry_after_pool(self, spec: RunSpec,

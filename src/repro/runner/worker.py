@@ -263,7 +263,7 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
     if heartbeat is not None:
         heartbeat.beat(stage="start")
     # Chaos sites: a worker that dies before doing any work, one that
-    # hangs long enough to surface as a timeout, one that stops
+    # stalls and then fails with a timeout error, one that stops
     # heartbeating (watchdog path), and one that dies of memory
     # exhaustion (ladder path).
     faultinject.check("runner.worker_crash")
@@ -351,22 +351,11 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
     if heartbeat is not None:
         heartbeat.beat(cycle=stats.cycles, stage="done")
 
-    payload: Dict[str, Any] = {
+    return {
         "stats": stats.to_dict(),
         "wall_time": time.perf_counter() - started,
         "resilience": resilience,
     }
-    if spec.variant == "ssp":
-        # Attach the per-delinquent-load prefetch effectiveness so a later
-        # cache hit can still report coverage/accuracy/timeliness without
-        # re-simulating.  Keys are strings to survive the JSON round trip.
-        payload["metrics"] = {
-            "delinquent_uids": list(artifacts.delinquent_uids),
-            "prefetch": {
-                str(uid): row for uid, row in stats.prefetch_metrics(
-                    artifacts.delinquent_uids).items()},
-        }
-    return payload
 
 
 def execute_spec(spec: RunSpec) -> Dict[str, Any]:

@@ -322,13 +322,23 @@ class ServiceClient:
         (with ``status["poisoned"] > 0``) rather than hanging.  Idle
         polls back off exponentially (:meth:`_poll_delay`).
         """
+        worker = self._inline_worker(task_fn, telemetry, inline_worker)
+        return self._drive(batch_id, worker, timeout)
+
+    def _inline_worker(self, task_fn: Callable[..., Dict], telemetry,
+                       inline: Optional[bool] = None
+                       ) -> Optional[ServiceWorker]:
+        if not (self.config.inline_worker if inline is None else inline):
+            return None
+        return ServiceWorker(self.queue, self.backend, task_fn=task_fn,
+                             telemetry=telemetry)
+
+    def _drive(self, batch_id: str, worker: Optional[ServiceWorker],
+               timeout: Optional[float]) -> Dict:
+        """The :meth:`wait` loop: poll, step ``worker`` (if any) on the
+        batch's own jobs, heal lost ones, back off while idle."""
         manifest = self.load_batch(batch_id)
         hashes = set(manifest["hashes"])
-        inline = (self.config.inline_worker if inline_worker is None
-                  else inline_worker)
-        worker = (ServiceWorker(self.queue, self.backend, task_fn=task_fn,
-                                telemetry=telemetry)
-                  if inline else None)
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
         idle_rounds = 0
@@ -382,51 +392,22 @@ class ServiceClient:
         for spec in specs:
             unique.setdefault(spec.content_hash(), spec)
         batch_id = self.submit(list(unique.values()))
-        manifest = self.load_batch(batch_id)
-        worker = (ServiceWorker(self.queue, self.backend, task_fn=task_fn,
-                                telemetry=telemetry)
-                  if self.config.inline_worker else None)
-        remaining = dict(unique)
-        results: Dict[str, RunResult] = {}
-        recorded: set = set()
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
-        idle_rounds = 0
-        while remaining:
-            progressed = False
-            executed = worker.executed_hashes if worker else set()
-            for digest, spec in list(remaining.items()):
-                result = self._result_for(spec, executed_locally=executed)
-                if result is None:
-                    continue
-                results[digest] = result
-                del remaining[digest]
-                progressed = True
-                if telemetry is None or digest in recorded:
-                    continue
-                recorded.add(digest)
-                if result.ok and result.cached:
-                    # Another worker (or a concurrent client) paid for
-                    # this simulation: a service-level dedupe.
-                    telemetry.record_dedupe(spec.label(), digest)
-                elif not result.ok and (worker is None or digest not in
-                                        worker.failed_hashes):
-                    telemetry.record_failure(spec.label(),
-                                             result.error or "failed",
-                                             result.attempts)
-            if not remaining:
-                break
-            if worker is not None:
-                progressed |= worker.step(prefer=set(remaining)) is not None
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"service batch incomplete after {timeout}s: "
-                    f"{len(results)}/{len(unique)} done")
-            if not progressed:
-                status = self.status(batch_id)
-                self._heal_missing(status, manifest)
-                time.sleep(self._poll_delay(idle_rounds, batch_id))
-                idle_rounds += 1
-            else:
-                idle_rounds = 0
-        return [results[digest] for digest in unique]
+        worker = self._inline_worker(task_fn, telemetry)
+        self._drive(batch_id, worker, timeout)
+        executed = worker.executed_hashes if worker else set()
+        results: List[RunResult] = []
+        for digest, spec in unique.items():
+            result = self._result_for(spec, executed_locally=executed)
+            results.append(result)
+            if telemetry is None:
+                continue
+            if result.ok and result.cached:
+                # Another worker (or a concurrent client) paid for this
+                # simulation: a service-level dedupe.
+                telemetry.record_dedupe(spec.label(), digest)
+            elif not result.ok and (worker is None or digest not in
+                                    worker.failed_hashes):
+                telemetry.record_failure(spec.label(),
+                                         result.error or "failed",
+                                         result.attempts)
+        return results

@@ -454,11 +454,6 @@ class JobQueue:
     def read_poisoned(self, digest: str) -> Optional[Dict]:
         return _read_json(self.poisoned_dir / f"{digest}.json")
 
-    def poisoned_hashes(self) -> List[str]:
-        self.ensure()
-        return [path.stem for path in
-                sorted(self.poisoned_dir.glob("*.json"))]
-
     # -- completion / inspection -----------------------------------------------------
 
     def _write_done(self, digest: str, record: Dict) -> None:

@@ -86,6 +86,3 @@ class GsharePredictor:
         if len(s) > self._btb_ways:
             s.pop(0)
         return False
-
-    def mispredict_rate(self) -> float:
-        return self.mispredicts / self.lookups if self.lookups else 0.0

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Set
 
 from ..isa.instructions import Instruction
 from ..analysis.depgraph import DependenceGraph
-from ..analysis.regions import LOOP, Region, RegionGraph
+from ..analysis.regions import Region, RegionGraph
 from .slicer import ProgramSlice
 
 
@@ -57,15 +57,8 @@ class RegionSlice:
     def body_uids(self) -> Set[int]:
         return {ins.uid for ins in self.body}
 
-    @property
-    def is_loop(self) -> bool:
-        return self.region.kind == LOOP
-
     def size(self) -> int:
         return len(self.body)
-
-    def contains_stores(self) -> bool:
-        return any(ins.is_store for ins in self.body)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RegionSlice(load={self.load.uid}, region="

@@ -153,22 +153,9 @@ def _observed_artifacts(spec: RunSpec, tracer) -> WorkloadArtifacts:
     return artifacts
 
 
-def _print_prefetch_effectiveness(stats, delinquent_uids,
-                                  run_metrics=None) -> None:
-    """Per-delinquent-load coverage / accuracy / timeliness lines.
-
-    Prefers the prefetch attribution the worker attached to the run
-    (``RunResult.metrics``): it was computed in the executing process,
-    whose instruction uids are authoritative.  A ladder-degraded run
-    executes a binary built in a child whose uid numbering differs from
-    this process's, so looking its stats up with local uids finds
-    nothing.  Falls back to local attribution for in-process runs.
-    """
-    if run_metrics and run_metrics.get("prefetch"):
-        prefetch = {int(uid): row
-                    for uid, row in run_metrics["prefetch"].items()}
-    else:
-        prefetch = stats.prefetch_metrics(delinquent_uids)
+def _print_prefetch_effectiveness(stats, delinquent_uids) -> None:
+    """Per-delinquent-load coverage / accuracy / timeliness lines."""
+    prefetch = stats.prefetch_metrics(delinquent_uids)
     if not prefetch:
         return
     print("      prefetch effectiveness per delinquent load:")
@@ -229,7 +216,6 @@ def _adapt_and_report(name: str, scale: str, model: str,
     print(f"[3/4] simulating the SSP-enhanced binary ({model}) ...")
     context_trace = None
     resilience_meta = None
-    run_metrics = None
     if model == "inorder":
         if observing:
             # A context-traced simulation (bypasses the runner so the
@@ -258,7 +244,6 @@ def _adapt_and_report(name: str, scale: str, model: str,
                 return _guard_exit_code(guard, EXIT_FAILURE)
             stats = ssp_result.stats
             resilience_meta = ssp_result.metrics.get("resilience")
-            run_metrics = ssp_result.metrics
         base = profile.baseline_cycles
     else:
         base_spec = RunSpec.create(name, scale=scale, model=model,
@@ -282,14 +267,12 @@ def _adapt_and_report(name: str, scale: str, model: str,
                 return _guard_exit_code(guard, EXIT_FAILURE)
             stats, base = ssp_result.stats, base_result.stats.cycles
             resilience_meta = ssp_result.metrics.get("resilience")
-            run_metrics = ssp_result.metrics
     print(f"      {model} baseline: {base} cycles; SSP: {stats.cycles} "
           f"cycles; speedup {base / stats.cycles:.2f}x")
     print(f"      spawns={stats.spawns} chk fired/ignored="
           f"{stats.chk_fired}/{stats.chk_ignored} "
           f"prefetches={stats.memory.prefetches_issued}")
-    _print_prefetch_effectiveness(stats, result.delinquent_uids,
-                                  run_metrics=run_metrics)
+    _print_prefetch_effectiveness(stats, result.delinquent_uids)
 
     print(f"[4/4] done.  [runner] {runner.telemetry.summary()}")
     if profiler is not None:

@@ -28,7 +28,7 @@ from ..guard import (
     GuardReport,
     recovery_boundary,
 )
-from ..isa.instructions import Instruction
+from ..isa.instructions import Instruction, numbered_after
 from ..isa.interp import LIB_SLOTS
 from ..isa.memory import Heap
 from ..isa.program import Program
@@ -181,7 +181,8 @@ class SSPPostPassTool:
         result = ToolResult(adapted=None, delinquent_uids=[],
                             guard=report)
         final: List[Tuple[ScheduledSlice, list]] = []
-        with recovery_boundary(report, "pipeline", tracer=self.tracer):
+        with recovery_boundary(report, "pipeline", tracer=self.tracer), \
+                numbered_after(program.instructions()):
             final = self._adapt_guarded(program, profile, heap_factory,
                                         result)
         self._account(report, result.delinquent_uids,

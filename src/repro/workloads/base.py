@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Type
 
+from ..isa.instructions import numbered_after
 from ..isa.memory import Heap
 from ..isa.program import Program
 
@@ -77,12 +78,14 @@ class Workload:
         return heap
 
     def build_program(self) -> Program:
-        """The kernel program (cached; finalised)."""
+        """The kernel program (cached; finalised), its instructions
+        numbered from 1 whatever the process built before it."""
         if self._program is None:
             if self._layout is None:
                 self.build_heap()
-            self._program = self._build_program(self._layout)
-            self._program.finalize()
+            with numbered_after():
+                self._program = self._build_program(self._layout)
+                self._program.finalize()
         return self._program
 
     @property

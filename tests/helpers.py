@@ -13,17 +13,11 @@ from repro.isa.instructions import Instruction
 def rebased_stats(stats: Dict) -> Dict:
     """A ``SimStats.to_dict()`` with instruction uids densely renumbered.
 
-    Uid numbering depends on artifact build order within a process: a
-    worker that built another workload first numbers this one higher,
-    and because the program parse (load uids) is memoised while the
-    adaptation (slice uids) is lazy, a worker that touched a workload,
-    got faulted off it, did other work and came back can shift the two
-    uid families by *different* offsets.  What IS stable is the relative
-    order — loads are numbered before their slices, deterministically
-    within each family — so mapping the sorted union of uids (table
-    keys plus ``prefetch_sources`` values) to dense ranks restores
-    byte-comparability across any build history; every other field is
-    untouched."""
+    Each uid named by a table key or a ``prefetch_sources`` value maps
+    to its rank among them; every other field is untouched.  The digests
+    in ``golden_tiny.json`` are of this form: they were pinned while
+    uids still came from one process-wide counter, and ranks are what
+    that numbering and the per-program one have in common."""
     doc = json.loads(json.dumps(stats))
     memory = doc.get("memory") or {}
     tables = ("load_stats", "prefetch_stats", "prefetch_sources")

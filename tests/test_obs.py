@@ -3,13 +3,17 @@
 Covers the tracer primitives and their null-object twins, the
 ContextTrace edge cases, per-delinquent-load prefetch
 coverage/accuracy/timeliness attribution end to end, both exporters
-(JSONL + Chrome trace), the metrics document and report renderer, the
-runner's metrics passthrough across the result cache, and the CLI
+(JSONL + Chrome trace), the metrics document and report renderer,
+per-load prefetch rows recomputed from a cached result, and the CLI
 surface (``--trace``/``--metrics-json``/``--gantt``/``--telemetry-json``
 and the ``report`` subcommand).
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -405,21 +409,47 @@ class TestTelemetryBackendAccumulation:
         assert telemetry.snapshot()["cache_backend"]["hits"] == 3
 
 
+_EXECUTE_INTO_CACHE = """
+import json, sys
+from repro.runner import ResultCache, Runner, RunSpec
+from repro.runner.worker import artifacts_for
+from repro.workloads import make_workload
+for name in ("em3d", "health", "mst"):
+    make_workload(name, "tiny").build_program()
+spec = RunSpec.create("treeadd.df", scale="tiny", model="inorder",
+                      variant="ssp")
+result = Runner(cache=ResultCache(root=sys.argv[1])).run_one(spec)
+assert result.ok and not result.cached, result.error
+rows = result.stats.prefetch_metrics(artifacts_for(spec).delinquent_uids)
+print(json.dumps({str(uid): row for uid, row in rows.items()}))
+"""
+
+
 class TestRunnerMetricsPassthrough:
-    def test_ssp_metrics_survive_the_cache(self, tmp_path):
+    def test_prefetch_rows_from_a_cache_hit_match_the_executor(
+            self, tmp_path):
+        """A fresh interpreter that first built other workloads executes
+        the spec into the cache; this process recomputes the per-load
+        prefetch rows from the hit with its own delinquent uids."""
         from repro.runner import ResultCache, Runner, RunSpec
+        from repro.runner.worker import artifacts_for
+        src = Path(__file__).resolve().parents[1] / "src"
+        cache_root = tmp_path / "cache"
+        out = subprocess.run(
+            [sys.executable, "-c", _EXECUTE_INTO_CACHE, str(cache_root)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=180)
+        assert out.returncode == 0, out.stderr
+        executed = {int(uid): row for uid, row in
+                    json.loads(out.stdout.strip().splitlines()[-1]).items()}
+        assert any(row["coverage"] > 0 for row in executed.values())
+
         spec = RunSpec.create("treeadd.df", scale="tiny",
                               model="inorder", variant="ssp")
-        cache = ResultCache(root=tmp_path / "cache")
-        fresh = Runner(cache=cache).run_one(spec)
-        assert not fresh.cached
-        assert fresh.metrics["delinquent_uids"]
-        prefetch = fresh.metrics["prefetch"]
-        assert all(isinstance(k, str) for k in prefetch)
-        assert any(row["coverage"] > 0 for row in prefetch.values())
-        hit = Runner(cache=cache).run_one(spec)
+        hit = Runner(cache=ResultCache(root=cache_root)).run_one(spec)
         assert hit.cached
-        assert hit.metrics == fresh.metrics
+        uids = artifacts_for(spec).delinquent_uids
+        assert hit.stats.prefetch_metrics(uids) == executed
 
     def test_base_runs_attach_no_metrics(self, tmp_path):
         from repro.runner import ResultCache, Runner, RunSpec

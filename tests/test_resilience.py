@@ -46,7 +46,7 @@ def _fresh_sim(spec: RunSpec):
     """A simulator (and its heap-owning workload) built from the spec.
 
     Reuses the per-process artifact memo, so every simulator built here
-    for the same spec shares one program (and one uid numbering)."""
+    for the same spec shares one program."""
     artifacts = artifacts_for(spec)
     program, workload = artifacts.run_inputs(spec.variant)
     sim = make_simulator(program, workload.build_heap(), spec.model,
@@ -198,9 +198,8 @@ def test_sigkilled_run_resumes_to_identical_stats(tmp_path):
     """SIGKILL an in-order mcf run mid-simulation; the resumed run must
     land on byte-identical SimStats to an uninterrupted one.
 
-    Every run happens in its own fresh interpreter so all three build
-    identical artifacts (instruction uids are process-global and depend
-    on build order)."""
+    Every run happens in its own fresh interpreter, as after a real
+    crash."""
     script = tmp_path / "victim.py"
     script.write_text(_VICTIM, encoding="utf-8")
     ckpt_root = tmp_path / "ckpt"

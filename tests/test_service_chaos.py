@@ -6,8 +6,7 @@ dying under an armed fault injector:
 * **exactly one effective simulation per unique spec hash** — whatever
   crashes, torn writes and lease steals happen along the way, the shared
   backend converges on one entry per spec and its ``SimStats`` are
-  identical to an undisturbed standalone run (modulo rebasing the
-  process-global instruction uids, which depend on build order);
+  byte-identical to an undisturbed standalone run;
 * **SIGKILL mid-job is survivable** — a stolen lease resumes from the
   victim's last checkpoint (shared under the service root) and still
   lands on byte-identical stats;
@@ -42,7 +41,6 @@ from repro.sim.stats import SimStats
 from repro.tool.cli import EXIT_DEADLINE, EXIT_POISONED, main
 from repro.workloads import PAPER_ORDER
 
-from helpers import rebased_stats
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -675,17 +673,14 @@ class TestChaosFleet:
             record = clients[0].queue.read_done(spec.content_hash())
             assert record is None or record["ok"], record
 
-        # Golden parity: identical SimStats to an undisturbed
-        # standalone run — identical timing, identical per-load rows,
-        # after rebasing the build-order-dependent uid labels.
+        # Golden parity: byte-identical SimStats to an undisturbed
+        # standalone run — identical timing, identical per-load rows.
         fetched = clients[1].fetch(batch_ids[1])
         standalone = Runner(cache=None).run(self.SPECS)
         for service_result, plain in zip(fetched, standalone):
             assert plain.ok
-            assert json.dumps(rebased_stats(service_result.stats_dict),
-                              sort_keys=True) \
-                == json.dumps(rebased_stats(plain.stats_dict),
-                              sort_keys=True), \
+            assert json.dumps(service_result.stats_dict, sort_keys=True) \
+                == json.dumps(plain.stats_dict, sort_keys=True), \
                 service_result.spec.label()
 
         # The fleet document folds the survivors' fault scorecards.
