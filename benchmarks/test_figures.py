@@ -80,8 +80,9 @@ class TestFigure8:
             io_gain, ooo_gain = rows[name][1], rows[name][4]
             assert io_gain > 0.95, f"{name}: SSP must not slow in-order"
             # "SSP provides a greater benefit for the former [in-order]".
-            assert io_gain >= ooo_gain * 0.8, \
-                f"{name}: in-order gain should not trail OOO gain badly"
+            assert io_gain > ooo_gain, \
+                f"{name}: SSP gain on in-order {io_gain} should exceed " \
+                f"its gain on OOO {ooo_gain}"
 
 
 class TestFigure9:

@@ -5,8 +5,9 @@ pipeline and the out-of-order pipeline — drive one ISA three ways.  All
 three step the same pre-decoded instruction semantics
 (:func:`repro.isa.decode.step_decoded`), so this oracle checks what each
 engine does around the step (speculation, timing, retirement), not the
-step itself; ``tests/test_isa_decoded_interp.py`` holds
-``step_decoded`` equal to the generic :func:`repro.isa.interp.execute`.
+step itself; the test suite holds ``step_decoded`` equal to an
+independent statement of the semantics (``execute`` in
+``tests/sim_reference.py``).
 Speculative precomputation must be architecturally invisible, so all three
 must agree on what an adapted binary *computes*; they are only allowed to
 disagree on how long it takes.  The oracle runs one workload through every

@@ -21,11 +21,9 @@ from .asm import (
     save_program,
 )
 from .interp import (
-    ExecResult,
     ExecutionError,
     FunctionalInterpreter,
     ThreadState,
-    execute,
     spawn_thread,
 )
 
@@ -34,8 +32,7 @@ __all__ = [
     "BasicBlock", "Function", "Program", "ProgramError",
     "FunctionBuilder", "build_function",
     "Heap", "HEAP_BASE", "WORD",
-    "ExecResult", "ExecutionError", "FunctionalInterpreter", "ThreadState",
-    "execute", "spawn_thread",
+    "ExecutionError", "FunctionalInterpreter", "ThreadState", "spawn_thread",
     "AsmError", "load_program", "parse_assembly", "round_trip",
     "save_program",
 ]

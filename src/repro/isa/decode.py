@@ -1,26 +1,24 @@
-"""Pre-decoded issue tables for the simulators' and interpreters' hot loops.
+"""The ISA's semantics: pre-decoded tables and the one functional step.
 
 ``repro.isa`` instructions are convenient value objects, but the per-cycle
 issue path pays for that convenience on every tick: ``Instruction.reads``
-builds a tuple per call, ``fixed_latency()`` is a dict probe, opcode
-dispatch is a string-compare chain, and ``execute`` allocates an
-:class:`~repro.isa.interp.ExecResult` per instruction.  This module decodes
-a finalised :class:`~repro.isa.program.Program` **once** into flat
-per-instruction tuples of plain ints/strings/callables so the simulators'
-run loops (``repro.sim.inorder``, ``repro.sim.ooo``) do zero dict lookups
-and zero ``getattr`` per issued instruction.  The post-pass tool's
-functional runs — the profiler's
-:class:`~repro.isa.interp.FunctionalInterpreter` and the differential
+builds a tuple per call, ``fixed_latency()`` is a dict probe and opcode
+dispatch is a string-compare chain.  This module decodes a finalised
+:class:`~repro.isa.program.Program` **once** into flat per-instruction
+tuples of plain ints/strings/callables so the simulators' run loops
+(``repro.sim.inorder``, ``repro.sim.ooo``) do zero dict lookups and zero
+``getattr`` per issued instruction.  The post-pass tool's functional runs
+— :class:`~repro.isa.interp.FunctionalInterpreter` and the differential
 verify's :class:`~repro.codegen.verify.ShadowInterpreter` — step the same
 tables.
 
-:func:`step_decoded` is a semantics-preserving mirror of
-:func:`repro.isa.interp.execute` over a decoded entry — byte-identical
-architectural behaviour is the contract (enforced against ``execute`` by
-``tests/test_sim_fastpath.py`` for the simulators and
-``tests/test_isa_decoded_interp.py`` for the interpreters), the only
-difference being that results are plain tuples (shared singletons for the
-common cases) instead of ``ExecResult`` objects.
+:func:`step_decoded` is the only definition of what an opcode does: every
+engine calls it and keeps only its own timing or bookkeeping around it.
+Its results are plain tuples (shared singletons for the common cases).
+The test suite holds it equal to an independent Instruction-object
+statement of the semantics (``execute`` in ``tests/sim_reference.py``),
+through ``tests/test_sim_fastpath.py`` for the simulators and
+``tests/test_isa_decoded_interp.py`` for the interpreters.
 
 The decode cache is keyed on ``Program._decode_version``, bumped by every
 ``Program.finalize()`` — the tool's in-place nop→``chk.c`` patching is
@@ -32,7 +30,7 @@ assumes the program is not mutated *between* ``finalize()`` and the run.
 from __future__ import annotations
 
 import weakref
-from typing import Any, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from .instructions import (
     ALU_OPS,
@@ -41,7 +39,7 @@ from .instructions import (
     Instruction,
     MEMORY_OPS,
 )
-from .interp import ExecutionError, ThreadState, _ALU, _RELATIONS
+from .interp import ExecutionError, ThreadState
 from .memory import HEAP_BASE, Heap
 from .program import Program
 from . import registers as regs
@@ -67,6 +65,27 @@ _KIND_OF_OP = {
 }
 for _op in ALU_OPS:
     _KIND_OF_OP[_op] = K_ALU
+
+#: Relation of each ``cmp`` and operation of each ALU opcode.
+_RELATIONS: Dict[str, Callable[[int, int], bool]] = {
+    "eq": lambda a, b: a == b,
+    "ne": lambda a, b: a != b,
+    "lt": lambda a, b: a < b,
+    "le": lambda a, b: a <= b,
+    "gt": lambda a, b: a > b,
+    "ge": lambda a, b: a >= b,
+}
+
+_ALU: Dict[str, Callable[[int, int], int]] = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: a << b,
+    "shr": lambda a, b: a >> b,
+}
 
 #: Structural-resource classes, matching the in-order issue logic exactly:
 #: memory ops take a memory port; branches *plus* ``chk.c`` and ``spawn``
@@ -168,8 +187,12 @@ def step_decoded(program: Program, heap: Heap, state: ThreadState,
                  d: DecodedEntry, chk_fires: bool = False) -> Tuple:
     """Architecturally step one decoded instruction.
 
-    Mirror of :func:`repro.isa.interp.execute`, returning a plain
-    ``(mem_addr, taken, spawn_target, executed, chk_taken)`` tuple.
+    Returns a plain ``(mem_addr, taken, spawn_target, executed,
+    chk_taken)`` tuple.  ``chk_fires`` tells a ``chk.c`` whether a free
+    hardware context is available (the timing model's decision); when
+    false the check behaves like a nop, per Section 3.4.2.  A false
+    qualifying predicate squashes the instruction (``executed`` false,
+    ``mem_addr`` None).
     """
     pc = state.pc
     pred = d[D_PRED]
@@ -251,9 +274,9 @@ def step_decoded(program: Program, heap: Heap, state: ThreadState,
         return _R_TAKEN
 
     if kind == K_BRC:
-        # A false qualifying predicate was squashed above, and execute()
-        # treats the predicate as the branch condition — an *executed*
-        # br.cond is always taken.
+        # A false qualifying predicate was squashed above, and the
+        # predicate is also the branch condition — an *executed* br.cond
+        # is always taken.
         state.pc = d[D_TARGET]
         return _R_TAKEN
 

@@ -1,20 +1,19 @@
-"""Architectural (functional) semantics shared by all execution engines.
+"""Architectural state of a thread, and the functional interpreter.
 
 A :class:`ThreadState` is one hardware thread context's architectural state.
-:func:`execute` steps one instruction functionally and reports what happened
-in an :class:`ExecResult`; it is the ISA reference that the test suite's
-Instruction-object loops (``tests/sim_reference.py``) step through.
-:func:`repro.isa.decode.step_decoded` is its mirror over a pre-decoded
-table, and every production engine steps through that instead: both
-simulators' run loops, the :class:`FunctionalInterpreter` below and the
-post-pass tool's shadow interpreter (``repro.codegen.verify``).  The two
-definitions of what each opcode *does* are held equal by
-``tests/test_sim_fastpath.py`` (simulators) and
-``tests/test_isa_decoded_interp.py`` (interpreters).
+What each opcode *does* to it is defined once, by
+:func:`repro.isa.decode.step_decoded` over a pre-decoded table, and every
+engine steps through that: both simulators' run loops, the
+:class:`FunctionalInterpreter` below and the post-pass tool's shadow
+interpreter (``repro.codegen.verify``).  The test suite keeps an
+independent Instruction-object statement of the same semantics
+(``execute`` in ``tests/sim_reference.py``) as the oracle the decoded step
+is held equal to (``tests/test_sim_fastpath.py`` for the simulators,
+``tests/test_isa_decoded_interp.py`` for the interpreters).
 
 Speculative threads never modify the main thread's architectural state: they
 have their own :class:`ThreadState`, may not execute stores (the emitter
-guarantees it; :func:`execute` enforces it), and loads of garbage addresses
+guarantees it; the step enforces it), and loads of garbage addresses
 return 0 instead of faulting — the deferred-exception behaviour the paper
 relies on ("the SSP paradigm does not require p-slice computation to satisfy
 the correctness constraints").
@@ -22,9 +21,8 @@ the correctness constraints").
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
-from .instructions import Instruction
 from .memory import Heap
 from .program import Program
 from . import registers as regs
@@ -33,26 +31,6 @@ from . import registers as regs
 class ExecutionError(Exception):
     """Raised for run-time errors in the *main* thread (bad address, etc.)."""
 
-
-_RELATIONS: Dict[str, Callable[[int, int], bool]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-}
-
-_ALU: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: a << b,
-    "shr": lambda a, b: a >> b,
-}
 
 #: Number of live-in buffer slots per spawn site (the RSE backing-store
 #: region is small; Table 2 shows slices need < 8 live-ins).
@@ -87,189 +65,6 @@ class ThreadState:
 
     def read(self, reg: str) -> int:
         return self.regs.get(reg, 0)
-
-
-class ExecResult:
-    """What one functional step did (consumed by the timing layer)."""
-
-    __slots__ = ("next_pc", "mem_addr", "taken", "spawn_target", "executed",
-                 "chk_taken")
-
-    def __init__(self, next_pc: int, mem_addr: Optional[int] = None,
-                 taken: Optional[bool] = None,
-                 spawn_target: Optional[int] = None,
-                 executed: bool = True, chk_taken: bool = False):
-        self.next_pc = next_pc
-        self.mem_addr = mem_addr
-        self.taken = taken
-        self.spawn_target = spawn_target
-        self.executed = executed
-        self.chk_taken = chk_taken
-
-
-def execute(program: Program, heap: Heap, state: ThreadState,
-            instr: Instruction, chk_fires: bool = False) -> ExecResult:
-    """Execute ``instr`` architecturally on ``state``.
-
-    ``chk_fires`` tells a ``chk.c`` whether a free hardware context is
-    available (the timing model's decision); when false the check behaves
-    like a nop, per Section 3.4.2.
-    """
-    pc = state.pc
-    op = instr.op
-
-    # Predication: a false qualifying predicate squashes the instruction.
-    if instr.pred is not None and not state.preds.get(instr.pred, False):
-        state.pc = pc + 1
-        return ExecResult(pc + 1, executed=False)
-
-    rd = state.regs
-
-    if op in _ALU:
-        a = rd.get(instr.srcs[0], 0)
-        b = rd.get(instr.srcs[1], 0) if len(instr.srcs) > 1 else instr.imm
-        rd[instr.dest] = _ALU[op](a, b)
-        if instr.dest == regs.ZERO:
-            rd[regs.ZERO] = 0
-        state.pc = pc + 1
-        return ExecResult(pc + 1)
-
-    if op == "mov":
-        rd[instr.dest] = rd.get(instr.srcs[0], 0) if instr.srcs else instr.imm
-        if instr.dest == regs.ZERO:
-            rd[regs.ZERO] = 0
-        state.pc = pc + 1
-        return ExecResult(pc + 1)
-
-    if op == "ld":
-        addr = rd.get(instr.srcs[0], 0) + (instr.imm or 0)
-        if heap.valid(addr):
-            rd[instr.dest] = heap.load(addr)
-        elif state.speculative:
-            rd[instr.dest] = 0     # deferred exception: NaT-like zero
-            addr = None            # no memory access is made
-        else:
-            raise ExecutionError(
-                f"bad load address {addr:#x} at pc {pc} ({instr})")
-        state.pc = pc + 1
-        return ExecResult(pc + 1, mem_addr=addr)
-
-    if op == "st":
-        if state.speculative:
-            raise ExecutionError(
-                "speculative thread attempted a store — the emitter must "
-                f"never place stores in p-slices ({instr} at pc {pc})")
-        addr = rd.get(instr.srcs[0], 0) + (instr.imm or 0)
-        if not heap.valid(addr):
-            raise ExecutionError(
-                f"bad store address {addr:#x} at pc {pc} ({instr})")
-        heap.store(addr, rd.get(instr.srcs[1], 0))
-        state.pc = pc + 1
-        return ExecResult(pc + 1, mem_addr=addr)
-
-    if op == "lfetch":
-        addr = rd.get(instr.srcs[0], 0) + (instr.imm or 0)
-        if not heap.valid(addr):
-            addr = None            # non-faulting prefetch: dropped
-        state.pc = pc + 1
-        return ExecResult(pc + 1, mem_addr=addr)
-
-    if op == "cmp":
-        a = rd.get(instr.srcs[0], 0)
-        b = rd.get(instr.srcs[1], 0) if len(instr.srcs) > 1 else instr.imm
-        state.preds[instr.dest] = _RELATIONS[instr.relation](a, b)
-        if instr.dest == regs.TRUE_PREDICATE:
-            state.preds[regs.TRUE_PREDICATE] = True
-        state.pc = pc + 1
-        return ExecResult(pc + 1)
-
-    if op == "br":
-        target = program.branch_target[pc]
-        state.pc = target
-        return ExecResult(target, taken=True)
-
-    if op == "br.cond":
-        taken = state.preds.get(instr.pred, False) if instr.pred else True
-        target = program.branch_target[pc] if taken else pc + 1
-        state.pc = target
-        return ExecResult(target, taken=taken)
-
-    if op == "br.call":
-        target = program.branch_target[pc]
-        state.call_stack.append((pc + 1, dict(rd)))
-        state.pc = target
-        return ExecResult(target, taken=True)
-
-    if op == "br.call.ind":
-        fid = rd.get(instr.srcs[0], 0)
-        if not 0 <= fid < len(program.function_by_id):
-            if state.speculative:
-                state.killed = True
-                return ExecResult(pc, executed=False)
-            raise ExecutionError(f"bad indirect call target {fid} at pc {pc}")
-        target = program.function_entry[program.function_by_id[fid]]
-        state.call_stack.append((pc + 1, dict(rd)))
-        state.pc = target
-        return ExecResult(target, taken=True)
-
-    if op == "br.ret":
-        if not state.call_stack:
-            # Returning from the outermost frame ends the thread.
-            state.halted = True
-            return ExecResult(pc, taken=True)
-        ret_pc, saved = state.call_stack.pop()
-        ret_val = rd.get(regs.RET_VALUE, 0)
-        state.regs = saved
-        state.regs[regs.RET_VALUE] = ret_val
-        state.pc = ret_pc
-        return ExecResult(ret_pc, taken=True)
-
-    if op == "chk.c":
-        if chk_fires:
-            # Lightweight exception: divert to the recovery stub, remember
-            # where to resume.
-            target = program.branch_target[pc]
-            state.rfi_stack.append(pc + 1)
-            state.pc = target
-            return ExecResult(target, taken=True, chk_taken=True)
-        state.pc = pc + 1
-        return ExecResult(pc + 1, taken=False)
-
-    if op == "rfi":
-        if not state.rfi_stack:
-            raise ExecutionError(f"rfi with no pending recovery at pc {pc}")
-        target = state.rfi_stack.pop()
-        state.pc = target
-        return ExecResult(target, taken=True)
-
-    if op == "spawn":
-        target = program.branch_target[pc]
-        state.pc = pc + 1
-        return ExecResult(pc + 1, spawn_target=target)
-
-    if op == "lib.st":
-        state.lib_out[instr.imm] = rd.get(instr.srcs[0], 0)
-        state.pc = pc + 1
-        return ExecResult(pc + 1)
-
-    if op == "lib.ld":
-        rd[instr.dest] = state.lib_in[instr.imm]
-        state.pc = pc + 1
-        return ExecResult(pc + 1)
-
-    if op == "kill":
-        state.killed = True
-        return ExecResult(pc)
-
-    if op == "halt":
-        state.halted = True
-        return ExecResult(pc)
-
-    if op == "nop":
-        state.pc = pc + 1
-        return ExecResult(pc + 1)
-
-    raise ExecutionError(f"unimplemented opcode {op!r}")  # pragma: no cover
 
 
 def spawn_thread(parent: ThreadState, tid: int, target_pc: int) -> ThreadState:

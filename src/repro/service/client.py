@@ -26,7 +26,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from ..runner.cache import ResultCache
 from ..runner.executor import RunResult
@@ -178,20 +178,40 @@ class ServiceClient:
         ``lost`` flags a done record whose backend entry did not
         survive (torn put, eviction) — the wait loop resubmits those.
         """
-        manifest = self.load_batch(batch_id)
+        return self._status(self.load_batch(batch_id))
+
+    def _status(self, manifest: Dict,
+                seen_done: Optional[Set[str]] = None) -> Dict:
+        """:meth:`status` of a loaded batch.  The wait loop passes
+        ``seen_done``, the hashes it has already seen done: those are not
+        read again, and the backend is read only for jobs the queue no
+        longer holds as queued or running, so draining a batch costs one
+        backend read per job, not one per job per poll."""
         states: Dict[str, str] = {}
         for spec in self._batch_specs(manifest):
             digest = spec.content_hash()
+            state = None
+            if seen_done is not None:
+                if digest in seen_done:
+                    states[digest] = "done"
+                    continue
+                state = self.queue.state_of(digest)
+                if state in ("queued", "running"):
+                    states[digest] = state
+                    continue
             if self.backend.get(spec) is not None:
-                states[digest] = "done"
-                continue
-            state = self.queue.state_of(digest)
-            if state == "done" and not self._locate_done(spec):
-                # The queue says finished but no result survives
-                # anywhere (not even under a degraded hash): the write
-                # was torn or the entry evicted.  at-least-once covers
-                # this too — resubmission, not a hang.
-                state = "lost"
+                state = "done"
+            else:
+                if state is None:
+                    state = self.queue.state_of(digest)
+                if state == "done" and not self._locate_done(spec):
+                    # The queue says finished but no result survives
+                    # anywhere (not even under a degraded hash): the
+                    # write was torn or the entry evicted.  at-least-once
+                    # covers this too — resubmission, not a hang.
+                    state = "lost"
+            if state == "done" and seen_done is not None:
+                seen_done.add(digest)
             states[digest] = state
         counts = {state: 0 for state in
                   ("done", "failed", "poisoned", "running", "queued",
@@ -201,7 +221,7 @@ class ServiceClient:
         total = len(states)
         terminal = counts["done"] + counts["failed"] + counts["poisoned"]
         return {
-            "batch": batch_id,
+            "batch": manifest["batch"],
             "total": total,
             **counts,
             "complete": terminal >= total,
@@ -343,8 +363,9 @@ class ServiceClient:
                     if timeout is not None else None)
         idle_rounds = 0
         last_fingerprint: Optional[tuple] = None
+        seen_done: Set[str] = set()
         while True:
-            state = self.status(batch_id)
+            state = self._status(manifest, seen_done)
             if state["complete"]:
                 return state
             progressed = False

@@ -9,10 +9,11 @@ bundle each from two threads, shared function units (4 int, 3 branch,
 contexts with lightweight-exception spawning for SSP.
 
 The simulator is execution-driven: instructions execute architecturally at
-issue (stepped over the pre-decoded table of :mod:`repro.isa.decode`, with
-the semantics of :func:`repro.isa.interp.execute`), so speculative threads
-compute real addresses and their prefetches warm the shared caches that the
-main thread then hits — the entire SSP effect is emergent, not modelled.
+issue (each one a :func:`repro.isa.decode.step_decoded` call over the
+pre-decoded table, the one definition of what an opcode does), so
+speculative threads compute real addresses and their prefetches warm the
+shared caches that the main thread then hits — the entire SSP effect is
+emergent, not modelled.
 
 Long stalls are skipped in O(1): when no context can issue, the clock jumps
 to the earliest wake-up, charging the skipped cycles to the main thread's
@@ -27,10 +28,7 @@ from typing import Dict, List, Optional
 from ..isa.decode import (
     D_READS,
     D_UID,
-    K_ALU,
-    K_BR,
     K_BRC,
-    K_CALL,
     K_CALLI,
     K_CHK,
     K_CMP,
@@ -39,22 +37,17 @@ from ..isa.decode import (
     K_LD,
     K_LFETCH,
     K_LIBLD,
-    K_LIBST,
-    K_MOV,
-    K_NOP,
     K_RET,
-    K_RFI,
     K_SPAWN,
     K_ST,
-    RES_BR,
     RES_INT,
     RES_MEM,
     decode_program,
+    step_decoded,
 )
-from ..isa.interp import ExecutionError, ThreadState, spawn_thread
-from ..isa.memory import HEAP_BASE, Heap
+from ..isa.interp import ThreadState, spawn_thread
+from ..isa.memory import Heap
 from ..isa.program import Program
-from ..isa import registers as regs
 from .branch import GsharePredictor
 from .caches import L1, MemorySystem
 from .config import MachineConfig
@@ -388,12 +381,11 @@ class InOrderSimulator:
         """Issue up to ``budget`` instructions from ``thread`` at ``now``.
 
         Returns the number issued.  Updates scoreboard, caches, predictor,
-        and may spawn/kill threads.  One fused dispatch per instruction
-        over ``repro.isa.decode`` tuples: the architectural step
-        (mirroring ``interp.execute``), instruction counters,
-        scoreboard/latency updates and control flow are a single branch
-        per kind — no Instruction attribute access, no ExecResult
-        allocation, and the per-instruction counters and unit pools
+        and may spawn/kill threads.  Each instruction passes the issue
+        checks (budget, scoreboard, units, chaining-spawn wait), takes one
+        architectural step through :func:`repro.isa.decode.step_decoded`
+        and is then timed by kind from the step's result tuple: this loop
+        models time only.  The per-instruction counters and unit pools
         accumulate in locals that flush once per call.
         """
         program = self.program
@@ -401,8 +393,6 @@ class InOrderSimulator:
         state = thread.state
         config = self.config
         heap = self.heap
-        words = heap._words
-        heap_size = heap.size
         memory = self.memory
         stats = self.stats
         predictor = self.predictor
@@ -420,11 +410,7 @@ class InOrderSimulator:
         ready = thread.reg_ready
         bound = thread.ready_bound
         levels = thread.reg_level
-        rd = state.regs
-        preds = state.preds
         rfi_stack = state.rfi_stack
-        zero = regs.ZERO
-        true_pred = regs.TRUE_PREDICATE
         res_int = res.int_
         res_mem = res.mem
         res_br = res.br
@@ -503,71 +489,41 @@ class InOrderSimulator:
                 chk_fires = self.spawning and self._free_slot() is not None
                 if chk_fires and config.dynamic_chk_throttle:
                     chk_fires = self._throttle_allows(d[13])  # D_UID
+            elif kind == K_CALLI and is_main:
+                self._note_indirect(d[13], state.regs.get(d[3], 0))
+            # Inside a recovery stub, read before the step (a fired chk.c
+            # pushes the rfi stack, rfi pops it).
+            if rfi_stack:
+                n_stub += 1
 
-            # Predication: a false qualifying predicate squashes the
-            # instruction — it still consumed its slot and unit, counts
-            # as issued, and (for br.cond) still trains the predictor.
-            pred = d[7]                           # D_PRED
-            if pred is not None and not preds.get(pred, False):
-                state.pc = pc + 1
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                if kind == K_LD:
-                    dest = d[2]
-                    ready[dest] = now + 1
-                    if now + 1 > bound:
-                        bound = now + 1
+            # The architectural step.  A squashed instruction (false
+            # qualifying predicate) still consumed its slot and unit and
+            # counts as issued; what it costs is decided below.
+            r = step_decoded(program, heap, state, d, chk_fires)
+            issued += 1
+
+            # Timing only from here on, from the step's result tuple.
+            if kind <= K_CMP or kind == K_LIBLD:
+                if r[3]:                          # R_EXECUTED
+                    dest = d[2]                   # D_DEST
+                    t = now + d[9]                # D_LAT
+                    ready[dest] = t
+                    if t > bound:
+                        bound = t
                     levels[dest] = None
-                elif kind == K_LFETCH:
-                    memory.prefetches_dropped += 1
-                if kind == K_BRC:
-                    penalty = predictor.predict_and_update(
-                        pc, state.tid, False)
-                    if penalty < 0:
-                        stats.mispredicts += 1
-                        thread.stall_until = \
-                            now + 1 + config.mispredict_penalty
-                        thread.wake = thread.stall_until
-                        break
-                elif K_BR <= kind <= K_RET:
-                    if kind == K_CALLI and is_main:
-                        self._note_indirect(d[13], rd.get(d[3], 0))
-                    break
-                elif kind == K_CHK:
-                    stats.chk_ignored += 1
-                elif kind == K_KILL or kind == K_HALT:
-                    break
-                continue
-
-            if kind == K_ALU:
-                src1 = d[4]
-                dest = d[2]
-                rd[dest] = d[12](rd.get(d[3], 0),
-                                 rd.get(src1, 0) if src1 is not None
-                                 else d[5])
-                if dest == zero:
-                    rd[zero] = 0
-                state.pc = pc + 1
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                t = now + d[9]                    # D_LAT
-                ready[dest] = t
-                if t > bound:
-                    bound = t
-                levels[dest] = None
                 continue
 
             if kind == K_LD:
                 dest = d[2]
-                addr = rd.get(d[3], 0) + d[6]     # D_IMM0
-                if not addr & 7 and HEAP_BASE <= addr < heap_size:
-                    rd[dest] = words.get(addr >> 3, 0)
-                    state.pc = pc + 1
-                    issued += 1
-                    if rfi_stack:
-                        n_stub += 1
+                addr = r[0]                       # R_MEM
+                if addr is None:
+                    # Squashed, or a deferred speculative fault: the
+                    # register is written without a memory access.
+                    ready[dest] = now + 1
+                    if now + 1 > bound:
+                        bound = now + 1
+                    levels[dest] = None
+                else:
                     access = memory.access(addr, now, d[13], is_main)
                     ready[dest] = access.ready
                     if access.ready > bound:
@@ -575,165 +531,45 @@ class InOrderSimulator:
                     levels[dest] = access.level
                     if is_main and access.level != L1:
                         heapq.heappush(self._main_misses, access.ready)
-                elif state.speculative:
-                    rd[dest] = 0                  # deferred exception
-                    state.pc = pc + 1
-                    issued += 1
-                    ready[dest] = now + 1
-                    if now + 1 > bound:
-                        bound = now + 1
-                    levels[dest] = None
-                else:
-                    raise ExecutionError(
-                        f"bad load address {addr:#x} at pc {pc} "
-                        f"({program.code[pc]})")
-                continue
-
-            if kind == K_CMP:
-                src1 = d[4]
-                dest = d[2]
-                preds[dest] = d[12](rd.get(d[3], 0),
-                                    rd.get(src1, 0) if src1 is not None
-                                    else d[5])
-                if dest == true_pred:
-                    preds[true_pred] = True
-                state.pc = pc + 1
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                t = now + d[9]
-                ready[dest] = t
-                if t > bound:
-                    bound = t
-                levels[dest] = None
-                continue
-
-            if kind == K_MOV:
-                src = d[3]
-                dest = d[2]
-                rd[dest] = rd.get(src, 0) if src is not None else d[5]
-                if dest == zero:
-                    rd[zero] = 0
-                state.pc = pc + 1
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                t = now + d[9]
-                ready[dest] = t
-                if t > bound:
-                    bound = t
-                levels[dest] = None
                 continue
 
             if kind == K_BRC:
-                # An *executed* br.cond is always taken: its predicate is
-                # both the qualifying predicate (false → squashed above)
-                # and the branch condition.
-                state.pc = d[11]                  # D_TARGET
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                penalty = predictor.predict_and_update(pc, state.tid, True)
+                # An executed br.cond is always taken: its predicate is
+                # both the qualifying predicate and the branch condition.
+                # A squashed one still trains the predictor, not taken.
+                taken = bool(r[1])                # R_TAKEN
+                penalty = predictor.predict_and_update(pc, state.tid, taken)
                 if penalty < 0:
                     stats.mispredicts += 1
                     thread.stall_until = now + 1 + config.mispredict_penalty
                     thread.wake = thread.stall_until
                     break
+                if not taken:
+                    continue
                 if penalty > 0:
                     thread.stall_until = now + 1 + penalty
                     thread.wake = thread.stall_until
                 break  # taken branch ends this thread's fetch group
 
-            if kind == K_BR:
-                state.pc = d[11]
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                break
-
             if kind == K_ST:
-                if state.speculative:
-                    raise ExecutionError(
-                        "speculative thread attempted a store — the "
-                        "emitter must never place stores in p-slices "
-                        f"({program.code[pc]} at pc {pc})")
-                addr = rd.get(d[3], 0) + d[6]
-                if addr & 7 or not HEAP_BASE <= addr < heap_size:
-                    raise ExecutionError(
-                        f"bad store address {addr:#x} at pc {pc} "
-                        f"({program.code[pc]})")
-                words[addr >> 3] = rd.get(d[4], 0)
-                state.pc = pc + 1
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                memory.access(addr, now, d[13], is_main, is_store=True)
+                if r[0] is not None:
+                    memory.access(r[0], now, d[13], is_main, is_store=True)
                 continue
 
             if kind == K_LFETCH:
-                addr = rd.get(d[3], 0) + d[6]
-                state.pc = pc + 1
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                if not addr & 7 and HEAP_BASE <= addr < heap_size:
-                    memory.access(addr, now, d[13], is_main,
-                                  is_prefetch=True)
-                else:
+                if r[0] is None:
+                    # Squashed, or outside the heap: non-faulting, dropped.
                     memory.prefetches_dropped += 1
+                else:
+                    memory.access(r[0], now, d[13], is_main,
+                                  is_prefetch=True)
                 continue
 
-            if kind == K_CALL:
-                state.call_stack.append((pc + 1, dict(rd)))
-                state.pc = d[11]
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                break
-
-            if kind == K_RET:
-                if not state.call_stack:
-                    state.halted = True
-                else:
-                    ret_pc, saved = state.call_stack.pop()
-                    saved[regs.RET_VALUE] = rd.get(regs.RET_VALUE, 0)
-                    state.regs = saved
-                    rd = saved
-                    state.pc = ret_pc
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                break
-
-            if kind == K_CALLI:
-                fid = rd.get(d[3], 0)
-                if is_main:
-                    self._note_indirect(d[13], fid)
-                if 0 <= fid < len(program.function_by_id):
-                    state.call_stack.append((pc + 1, dict(rd)))
-                    state.pc = program.function_entry[
-                        program.function_by_id[fid]]
-                elif state.speculative:
-                    state.killed = True
-                else:
-                    raise ExecutionError(
-                        f"bad indirect call target {fid} at pc {pc}")
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                break
+            if kind <= K_RET:
+                break  # br, br.call, br.call.ind, br.ret end the group
 
             if kind == K_CHK:
-                was_stub = bool(rfi_stack)
-                if chk_fires:
-                    rfi_stack.append(pc + 1)
-                    state.pc = d[11]
-                else:
-                    state.pc = pc + 1
-                issued += 1
-                if was_stub:
-                    n_stub += 1
-                if chk_fires:
+                if r[4]:                          # R_CHK
                     # Lightweight exception: pipeline flush, resume in
                     # the stub.
                     stats.chk_fired += 1
@@ -744,61 +580,14 @@ class InOrderSimulator:
                 stats.chk_ignored += 1
                 continue
 
-            if kind == K_RFI:
-                if not rfi_stack:
-                    raise ExecutionError(
-                        f"rfi with no pending recovery at pc {pc}")
-                state.pc = rfi_stack.pop()
-                issued += 1
-                n_stub += 1
-                continue  # rfi does not end the fetch group
-
             if kind == K_SPAWN:
-                state.pc = pc + 1
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                self._spawn(thread, d[11], now)
-                continue
-
-            if kind == K_LIBST:
-                state.lib_out[d[5]] = rd.get(d[3], 0)
-                state.pc = pc + 1
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                continue
-
-            if kind == K_LIBLD:
-                dest = d[2]
-                rd[dest] = state.lib_in[d[5]]
-                state.pc = pc + 1
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
-                t = now + d[9]
-                ready[dest] = t
-                if t > bound:
-                    bound = t
-                levels[dest] = None
+                if r[2] is not None:              # R_SPAWN
+                    self._spawn(thread, r[2], now)
                 continue
 
             if kind == K_KILL or kind == K_HALT:
-                if kind == K_KILL:
-                    state.killed = True
-                else:
-                    state.halted = True
-                issued += 1
-                if rfi_stack:
-                    n_stub += 1
                 break
-
-            # K_NOP
-            state.pc = pc + 1
-            issued += 1
-            if rfi_stack:
-                n_stub += 1
-            continue
+            # rfi, lib.st and nop do not end the fetch group.
 
         if issued and thread.wake <= now \
                 and not (state.halted or state.killed):

@@ -1,14 +1,19 @@
-"""Reference run loops of the two machine models, for differential tests.
+"""Reference ISA semantics and run loops, for differential tests.
 
-Each class overrides ``run`` with the original per-cycle loop, which
-interprets :class:`~repro.isa.instructions.Instruction` objects and
-steps them through :func:`repro.isa.interp.execute`.  The production
-simulators run the same cycle structure over the pre-decoded issue
-tables of :mod:`repro.isa.decode`; ``tests/test_sim_fastpath.py``
-asserts byte-identical ``SimStats`` between the two on every paper
-workload and a fuzz corpus.  Everything else (construction, spawning,
-throttling, checkpointing, reaping hooks) is inherited, so only the
-loops are compared.
+:func:`execute` is an independent statement of what each opcode does,
+over :class:`~repro.isa.instructions.Instruction` objects, reporting in
+an :class:`ExecResult`.  Production code defines the semantics once, in
+:func:`repro.isa.decode.step_decoded`; this module is the oracle it is
+held equal to.
+
+Each simulator class overrides ``run`` with the original per-cycle loop,
+which interprets Instruction objects and steps them through
+:func:`execute`.  The production simulators run the same cycle structure
+over the pre-decoded issue tables of :mod:`repro.isa.decode`;
+``tests/test_sim_fastpath.py`` asserts byte-identical ``SimStats``
+between the two on every paper workload and a fuzz corpus.  Everything
+else (construction, spawning, throttling, checkpointing, reaping hooks)
+is inherited, so only the loops are compared.
 """
 
 from __future__ import annotations
@@ -16,7 +21,12 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from repro.isa.interp import execute, spawn_thread
+from repro.isa import registers as regs
+from repro.isa.decode import _ALU, _RELATIONS
+from repro.isa.instructions import Instruction
+from repro.isa.interp import ExecutionError, ThreadState, spawn_thread
+from repro.isa.memory import Heap
+from repro.isa.program import Program
 from repro.sim.caches import L1
 from repro.sim.inorder import (
     _FAR_FUTURE,
@@ -26,6 +36,189 @@ from repro.sim.inorder import (
 )
 from repro.sim.ooo import OOOSimulator, _OOOThread
 from repro.sim.stats import STALL_CATEGORY, SimStats
+
+
+class ExecResult:
+    """What one functional step did (consumed by the timing layer)."""
+
+    __slots__ = ("next_pc", "mem_addr", "taken", "spawn_target", "executed",
+                 "chk_taken")
+
+    def __init__(self, next_pc: int, mem_addr: Optional[int] = None,
+                 taken: Optional[bool] = None,
+                 spawn_target: Optional[int] = None,
+                 executed: bool = True, chk_taken: bool = False):
+        self.next_pc = next_pc
+        self.mem_addr = mem_addr
+        self.taken = taken
+        self.spawn_target = spawn_target
+        self.executed = executed
+        self.chk_taken = chk_taken
+
+
+def execute(program: Program, heap: Heap, state: ThreadState,
+            instr: Instruction, chk_fires: bool = False) -> ExecResult:
+    """Execute ``instr`` architecturally on ``state``.
+
+    ``chk_fires`` tells a ``chk.c`` whether a free hardware context is
+    available (the timing model's decision); when false the check behaves
+    like a nop, per Section 3.4.2.
+    """
+    pc = state.pc
+    op = instr.op
+
+    # Predication: a false qualifying predicate squashes the instruction.
+    if instr.pred is not None and not state.preds.get(instr.pred, False):
+        state.pc = pc + 1
+        return ExecResult(pc + 1, executed=False)
+
+    rd = state.regs
+
+    if op in _ALU:
+        a = rd.get(instr.srcs[0], 0)
+        b = rd.get(instr.srcs[1], 0) if len(instr.srcs) > 1 else instr.imm
+        rd[instr.dest] = _ALU[op](a, b)
+        if instr.dest == regs.ZERO:
+            rd[regs.ZERO] = 0
+        state.pc = pc + 1
+        return ExecResult(pc + 1)
+
+    if op == "mov":
+        rd[instr.dest] = rd.get(instr.srcs[0], 0) if instr.srcs else instr.imm
+        if instr.dest == regs.ZERO:
+            rd[regs.ZERO] = 0
+        state.pc = pc + 1
+        return ExecResult(pc + 1)
+
+    if op == "ld":
+        addr = rd.get(instr.srcs[0], 0) + (instr.imm or 0)
+        if heap.valid(addr):
+            rd[instr.dest] = heap.load(addr)
+        elif state.speculative:
+            rd[instr.dest] = 0     # deferred exception: NaT-like zero
+            addr = None            # no memory access is made
+        else:
+            raise ExecutionError(
+                f"bad load address {addr:#x} at pc {pc} ({instr})")
+        state.pc = pc + 1
+        return ExecResult(pc + 1, mem_addr=addr)
+
+    if op == "st":
+        if state.speculative:
+            raise ExecutionError(
+                "speculative thread attempted a store — the emitter must "
+                f"never place stores in p-slices ({instr} at pc {pc})")
+        addr = rd.get(instr.srcs[0], 0) + (instr.imm or 0)
+        if not heap.valid(addr):
+            raise ExecutionError(
+                f"bad store address {addr:#x} at pc {pc} ({instr})")
+        heap.store(addr, rd.get(instr.srcs[1], 0))
+        state.pc = pc + 1
+        return ExecResult(pc + 1, mem_addr=addr)
+
+    if op == "lfetch":
+        addr = rd.get(instr.srcs[0], 0) + (instr.imm or 0)
+        if not heap.valid(addr):
+            addr = None            # non-faulting prefetch: dropped
+        state.pc = pc + 1
+        return ExecResult(pc + 1, mem_addr=addr)
+
+    if op == "cmp":
+        a = rd.get(instr.srcs[0], 0)
+        b = rd.get(instr.srcs[1], 0) if len(instr.srcs) > 1 else instr.imm
+        state.preds[instr.dest] = _RELATIONS[instr.relation](a, b)
+        if instr.dest == regs.TRUE_PREDICATE:
+            state.preds[regs.TRUE_PREDICATE] = True
+        state.pc = pc + 1
+        return ExecResult(pc + 1)
+
+    if op == "br":
+        target = program.branch_target[pc]
+        state.pc = target
+        return ExecResult(target, taken=True)
+
+    if op == "br.cond":
+        taken = state.preds.get(instr.pred, False) if instr.pred else True
+        target = program.branch_target[pc] if taken else pc + 1
+        state.pc = target
+        return ExecResult(target, taken=taken)
+
+    if op == "br.call":
+        target = program.branch_target[pc]
+        state.call_stack.append((pc + 1, dict(rd)))
+        state.pc = target
+        return ExecResult(target, taken=True)
+
+    if op == "br.call.ind":
+        fid = rd.get(instr.srcs[0], 0)
+        if not 0 <= fid < len(program.function_by_id):
+            if state.speculative:
+                state.killed = True
+                return ExecResult(pc, executed=False)
+            raise ExecutionError(f"bad indirect call target {fid} at pc {pc}")
+        target = program.function_entry[program.function_by_id[fid]]
+        state.call_stack.append((pc + 1, dict(rd)))
+        state.pc = target
+        return ExecResult(target, taken=True)
+
+    if op == "br.ret":
+        if not state.call_stack:
+            # Returning from the outermost frame ends the thread.
+            state.halted = True
+            return ExecResult(pc, taken=True)
+        ret_pc, saved = state.call_stack.pop()
+        ret_val = rd.get(regs.RET_VALUE, 0)
+        state.regs = saved
+        state.regs[regs.RET_VALUE] = ret_val
+        state.pc = ret_pc
+        return ExecResult(ret_pc, taken=True)
+
+    if op == "chk.c":
+        if chk_fires:
+            # Lightweight exception: divert to the recovery stub, remember
+            # where to resume.
+            target = program.branch_target[pc]
+            state.rfi_stack.append(pc + 1)
+            state.pc = target
+            return ExecResult(target, taken=True, chk_taken=True)
+        state.pc = pc + 1
+        return ExecResult(pc + 1, taken=False)
+
+    if op == "rfi":
+        if not state.rfi_stack:
+            raise ExecutionError(f"rfi with no pending recovery at pc {pc}")
+        target = state.rfi_stack.pop()
+        state.pc = target
+        return ExecResult(target, taken=True)
+
+    if op == "spawn":
+        target = program.branch_target[pc]
+        state.pc = pc + 1
+        return ExecResult(pc + 1, spawn_target=target)
+
+    if op == "lib.st":
+        state.lib_out[instr.imm] = rd.get(instr.srcs[0], 0)
+        state.pc = pc + 1
+        return ExecResult(pc + 1)
+
+    if op == "lib.ld":
+        rd[instr.dest] = state.lib_in[instr.imm]
+        state.pc = pc + 1
+        return ExecResult(pc + 1)
+
+    if op == "kill":
+        state.killed = True
+        return ExecResult(pc)
+
+    if op == "halt":
+        state.halted = True
+        return ExecResult(pc)
+
+    if op == "nop":
+        state.pc = pc + 1
+        return ExecResult(pc + 1)
+
+    raise ExecutionError(f"unimplemented opcode {op!r}")  # pragma: no cover
 
 
 class ReferenceInOrderSimulator(InOrderSimulator):

@@ -34,11 +34,11 @@ from repro.isa.interp import (
     ExecutionError,
     FunctionalInterpreter,
     ThreadState,
-    execute,
     spawn_thread,
 )
 from repro.workloads.base import make_workload
 
+from sim_reference import execute
 from test_guard import _arc_scan, _scan_heap
 from test_sim_fastpath import FUZZ_SEEDS, PAPER_WORKLOADS
 

@@ -9,12 +9,12 @@ from repro.isa import (
     Heap,
     Program,
     ThreadState,
-    execute,
     spawn_thread,
 )
 from repro.isa.instructions import Instruction
 
 from helpers import linked_list_heap, list_sum_program
+from sim_reference import execute
 
 
 def run_main(build, heap=None, max_steps=1_000_000):

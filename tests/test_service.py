@@ -165,6 +165,31 @@ class TestRunBatch:
         record = client.queue.read_done(marker_spec.content_hash())
         assert record["attempts"] == 2
 
+    def test_wait_reads_each_result_once(self, tmp_path, monkeypatch):
+        """Draining a batch reads each spec's entry once in the poll loop
+        (plus the inline worker's dedupe lookup), not once per poll —
+        the tiny matrix's 28 unique specs, each submitted twice."""
+        specs = [RunSpec.create(kernel, scale="tiny", model=model,
+                                variant=variant)
+                 for kernel in ("mcf", "em3d", "health", "mst", "vpr",
+                                "treeadd.df", "treeadd.bf")
+                 for model in ("inorder", "ooo")
+                 for variant in ("base", "ssp")]
+        client = make_client(tmp_path)
+        batch_id = client.submit(specs * 2)
+        gets = []
+        real_get = ResultCache.get
+        monkeypatch.setattr(
+            ResultCache, "get",
+            lambda self, spec: gets.append(spec) or real_get(self, spec))
+        state = client.wait(batch_id, task_fn=fake_task, timeout=30)
+        assert state["complete"] and state["done"] == 28
+        assert len(gets) <= 2 * 28
+        # The one-shot status still reads every entry.
+        gets.clear()
+        assert client.status(batch_id) == state
+        assert len(gets) == 28
+
 
 class TestRunnerServiceMode:
     def test_standalone_without_configuration(self):
