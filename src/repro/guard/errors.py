@@ -104,7 +104,7 @@ class CheckpointError(GuardError):
 class ResourceBudgetError(GuardError):
     """A run blew its wall-clock or RSS budget mid-execution.
 
-    The supervisor reacts by stepping the spec down the graceful-
+    The queue worker reacts by stepping the spec down the graceful-
     degradation ladder (chaining SP → basic SP → top-1 delinquent load →
     unadapted binary) rather than by retrying the same work.
     """

@@ -44,9 +44,9 @@ SITES: Dict[str, str] = {
     "checkpoint.corrupt":
         "an on-disk checkpoint has one byte flipped before a resume read",
     "worker.hang":
-        "a supervised worker stops heartbeating (watchdog kill/retry path)",
+        "a worker stops heartbeating (watchdog kill/redeliver path)",
     "worker.oom":
-        "a supervised worker dies of memory exhaustion (MemoryError)",
+        "a worker dies of memory exhaustion (MemoryError)",
     # -- service-plane sites (fleet chaos) -------------------------------
     "queue.lease.corrupt":
         "a freshly-acquired lease file is overwritten with garbage bytes",
@@ -160,8 +160,8 @@ class FaultInjector:
         }
 
 
-#: The process-wide injector (None = injection disabled).  Forked runner
-#: workers inherit it, so ``--inject runner.*`` reaches the pool.
+#: The process-wide injector (None = injection disabled).  Forked local
+#: workers inherit it, so ``--inject runner.*`` reaches them.
 _ACTIVE: Optional[FaultInjector] = None
 
 
@@ -216,10 +216,10 @@ def snapshot() -> Optional[Dict[str, object]]:
 def sync_fired(site: str, count: int) -> None:
     """Force ``site``'s fired-count to ``count`` (cross-process chaos).
 
-    Supervised runner workers execute in freshly-forked processes, so a
+    Forked local workers execute in freshly-forked processes, so a
     child's fired-count increments never reach the parent: a
     ``times``-bounded plan would otherwise fire in *every* retry forever.
-    The supervisor aligns each worker's count with the attempt number
+    A forked worker aligns its count with the job's earlier executions
     before the site is consulted, restoring "fire at most N times"
     semantics across process boundaries.
     """

@@ -108,7 +108,7 @@ class FunctionalInterpreter:
     def run(self, count: bool = True) -> ThreadState:
         """Run from the program entry until halt; returns the final state."""
         # Imported here: repro.isa.decode builds on this module.
-        from .decode import D_KIND, D_SRC0, D_UID, K_CALLI, \
+        from .decode import D_KIND, D_SRC0, D_UID, K_CALLI, R_EXECUTED, \
             decode_program, step_decoded
         program = self.program
         dcode = decode_program(program)
@@ -126,14 +126,18 @@ class FunctionalInterpreter:
             if count:
                 uid = d[D_UID]
                 counts[uid] = counts.get(uid, 0) + 1
-            if d[D_KIND] == K_CALLI:
-                fid = state.regs.get(d[D_SRC0], 0)
-                if 0 <= fid < len(program.function_by_id):
-                    per_site = self.indirect_targets.setdefault(
-                        d[D_UID], {})
-                    name = program.function_by_id[fid]
-                    per_site[name] = per_site.get(name, 0) + 1
-            step_decoded(program, heap, state, d)
+            if d[D_KIND] != K_CALLI:
+                step_decoded(program, heap, state, d)
+                steps += 1
+                continue
+            # The target is read before the call, recorded only if the
+            # call happened (a false predicate squashes it).
+            fid = state.regs.get(d[D_SRC0], 0)
+            executed = step_decoded(program, heap, state, d)[R_EXECUTED]
             steps += 1
+            if executed and 0 <= fid < len(program.function_by_id):
+                per_site = self.indirect_targets.setdefault(d[D_UID], {})
+                name = program.function_by_id[fid]
+                per_site[name] = per_site.get(name, 0) + 1
         self.steps += steps
         return state

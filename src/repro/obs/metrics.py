@@ -68,7 +68,7 @@ def collect_metrics(workload: str, scale: str, model: str,
                     ) -> Dict[str, Any]:
     """Assemble the observability metrics document for one run.
 
-    ``resilience`` is the per-run supervisor metadata from
+    ``resilience`` is the per-run resilience metadata from
     ``RunResult.metrics["resilience"]`` (ladder step, watchdog kills,
     checkpoint/resume counts); aggregate resilience counters arrive via
     ``telemetry`` under ``doc["runner"]["resilience"]``.  ``profiler``

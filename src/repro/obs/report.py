@@ -159,9 +159,8 @@ def render_report(metrics: Dict[str, Any]) -> str:
                 f"checkpoints={resilience.get('checkpoints', 0)} "
                 f"resumes={resilience.get('resumes', 0)} "
                 f"watchdog kills={resilience.get('watchdog_kills', 0)} "
-                f"breaker trips={resilience.get('circuit_trips', 0)} "
                 f"degraded={resilience.get('degraded_runs', 0)} "
-                f"skipped={resilience.get('skips', 0)}")
+                f"poisoned={resilience.get('skips', 0)}")
 
     run_meta = metrics.get("resilience")
     if run_meta:
@@ -169,8 +168,6 @@ def render_report(metrics: Dict[str, Any]) -> str:
         parts = [f"ladder step={run_meta.get('ladder_step', 'full')}"]
         if run_meta.get("watchdog_kills"):
             parts.append(f"watchdog kills={run_meta['watchdog_kills']}")
-        if run_meta.get("serial"):
-            parts.append("breaker tripped to serial")
         if run_meta.get("checkpoints"):
             parts.append(f"checkpoints={run_meta['checkpoints']}")
         if run_meta.get("resumed_from_cycle") is not None:

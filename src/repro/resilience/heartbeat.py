@@ -1,12 +1,12 @@
-"""File-based worker heartbeats for the supervisor's watchdog.
+"""File-based worker heartbeats: how a watchdog tells slow from hung.
 
-A supervised worker owns one heartbeat file and rewrites it (atomic
+A worker owns one heartbeat file (a queue lease) and rewrites it (atomic
 temp + rename, so the watchdog never reads a torn JSON) at checkpoint
 boundaries and other progress points.  The watchdog judges liveness by
-the file's **mtime** — the payload (cycle, stage, pid) is diagnostic
-garnish for "worker killed after N cycles at stage X" messages, not the
-staleness signal itself, so a worker that wedges *between* writes is
-still detected.
+the file's **mtime** — the payload (pid, cycle, stage) says whose file
+it is and feeds "worker killed after N cycles at stage X" messages, but
+is not the staleness signal itself, so a worker that wedges *between*
+writes is still detected.
 """
 
 from __future__ import annotations
@@ -43,12 +43,6 @@ class Heartbeat:
             os.replace(tmp, self.path)
         except OSError:
             # A failed beat must never kill the run it is reporting on.
-            pass
-
-    def clear(self) -> None:
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
             pass
 
 

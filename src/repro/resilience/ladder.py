@@ -1,10 +1,9 @@
 """The graceful-degradation ladder: re-adapt down instead of failing.
 
-When an adapted run blows its wall-clock or RSS budget (or keeps hitting
-guard failures after the circuit breaker has already forced it serial),
-the supervisor walks the run *down* the paper's own capability ladder —
-each step trades speculative coverage for a cheaper, better-understood
-binary:
+When an adapted run blows its wall-clock or RSS budget or runs out of
+memory, the service worker walks the run *down* the paper's own
+capability ladder, inside one lease — each step trades speculative
+coverage for a cheaper, better-understood binary:
 
     full     — the tool's defaults (chaining SP, all delinquent loads)
     basic    — basic SP only (``disable_chaining``)

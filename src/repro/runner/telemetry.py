@@ -27,11 +27,10 @@ class RunnerTelemetry:
         self.retries = 0           # extra attempts after a failed one
         self.sim_wall_time = 0.0   # seconds spent inside simulations
         self.saved_wall_time = 0.0  # recorded cost of runs served cached
-        # Resilience accounting (supervised execution only).
+        # Resilience accounting.
         self.watchdog_kills = 0    # hung workers killed by the watchdog
-        self.circuit_trips = 0     # specs forced from parallel to serial
         self.degraded_runs = 0     # ladder descents (re-adapted down)
-        self.skips = 0             # specs skipped with a diagnostic
+        self.skips = 0             # specs quarantined as poison
         self.resumes = 0           # runs resumed from a checkpoint
         self.checkpoints = 0       # checkpoint files written
         #: Latest counter snapshot per cache backend the session touched,
@@ -134,10 +133,6 @@ class RunnerTelemetry:
         self.watchdog_kills += 1
         self._emit(f"kill {label} ({reason})")
 
-    def record_circuit_trip(self, label: str) -> None:
-        self.circuit_trips += 1
-        self._emit(f"trip {label} -> serial execution")
-
     def record_degraded(self, label: str, step: str, kind: str) -> None:
         self.degraded_runs += 1
         self._emit(f"down {label} -> {step} (after {kind})")
@@ -179,7 +174,6 @@ class RunnerTelemetry:
             "saved_wall_time": self.saved_wall_time,
             "resilience": {
                 "watchdog_kills": self.watchdog_kills,
-                "circuit_trips": self.circuit_trips,
                 "degraded_runs": self.degraded_runs,
                 "skips": self.skips,
                 "resumes": self.resumes,
@@ -207,12 +201,11 @@ class RunnerTelemetry:
         if self.resumes or self.checkpoints:
             parts.append(f"checkpoints: {self.checkpoints} written, "
                          f"{self.resumes} resumed")
-        if self.watchdog_kills or self.circuit_trips or self.degraded_runs:
+        if self.watchdog_kills or self.degraded_runs:
             parts.append(f"resilience: {self.watchdog_kills} watchdog "
-                         f"kill(s), {self.circuit_trips} breaker trip(s), "
-                         f"{self.degraded_runs} degraded")
+                         f"kill(s), {self.degraded_runs} degraded")
         if self.skips:
-            parts.append(f"skips: {self.skips}")
+            parts.append(f"poisoned: {self.skips}")
         if self.failures:
             parts.append(f"FAILURES: {self.failures}")
         return "; ".join(parts)

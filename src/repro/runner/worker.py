@@ -1,22 +1,19 @@
 """Spec execution: build artifacts, simulate, serialise the result.
 
-:func:`execute_spec` is the unit of work the runner schedules.  It is a
-module-level function of one picklable argument so it can cross a
-``ProcessPoolExecutor`` boundary, and it rebuilds everything it needs from
-the spec alone — which is what makes parallel execution (and cache misses
-in a fresh process) self-contained.
-
-:func:`execute_task` is the supervised flavour: a :class:`WorkerTask`
-adds the resilience contract — heartbeats for the watchdog, periodic
-checkpoints, resume-from-checkpoint, and wall-clock/RSS budgets enforced
-at checkpoint boundaries.  ``execute_spec`` is ``execute_task`` with
-everything switched off, so both paths share one execution core.
+:func:`execute_task` is the unit of work a queue worker
+(:class:`~repro.service.worker.ServiceWorker`) runs for each job it
+leases.  A :class:`WorkerTask` carries the resilience contract:
+heartbeats that keep the lease live, periodic checkpoints,
+resume-from-checkpoint, and wall-clock/RSS budgets enforced at
+checkpoint boundaries.  :func:`execute_spec` is ``execute_task`` with
+everything switched off.  Both rebuild everything they need from the
+spec alone, so a job runs the same in any process.
 
 Expensive intermediate artifacts (profile, tool adaptation, hand binary)
 are memoised per process and per (workload, scale, tool options), so the
 many specs of one experiment share one profiling run and one adaptation
-within each worker.  Under the default ``fork`` start method the pool's
-workers even inherit artifacts already built by the parent.
+within each worker.  Forked local workers inherit artifacts already
+built by their parent.
 
 The profiling run *is* the in-order base run (same binary, machine,
 heap and cycle limit, no spawning), so a plain ``inorder/base`` spec
@@ -181,14 +178,13 @@ def config_for(spec: RunSpec,
 
 @dataclass
 class WorkerTask:
-    """One supervised execution attempt, as picklable data.
+    """One execution attempt, as plain data.
 
     The plain ``execute_spec`` path is ``WorkerTask(spec)`` with every
-    resilience feature off; the supervisor fills in the rest per attempt.
+    resilience feature off; a queue worker fills in the rest per lease.
     """
 
     spec: RunSpec
-    attempt: int = 1
     #: Heartbeat file this attempt keeps fresh (None = no heartbeats).
     heartbeat_path: Optional[str] = None
     #: Write a checkpoint every N simulated cycles (None = never).
@@ -205,36 +201,27 @@ class WorkerTask:
     deadline: Optional[float] = None
     #: Peak-RSS budget (MiB), checked at checkpoint cadence.
     rss_budget_mb: Optional[float] = None
-    #: How long a fired ``worker.hang`` site sleeps.  >0 simulates a
-    #: real hang for the watchdog to kill; 0 raises immediately (serial
-    #: mode — there is no watchdog and a sleep would block the caller).
+    #: How long a fired ``worker.hang`` site sleeps.  >0 (a forked
+    #: worker under a watchdog) simulates a real hang for the watchdog
+    #: to kill; 0 raises immediately (nothing could kill the sleep).
     hang_seconds: float = 0.0
-    #: Align ``times``-bounded fault plans with the attempt number (set
-    #: by the supervisor; see :func:`faultinject.sync_fired`).
-    sync_faults: bool = False
 
 
 #: Cycle cadence for heartbeats/budget checks when the task wants them
 #: but checkpointing is off.
 _PROGRESS_CADENCE = 50_000
 
-#: Sites whose fired-counts follow the attempt number across the fork
-#: boundary (a child's increments never reach the parent).
-_WORKER_SITES = ("worker.hang", "worker.oom",
-                 "runner.worker_crash", "runner.worker_timeout")
-
-
 def _served_by_profile(task: WorkerTask) -> bool:
     """True for a plain in-order base run, which the profiling run is:
-    no overrides, the default cycle limit, and none of the resilience
-    features (heartbeats, checkpoints, resume, budgets) switched on."""
+    no overrides, the default cycle limit, and none of checkpoints,
+    resume or budgets switched on.  A heartbeat does not change the
+    result, so a leased job is served too."""
     spec = task.spec
     return (spec.model == "inorder" and spec.variant == "base"
             and not spec.effective_spawning and not spec.config_overrides
             and spec.max_cycles == DEFAULT_MAX_CYCLES
-            and task.heartbeat_path is None and not task.checkpoint_every
-            and not task.resume and task.deadline is None
-            and task.rss_budget_mb is None)
+            and not task.checkpoint_every and not task.resume
+            and task.deadline is None and task.rss_budget_mb is None)
 
 
 def _peak_rss_mb() -> Optional[float]:
@@ -247,7 +234,7 @@ def _peak_rss_mb() -> Optional[float]:
 
 
 def execute_task(task: WorkerTask) -> Dict[str, Any]:
-    """Run one (possibly supervised) attempt to completion.
+    """Run one attempt to completion.
 
     Returns the same payload shape as :func:`execute_spec` plus a
     ``"resilience"`` record: checkpoints written, the cycle resumed
@@ -255,9 +242,6 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
     """
     started = time.perf_counter()
     spec = task.spec
-    if task.sync_faults:
-        for site in _WORKER_SITES:
-            faultinject.sync_fired(site, task.attempt - 1)
     heartbeat = (Heartbeat(Path(task.heartbeat_path))
                  if task.heartbeat_path else None)
     if heartbeat is not None:

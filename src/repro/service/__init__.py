@@ -9,10 +9,14 @@ behind a queue worked by many processes on many hosts sharing the root:
   made harmless by content addressing;
 * :mod:`~repro.service.worker` — the queue consumer (one per core per
   host) that dedupes through the backend and simulates misses;
+* :mod:`~repro.service.local` — the workers a waiting client runs
+  itself: one inline, or several forked under a watchdog;
 * :mod:`~repro.service.client` — ``submit(specs) -> batch_id``,
   ``status(batch_id)``, ``fetch(batch_id)``, and the synchronous
-  ``run_batch`` path the :class:`~repro.runner.executor.Runner`
-  delegates to when ``REPRO_SERVICE_ROOT`` is configured.
+  ``run_batch``, the one execution engine every
+  :class:`~repro.runner.executor.Runner` cache miss goes through (on
+  ``REPRO_SERVICE_ROOT`` when it is configured, else on a private
+  per-call root).
 """
 
 from .client import (

@@ -9,10 +9,11 @@ occupancy into per-batch progress; ``fetch`` materialises
 :class:`~repro.runner.executor.RunResult` objects from the backend once
 the batch is complete.
 
-:meth:`ServiceClient.run_batch` is the synchronous convenience the
-:class:`~repro.runner.executor.Runner` delegates to when a service root
-is configured: submit, then *participate* — the client runs an inline
-:class:`~repro.service.worker.ServiceWorker` while waiting, preferring
+:meth:`ServiceClient.run_batch` is the one execution engine: every
+:class:`~repro.runner.executor.Runner` cache miss goes through it, on
+the configured service root or on a private per-call root.  It submits,
+then *participates* — the client runs its own
+:class:`~repro.service.local.LocalWorkers` while waiting, preferring
 its own jobs, so a lone process still completes (it is its own worker)
 while any external workers share the load and concurrent clients dedupe
 against each other through the queue and the backend.
@@ -26,20 +27,23 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..resilience.config import ResilienceConfig
+from ..resilience.ladder import STEP_FULL, ladder_steps
 from ..runner.cache import ResultCache
 from ..runner.executor import RunResult
 from ..runner.spec import RunSpec
+from ..runner.telemetry import RunnerTelemetry
 from ..runner.worker import execute_spec
 from ..sim.stats import SimStats
+from .local import LocalWorkers
 from .queue import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_POISON_THRESHOLD,
     DEFAULT_VISIBILITY_TIMEOUT,
     JobQueue,
 )
-from .worker import ServiceWorker
 
 #: Environment variable naming the service root.
 ENV_SERVICE_ROOT = "REPRO_SERVICE_ROOT"
@@ -115,6 +119,10 @@ class ServiceClient:
         self.backend = backend if backend is not None \
             else self.config.make_backend()
         self.batches_dir = self.root / "batches"
+        #: Where this client's workers checkpoint; None = the default
+        #: CheckpointStore root (a private root is deleted after its
+        #: batch, and ``--resume`` must outlive it).
+        self.checkpoint_root: Optional[Path] = self.root / "checkpoints"
 
     # -- submit ----------------------------------------------------------------------
 
@@ -181,12 +189,13 @@ class ServiceClient:
         return self._status(self.load_batch(batch_id))
 
     def _status(self, manifest: Dict,
-                seen_done: Optional[Set[str]] = None) -> Dict:
+                seen_done: Optional[Dict[str, Dict]] = None) -> Dict:
         """:meth:`status` of a loaded batch.  The wait loop passes
-        ``seen_done``, the hashes it has already seen done: those are not
-        read again, and the backend is read only for jobs the queue no
-        longer holds as queued or running, so draining a batch costs one
-        backend read per job, not one per job per poll."""
+        ``seen_done``, hash -> entry of the results it already holds:
+        those are not read again, and the backend is read only for jobs
+        the queue no longer holds as queued or running (each entry read
+        is kept there), so draining a batch costs one backend read per
+        job, not one per job per poll."""
         states: Dict[str, str] = {}
         for spec in self._batch_specs(manifest):
             digest = spec.content_hash()
@@ -199,19 +208,23 @@ class ServiceClient:
                 if state in ("queued", "running"):
                     states[digest] = state
                     continue
-            if self.backend.get(spec) is not None:
+            entry = self.backend.get(spec)
+            if entry is not None:
                 state = "done"
             else:
                 if state is None:
                     state = self.queue.state_of(digest)
-                if state == "done" and not self._locate_done(spec):
-                    # The queue says finished but no result survives
-                    # anywhere (not even under a degraded hash): the
-                    # write was torn or the entry evicted.  at-least-once
-                    # covers this too — resubmission, not a hang.
-                    state = "lost"
-            if state == "done" and seen_done is not None:
-                seen_done.add(digest)
+                if state == "done":
+                    entry = self._locate_done(spec)
+                    if entry is None:
+                        # The queue says finished but no result survives
+                        # anywhere (not even under a degraded hash): the
+                        # write was torn or the entry evicted.
+                        # at-least-once covers this too — resubmission,
+                        # not a hang.
+                        state = "lost"
+            if entry is not None and seen_done is not None:
+                seen_done[digest] = entry
             states[digest] = state
         counts = {state: 0 for state in
                   ("done", "failed", "poisoned", "running", "queued",
@@ -255,7 +268,7 @@ class ServiceClient:
         results: List[RunResult] = []
         outstanding: List[str] = []
         for spec in self._batch_specs(manifest):
-            result = self._result_for(spec)
+            result = self._result_for(spec)[0]
             if result is None:
                 outstanding.append(spec.label())
             else:
@@ -266,33 +279,35 @@ class ServiceClient:
                 f"job(s): {', '.join(outstanding[:5])}")
         return results
 
-    def _result_for(self, spec: RunSpec,
-                    executed_locally: Optional[set] = None
-                    ) -> Optional[RunResult]:
-        """A terminal RunResult for one spec, or None while in flight.
+    def _result_for(self, spec: RunSpec, entry: Optional[Dict] = None,
+                    local_ids=frozenset()
+                    ) -> Tuple[Optional[RunResult], Optional[Dict]]:
+        """A terminal RunResult for one spec (None while in flight),
+        and the job's done record.
 
-        A done record may redirect to a *degraded* spec (the ladder ran
-        on a worker): the result then comes from the degraded hash,
+        ``entry`` is the spec's result when the caller already holds
+        it.  A done record may redirect to a *degraded* spec (the ladder
+        ran on a worker): the result then comes from the degraded hash,
         honestly labelled through its metrics' ``resilience`` rung.  A
-        poisoned job surfaces as a terminal failure carrying the
-        quarantine diagnostic — never a hang.
+        result that one of ``local_ids`` executed is ``cached=False``
+        and carries its attempts.  A poisoned job surfaces as a terminal
+        failure carrying the quarantine diagnostic — never a hang.
         """
         digest = spec.content_hash()
-        cached = (executed_locally is None
-                  or digest not in executed_locally)
-        entry = self.backend.get(spec)
+        record = self.queue.read_done(digest)
         if entry is None:
-            entry = self._locate_done(spec)
+            entry = self.backend.get(spec) or self._locate_done(spec)
         if entry is not None:
+            mine = _executed_by(record, local_ids)
             return RunResult(
                 spec, stats=SimStats.from_dict(entry["stats"]),
-                cached=cached, wall_time=entry.get("wall_time", 0.0),
+                cached=not mine, wall_time=entry.get("wall_time", 0.0),
+                attempts=record["attempts"] if mine else 0,
                 stats_dict=entry["stats"],
-                metrics=entry.get("metrics") or {})
-        record = self.queue.read_done(digest)
+                metrics=entry.get("metrics") or {}), record
         if record is not None and not record.get("ok"):
             return RunResult(spec, attempts=record.get("attempts", 1),
-                             error=record.get("error", "failed"))
+                             error=record.get("error", "failed")), record
         poisoned = self.queue.read_poisoned(digest)
         if poisoned is not None:
             detail = (poisoned.get("last_error")
@@ -301,8 +316,8 @@ class ServiceClient:
                 spec, attempts=int(poisoned.get("attempts") or 0),
                 error=f"poisoned after {poisoned.get('steals', 0)} "
                       f"lease steal(s): {detail}",
-                metrics={"poisoned": poisoned})
-        return None
+                metrics={"poisoned": poisoned}), None
+        return None, record
 
     # -- wait / synchronous driving --------------------------------------------------
 
@@ -331,8 +346,7 @@ class ServiceClient:
 
     def wait(self, batch_id: str, timeout: Optional[float] = None,
              task_fn: Callable[..., Dict] = execute_spec,
-             inline_worker: Optional[bool] = None,
-             telemetry=None) -> Dict:
+             inline_worker: Optional[bool] = None) -> Dict:
         """Block until the batch completes (or the timeout lapses).
 
         With ``inline_worker`` (default: the config's setting) the
@@ -342,40 +356,36 @@ class ServiceClient:
         (with ``status["poisoned"] > 0``) rather than hanging.  Idle
         polls back off exponentially (:meth:`_poll_delay`).
         """
-        worker = self._inline_worker(task_fn, telemetry, inline_worker)
-        return self._drive(batch_id, worker, timeout)
+        if inline_worker is None:
+            inline_worker = self.config.inline_worker
+        workers = (LocalWorkers(self.queue, self.backend, task_fn,
+                                checkpoint_root=self.checkpoint_root)
+                   if inline_worker else None)
+        return self._drive(batch_id, workers, timeout, {})
 
-    def _inline_worker(self, task_fn: Callable[..., Dict], telemetry,
-                       inline: Optional[bool] = None
-                       ) -> Optional[ServiceWorker]:
-        if not (self.config.inline_worker if inline is None else inline):
-            return None
-        return ServiceWorker(self.queue, self.backend, task_fn=task_fn,
-                             telemetry=telemetry)
-
-    def _drive(self, batch_id: str, worker: Optional[ServiceWorker],
-               timeout: Optional[float]) -> Dict:
-        """The :meth:`wait` loop: poll, step ``worker`` (if any) on the
-        batch's own jobs, heal lost ones, back off while idle."""
+    def _drive(self, batch_id: str, workers: Optional[LocalWorkers],
+               timeout: Optional[float],
+               seen_done: Dict[str, Dict]) -> Dict:
+        """The :meth:`wait` loop: run ``workers`` (if any) on the
+        batch's own jobs until the queue starves them, read the status,
+        heal lost jobs, back off while idle.  ``seen_done`` maps the
+        hashes already known done to their entries."""
         manifest = self.load_batch(batch_id)
-        hashes = set(manifest["hashes"])
+        specs = self._batch_specs(manifest)
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
         idle_rounds = 0
         last_fingerprint: Optional[tuple] = None
-        seen_done: Set[str] = set()
         while True:
+            if workers is not None:
+                workers.work(specs, deadline)
             state = self._status(manifest, seen_done)
             if state["complete"]:
                 return state
-            progressed = False
-            if worker is not None:
-                progressed = worker.step(prefer=hashes) is not None
             self._heal_missing(state, manifest)
             fingerprint = self._progress_fingerprint(state)
-            if fingerprint != last_fingerprint:
-                progressed = True
-                last_fingerprint = fingerprint
+            progressed = fingerprint != last_fingerprint
+            last_fingerprint = fingerprint
             if deadline is not None and time.monotonic() > deadline:
                 raise TimeoutError(
                     f"batch {batch_id} incomplete after {timeout}s: "
@@ -398,37 +408,93 @@ class ServiceClient:
                         "missing", "lost"):
                     self.queue.resubmit(spec)
 
-    def run_batch(self, specs: Sequence[RunSpec], telemetry=None,
+    def run_batch(self, specs: Sequence[RunSpec],
+                  telemetry: Optional[RunnerTelemetry] = None,
                   task_fn: Callable[..., Dict] = execute_spec,
-                  timeout: Optional[float] = None) -> List[RunResult]:
-        """Submit + drain + fetch: the Runner's service-mode path.
+                  timeout: Optional[float] = None, jobs: int = 1,
+                  resilience: Optional[ResilienceConfig] = None
+                  ) -> List[RunResult]:
+        """Submit + drain + fetch: the one execution engine.
 
-        Returns one :class:`RunResult` per unique spec.  Results this
-        client's inline worker simulated itself are ``cached=False``
-        (they were real executions and were recorded in ``telemetry``
-        as completions); results other workers or earlier batches paid
-        for surface as dedupe hits.
+        Returns one :class:`RunResult` per unique spec.  The client's
+        own workers (:class:`LocalWorkers`: ``jobs`` of them, forked and
+        watched unless ``jobs=1`` without ``resilience``) drain the
+        queue alongside any external ones.  Results they executed are
+        ``cached=False`` and folded into ``telemetry`` from the done
+        records; results other workers or earlier batches paid for
+        surface as dedupe hits.  With ``resilience`` each result also
+        carries ``metrics["resilience"]``: its ladder rung and
+        watchdog kills.
         """
         unique: Dict[str, RunSpec] = {}
         for spec in specs:
             unique.setdefault(spec.content_hash(), spec)
         batch_id = self.submit(list(unique.values()))
-        worker = self._inline_worker(task_fn, telemetry)
-        self._drive(batch_id, worker, timeout)
-        executed = worker.executed_hashes if worker else set()
+        workers = None
+        seen_done: Dict[str, Dict] = {}
+        if self.config.inline_worker:
+            workers = LocalWorkers(self.queue, self.backend, task_fn,
+                                   jobs, resilience, self.checkpoint_root)
+            seen_done = workers.results
+        self._drive(batch_id, workers, timeout, seen_done)
+        local_ids = workers.ids if workers else frozenset()
+        kills = workers.kills if workers else {}
         results: List[RunResult] = []
         for digest, spec in unique.items():
-            result = self._result_for(spec, executed_locally=executed)
+            result, record = self._result_for(spec, seen_done.get(digest),
+                                              local_ids)
+            if resilience is not None:
+                meta = dict(result.metrics.get("resilience") or {})
+                meta.setdefault("ladder_step", (record or {}).get(
+                    "ladder_step", STEP_FULL))
+                meta["watchdog_kills"] = len(kills.get(digest, ()))
+                for key in ("executed_spec", "resumed_from_cycle",
+                            "checkpoints"):
+                    if key in (record or {}):
+                        meta[key] = record[key]
+                result.metrics = dict(result.metrics, resilience=meta)
             results.append(result)
-            if telemetry is None:
-                continue
-            if result.ok and result.cached:
-                # Another worker (or a concurrent client) paid for this
-                # simulation: a service-level dedupe.
-                telemetry.record_dedupe(spec.label(), digest)
-            elif not result.ok and (worker is None or digest not in
-                                    worker.failed_hashes):
-                telemetry.record_failure(spec.label(),
-                                         result.error or "failed",
-                                         result.attempts)
+            if telemetry is not None:
+                _fold(telemetry, spec, result,
+                      record if _executed_by(record, local_ids) else None,
+                      kills.get(digest, ()))
         return results
+
+
+def _executed_by(record: Optional[Dict], worker_ids) -> bool:
+    """True when the done record says one of ``worker_ids`` executed
+    the job (rather than finding its result already stored)."""
+    return (record is not None and bool(record.get("executed"))
+            and record.get("worker") in worker_ids)
+
+
+def _fold(telemetry: RunnerTelemetry, spec: RunSpec, result: RunResult,
+          record: Optional[Dict], kills) -> None:
+    """Record one batch result in ``telemetry``.  ``record`` is the done
+    record when the client's own workers executed the job (their events
+    happened in other processes, or without a telemetry sink)."""
+    label, digest = spec.label(), spec.content_hash()
+    for reason in kills:
+        telemetry.record_watchdog_kill(label, reason)
+    if record is None and result.ok:
+        # Another worker (or a concurrent client) paid for this
+        # simulation: a service-level dedupe.
+        telemetry.record_dedupe(label, digest)
+        return
+    if record is not None:
+        for _ in range(record["attempts"]):
+            telemetry.record_launch(label)
+        for step, kind in zip(ladder_steps(spec)[1:],
+                              record.get("degraded_after", ())):
+            telemetry.record_degraded(label, step, kind)
+        if record.get("resumed_from_cycle") is not None:
+            telemetry.record_resume(label, record["resumed_from_cycle"])
+        telemetry.record_checkpoints(record.get("checkpoints", 0))
+    if result.ok:
+        telemetry.record_complete(label, result.wall_time,
+                                  result.attempts, digest)
+        return
+    if "poisoned" in result.metrics:
+        telemetry.record_skip(label, result.error)
+    telemetry.record_failure(label, result.error or "failed",
+                             result.attempts)

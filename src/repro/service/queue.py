@@ -20,7 +20,7 @@ semantics simple:
 * **at-least-once, not exactly-once** — a worker that dies mid-job stops
   refreshing its lease (the heartbeat writer is
   :class:`repro.resilience.heartbeat.Heartbeat`, judged by file mtime
-  exactly like the watchdog supervisor judges its workers); after
+  exactly like the local watchdog judges its forked workers); after
   ``visibility_timeout`` seconds of silence any other worker may steal
   the lease and re-execute.  Duplicate execution is harmless because
   results are content-addressed: both workers write byte-identical

@@ -1,7 +1,9 @@
 """The service worker: pull leases, dedupe through the cache, simulate.
 
-A :class:`ServiceWorker` is the miss path of the batch service.  Its
-loop per job is:
+A :class:`ServiceWorker` is the one execution engine: every cache miss,
+whether a :class:`~repro.runner.executor.Runner` batch or a service
+submission, runs as a job one of these workers leased.  Its loop per
+job is:
 
 1. claim a lease from the :class:`~repro.service.queue.JobQueue`
    (``O_EXCL`` lease file = in-flight dedupe);
@@ -11,13 +13,14 @@ loop per job is:
    executing;
 3. otherwise execute it — the default unit of work is
    :func:`repro.runner.worker.execute_task` with the *lease file as the
-   heartbeat path*, so the same machinery that keeps the resilience
-   watchdog fed keeps the lease visible as live — and write the result
-   through the backend before retiring the job.
+   heartbeat path*, so the beats that show the run is alive keep the
+   lease from being stolen — and write the result through the backend
+   before retiring the job.
 
-With a :class:`~repro.resilience.supervisor.ResilienceConfig` the
-worker applies the single-machine supervisor's discipline at fleet
-scope:
+A failed attempt goes back to the queue until its ``max_attempts``;
+the failure policy is the queue's.  With a
+:class:`~repro.resilience.config.ResilienceConfig` the worker also
+applies, per job:
 
 * **checkpoint/resume** — checkpoints land under
   ``<service-root>/checkpoints`` (shared, like everything else under
@@ -46,15 +49,12 @@ import os
 import time
 import traceback
 from pathlib import Path
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..guard import faultinject
-from ..resilience.ladder import STEP_FULL, degrade_spec, ladder_steps
-from ..resilience.supervisor import (
-    _BUDGET_KINDS,
-    ResilienceConfig,
-    classify_failure,
-)
+from ..guard.errors import ResourceBudgetError
+from ..resilience.config import ResilienceConfig
+from ..resilience.ladder import degrade_spec, ladder_steps
 from ..runner.cache import ResultCache
 from ..runner.spec import RunSpec
 from ..runner.worker import WorkerTask, execute_spec, execute_task
@@ -65,13 +65,28 @@ from .queue import JobQueue, Lease, default_worker_id
 #: a site can self-inflict).
 CRASH_EXIT_STATUS = 23
 
+#: Sites whose fired-counts a forked worker aligns with the job's earlier
+#: executions (a dead child's increments never reach anyone).
+_WORKER_SITES = ("worker.hang", "worker.oom",
+                 "runner.worker_crash", "runner.worker_timeout")
+
+
+def classify_failure(exc: BaseException) -> Optional[str]:
+    """The resource-pressure kind of a failure (``budget`` or ``oom``):
+    the same capability level would blow the same budget, so the job
+    descends the ladder rather than retrying.  None for anything else."""
+    if isinstance(exc, ResourceBudgetError):
+        return "budget"
+    if isinstance(exc, MemoryError):
+        return "oom"
+    return None
+
 
 class ServiceWorker:
     """One queue consumer bound to a shared backend."""
 
     def __init__(self, queue: JobQueue, backend: ResultCache,
                  task_fn: Callable[..., Dict] = execute_spec,
-                 telemetry=None,
                  worker_id: Optional[str] = None,
                  resilience: Optional[ResilienceConfig] = None):
         """
@@ -83,26 +98,33 @@ class ServiceWorker:
                 ``execute_task`` automatically; a custom ``task_fn``
                 (tests, alternative executors) is called as
                 ``task_fn(spec)`` after one lease beat.
-            telemetry: optional
-                :class:`~repro.runner.telemetry.RunnerTelemetry`
-                receiving launch/complete/failure events for jobs this
-                worker executes (dedupes are left to the batch client,
-                which knows whose batch they saved).
             worker_id: stable tag for lease/done records; defaults to
                 ``<hostname>-<pid>``.
-            resilience: per-job supervisor discipline (checkpoint
-                cadence, resume, wall-clock/RSS budgets, ladder
-                descent).  None = execute plainly, as before.
+            resilience: per-job discipline (checkpoint cadence, resume,
+                wall-clock/RSS budgets, ladder descent).  None = execute
+                plainly.
         """
         self.queue = queue
         self.backend = backend
         self.task_fn = task_fn
-        self.telemetry = telemetry
         self.worker_id = worker_id or default_worker_id()
         self.resilience = resilience
         #: Shared checkpoint namespace: stolen leases resume from the
-        #: victim's checkpoints through the same service root.
-        self.checkpoint_root = Path(queue.root) / "checkpoints"
+        #: victim's checkpoints through the same service root.  None =
+        #: the default :class:`~repro.resilience.CheckpointStore` root.
+        self.checkpoint_root: Optional[Path] = \
+            Path(queue.root) / "checkpoints"
+        #: True in a forked local worker: fault plans follow the job's
+        #: executions, and a fired ``worker.hang`` really hangs (there
+        #: is a watchdog to kill it when the run is resilient).
+        self.forked = False
+        #: When set, called with (hash, cache entry) for every job this
+        #: worker executes: a client's own workers hand it their results
+        #: without the client reading them back.  An inline one runs in
+        #: the client's process, so it does not consult the
+        #: ``worker.crash`` site (a worker process dying): that would
+        #: kill the client.
+        self.on_result: Optional[Callable[[str, Dict], None]] = None
         self.started = time.time()
         # Counters mirrored into the summary file for cross-process
         # assertions ("exactly one simulation per unique spec hash").
@@ -117,11 +139,6 @@ class ServiceWorker:
         #: step -> count of jobs that completed at that ladder rung
         #: (full-capability completions are not recorded here).
         self.ladder: Dict[str, int] = {}
-        #: Hashes this worker itself simulated / terminally failed —
-        #: the batch client uses these to avoid double-counting
-        #: telemetry for results it harvests.
-        self.executed_hashes: Set[str] = set()
-        self.failed_hashes: Set[str] = set()
 
     # -- one job ---------------------------------------------------------------------
 
@@ -136,7 +153,8 @@ class ServiceWorker:
 
     def _process(self, lease: Lease) -> str:
         spec, digest = lease.spec, lease.hash
-        if faultinject.fires("worker.crash"):
+        crashable = self.forked or self.on_result is None
+        if crashable and faultinject.fires("worker.crash"):
             # Chaos: die holding the lease, before any work lands.
             # Recovery is the dead-pid probe / visibility timeout: some
             # other worker steals the lease and re-executes.
@@ -148,58 +166,57 @@ class ServiceWorker:
                            wall_time=entry.get("wall_time", 0.0),
                            worker=self.worker_id)
             return digest
-        if self.telemetry is not None:
-            self.telemetry.record_launch(spec.label())
+        if self.forked:
+            # The child started from its parent's fault counters; align
+            # them with this job's earlier executions (failed attempts
+            # plus killed or crashed owners), so a ``times``-bounded
+            # plan fires that many times across processes.
+            prior = (int(lease.job.get("attempts", 0))
+                     + int(lease.job.get("steals", 0)))
+            for site in _WORKER_SITES:
+                faultinject.sync_fired(site, prior)
         try:
-            payload, executed_spec, step = self._execute(spec, lease)
+            payload, executed_spec, descents = self._execute(spec, lease)
         except Exception as exc:  # noqa: BLE001 - routed to the queue
-            message = f"{type(exc).__name__}: {exc}"
             fault_site = (exc.site if isinstance(
                 exc, faultinject.InjectedFault) else None)
             requeued = lease.fail(
-                message, worker=self.worker_id, fault_site=fault_site,
+                f"{type(exc).__name__}: {exc}", worker=self.worker_id,
+                fault_site=fault_site,
                 traceback_text=traceback.format_exc(limit=8))
             if requeued:
                 self.requeues += 1
             else:
                 self.failures += 1
-                self.failed_hashes.add(digest)
-                if self.telemetry is not None:
-                    self.telemetry.record_failure(spec.label(), message,
-                                                  lease.attempt)
             return digest
         wall = payload.get("wall_time", 0.0)
         res_record = payload.get("resilience") or {}
-        self.checkpoints += int(res_record.get("checkpoints") or 0)
-        resumed_from = res_record.get("resumed_from_cycle")
-        if resumed_from is not None:
-            self.resumes += 1
-            if self.telemetry is not None:
-                self.telemetry.record_resume(spec.label(), resumed_from)
         metrics = dict(payload.get("metrics") or {})
-        meta: Optional[Dict] = None
-        if step != STEP_FULL:
-            # Same convention as Runner._run_supervised: the rung rides
-            # in the cached metrics, and (because the degraded result
-            # lives under its own content hash) the done record carries
-            # the redirect clients need to find it.
+        meta: Dict = {}
+        if descents:
+            # The rung rides in the cached metrics, and (because the
+            # degraded result lives under its own content hash) the
+            # done record carries the redirect clients need to find it.
+            step = ladder_steps(spec)[len(descents)]
             self.degraded += 1
             self.ladder[step] = self.ladder.get(step, 0) + 1
-            resilience_meta = {"ladder_step": step}
-            if res_record.get("reasons"):
-                resilience_meta["reasons"] = list(res_record["reasons"])
-            metrics["resilience"] = resilience_meta
-            meta = {
-                "ladder_step": step,
-                "executed_spec": executed_spec.key(),
-                "executed_hash": executed_spec.content_hash(),
-            }
-        if resumed_from is not None:
-            meta = dict(meta or {})
-            meta["resumed_from_cycle"] = resumed_from
+            metrics["resilience"] = {"ladder_step": step,
+                                     "reasons": res_record["reasons"]}
+            meta.update(ladder_step=step, degraded_after=descents,
+                        executed_spec=executed_spec.key(),
+                        executed_hash=executed_spec.content_hash())
+        if res_record.get("resumed_from_cycle") is not None:
+            self.resumes += 1
+            meta["resumed_from_cycle"] = res_record["resumed_from_cycle"]
+        if res_record.get("checkpoints"):
+            self.checkpoints += res_record["checkpoints"]
+            meta["checkpoints"] = res_record["checkpoints"]
         self.backend.put(executed_spec, payload["stats"], wall,
                          metrics=metrics or None)
-        if faultinject.fires("worker.crash"):
+        if self.on_result is not None:
+            self.on_result(digest, {"stats": payload["stats"],
+                                    "wall_time": wall, "metrics": metrics})
+        if crashable and faultinject.fires("worker.crash"):
             # Chaos, late flavour: die after the backend put but before
             # the done record.  Recovery: the next claimer's backend
             # lookup hits, and the job completes as a dedupe.
@@ -207,61 +224,58 @@ class ServiceWorker:
         lease.complete(executed=True, wall_time=wall,
                        worker=self.worker_id, meta=meta)
         self.executed += 1
-        self.executed_hashes.add(digest)
-        if self.telemetry is not None:
-            self.telemetry.record_complete(spec.label(), wall,
-                                           lease.attempt, digest)
         return digest
 
     def _execute(self, spec: RunSpec,
-                 lease: Lease) -> Tuple[Dict, RunSpec, str]:
-        """One supervised execution: (payload, executed spec, rung)."""
+                 lease: Lease) -> Tuple[Dict, RunSpec, List[str]]:
+        """One execution: (payload, executed spec, the failure kind
+        behind each ladder descent)."""
         if self.task_fn is not execute_spec:
             lease.beat(stage="execute")
-            return self.task_fn(spec), spec, STEP_FULL
+            return self.task_fn(spec), spec, []
         cfg = self.resilience
         # The lease file doubles as the heartbeat file: the worker's
         # periodic beats (every checkpoint / progress cadence) are
         # exactly what keeps the lease from being stolen mid-simulation.
         if cfg is None:
             payload = execute_task(WorkerTask(
-                spec=spec, attempt=lease.attempt,
-                heartbeat_path=str(lease.path)))
-            return payload, spec, STEP_FULL
-        checkpointing = bool(cfg.checkpoint_every)
+                spec=spec, heartbeat_path=str(lease.path)))
+            return payload, spec, []
         # A stolen or retried lease means a previous owner may have left
         # checkpoints behind — resume rather than restart.
-        resume = checkpointing and (cfg.resume or lease.stolen
-                                    or lease.attempt > 1)
+        resume = cfg.resume or (bool(cfg.checkpoint_every) and (
+            lease.stolen or lease.attempt > 1))
+        checkpoint_root = (str(self.checkpoint_root)
+                           if self.checkpoint_root is not None
+                           and (cfg.checkpoint_every or resume) else None)
+        hang_seconds = (max(4 * cfg.heartbeat_timeout, 1.0)
+                        if self.forked else 0.0)
         steps = ladder_steps(spec)
         reasons: list = []
+        descents: List[str] = []
         for idx, step in enumerate(steps):
             executed_spec = degrade_spec(spec, step)
             try:
                 payload = execute_task(WorkerTask(
-                    spec=executed_spec, attempt=lease.attempt,
+                    spec=executed_spec,
                     heartbeat_path=str(lease.path),
                     checkpoint_every=cfg.checkpoint_every,
-                    checkpoint_root=(str(self.checkpoint_root)
-                                     if checkpointing else None),
+                    checkpoint_root=checkpoint_root,
                     resume=resume,
                     deadline=cfg.deadline,
-                    rss_budget_mb=cfg.rss_budget_mb))
+                    rss_budget_mb=cfg.rss_budget_mb,
+                    hang_seconds=hang_seconds))
             except Exception as exc:  # noqa: BLE001 - classified below
                 kind = classify_failure(exc)
-                if kind in _BUDGET_KINDS and idx + 1 < len(steps):
-                    # Resource pressure: the same capability level will
-                    # blow the same budget — descend the ladder now.
+                if kind is not None and idx + 1 < len(steps):
                     reasons.append(f"{step}: {kind}: {exc}")
-                    if self.telemetry is not None:
-                        self.telemetry.record_degraded(
-                            spec.label(), steps[idx + 1], kind)
+                    descents.append(kind)
                     lease.beat(stage=f"degrade:{steps[idx + 1]}")
                     continue
                 raise
             if reasons:
                 payload.setdefault("resilience", {})["reasons"] = reasons
-            return payload, executed_spec, step
+            return payload, executed_spec, descents
         raise RuntimeError(  # pragma: no cover - unreachable by design
             f"{spec.label()}: degradation ladder exhausted")
 

@@ -190,8 +190,8 @@ class InOrderSimulator:
         return counts
 
     def _note_indirect(self, uid: int, fid: int) -> None:
-        """Record one main-thread ``br.call.ind`` target (valid ids only,
-        before the call executes, as the functional profiler does)."""
+        """Record one executed main-thread ``br.call.ind`` target (valid
+        ids only), as the functional profiler does."""
         program = self.program
         if 0 <= fid < len(program.function_by_id):
             per_site = self.indirect_targets.setdefault(uid, {})
@@ -490,7 +490,9 @@ class InOrderSimulator:
                 if chk_fires and config.dynamic_chk_throttle:
                     chk_fires = self._throttle_allows(d[13])  # D_UID
             elif kind == K_CALLI and is_main:
-                self._note_indirect(d[13], state.regs.get(d[3], 0))
+                # The target, read before the call; recorded below only
+                # if the call executes.
+                call_fid = state.regs.get(d[3], 0)
             # Inside a recovery stub, read before the step (a fired chk.c
             # pushes the rfi stack, rfi pops it).
             if rfi_stack:
@@ -566,6 +568,8 @@ class InOrderSimulator:
                 continue
 
             if kind <= K_RET:
+                if kind == K_CALLI and is_main and r[3]:
+                    self._note_indirect(d[13], call_fid)
                 break  # br, br.call, br.call.ind, br.ret end the group
 
             if kind == K_CHK:

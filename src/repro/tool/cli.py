@@ -51,17 +51,17 @@ queue records and evicts cold cache entries by size/age budget.
 Resilience (:mod:`repro.resilience`): ``--checkpoint-every N`` writes a
 crash-safe checkpoint every N simulated cycles, ``--resume`` continues a
 killed run from its last good checkpoint (``ssp-postpass runs`` lists
-what is resumable), and ``--deadline SECS`` puts each run under the
-supervisor's wall-clock budget.  Any of these flags routes execution
-through the watchdog supervisor: hung workers are killed and retried
-with backoff, repeated failures trip a per-spec circuit breaker to
-serial execution, and budget blowouts descend the degradation ladder
-(chaining SP → basic SP → top-1 load → unadapted).  **Exit codes are
-unchanged by supervision**: a run that completes — even degraded down
-the ladder, which is recorded in telemetry and
+what is resumable), and ``--deadline SECS`` gives each run a wall-clock
+budget.  Any of these flags runs the simulations on forked workers that
+the CLI process watches: a hung worker is killed and its job redelivered
+(a job that keeps killing its workers is quarantined as poison), a
+failed attempt is retried once, and budget blowouts descend the
+degradation ladder (chaining SP → basic SP → top-1 load → unadapted).
+**Exit codes are unchanged by resilience**: a run that completes — even
+degraded down the ladder, which is recorded in telemetry and
 ``RunResult.metrics["resilience"]`` rather than the exit code — still
-exits 0/3/4 per the guard semantics above; only a spec the supervisor
-had to *skip* (ladder and retries exhausted) surfaces as failure (1).
+exits 0/3/4 per the guard semantics above; only a spec whose attempts
+ran out (or that was quarantined) surfaces as failure (1).
 """
 
 from __future__ import annotations
@@ -934,12 +934,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="SECS",
                         help="per-run wall-clock budget; blowing it "
                              "descends the degradation ladder instead of "
-                             "failing (enables the supervisor)")
+                             "failing (runs on watched, forked workers)")
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         metavar="CYCLES",
                         help="write a crash-safe simulator checkpoint "
-                             "every CYCLES simulated cycles (enables the "
-                             "supervisor; see 'ssp-postpass runs')")
+                             "every CYCLES simulated cycles (runs on "
+                             "watched, forked workers; see 'ssp-postpass "
+                             "runs')")
     parser.add_argument("--resume", action="store_true",
                         help="resume killed runs from their last good "
                              "checkpoint instead of starting fresh")

@@ -88,7 +88,7 @@ class ToolOptions:
 
 #: :class:`ToolOptions` overrides for each rung of the resilience
 #: degradation ladder (see :mod:`repro.resilience.ladder`): when a run
-#: blows its budgets the supervisor re-adapts with progressively weaker
+#: blows its budgets the worker re-adapts with progressively weaker
 #: speculation — basic SP only, then basic SP for the single worst
 #: delinquent load — before giving up on adaptation entirely.  Kept here,
 #: next to the knobs they override, so tool and ladder cannot drift.

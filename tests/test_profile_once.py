@@ -30,6 +30,7 @@ from repro.runner import (
     execute_task,
 )
 from repro.runner import worker
+from repro.service import ServiceClient, ServiceConfig
 from repro.sim.config import inorder_config
 from repro.sim.inorder import InOrderSimulator
 from repro.sim.machine import make_config
@@ -85,9 +86,9 @@ class TestCountsMatchTheInterpreter:
         (targets,) = profile.indirect_targets.values()
         assert list(targets.items()) == [("f2", 3), ("f0", 2), ("f1", 1)]
 
-    def test_squashed_indirect_call_is_recorded(self):
-        """The functional profiler records a predicated-off call's
-        target too; the simulator must agree."""
+    def test_squashed_indirect_call_is_not_recorded(self):
+        """A predicated-off call never happens, so neither profiler
+        records its target; only the executed call counts."""
         program = Program(entry="main")
         callee = FunctionBuilder(program.add_function("f0"))
         callee.ret(callee.mov_imm(1))
@@ -102,7 +103,7 @@ class TestCountsMatchTheInterpreter:
         profile, _ = _assert_profiles_agree(program,
                                             lambda: Heap(1 << 12))
         assert sorted(n for t in profile.indirect_targets.values()
-                      for n in t.values()) == [1, 1]
+                      for n in t.values()) == [1]
 
     @pytest.mark.parametrize("name", PAPER_ORDER)
     def test_reference_run_is_the_functional_one(self, name):
@@ -175,8 +176,6 @@ def _non_plain(tmp_path):
                               checkpoint_root=str(tmp_path / "ckpt"))),
         ("checkpoint", WorkerTask(spec=spec, checkpoint_every=5_000,
                                   checkpoint_root=str(tmp_path / "ckpt"))),
-        ("heartbeat", WorkerTask(spec=spec,
-                                 heartbeat_path=str(tmp_path / "hb"))),
         ("deadline", WorkerTask(spec=spec, deadline=3600.0)),
         ("rss_budget", WorkerTask(spec=spec, rss_budget_mb=1e6)),
     ]
@@ -223,3 +222,16 @@ def test_plain_batch_simulates_each_original_once(runs):
     assert all(result.ok for result in results)
     assert runs["profile"] == 7
     assert runs["sim"] - runs["profile"] == 21
+
+
+def test_leased_base_job_is_served_by_the_profile(runs, tmp_path):
+    """A leased job's task carries the lease heartbeat, which does not
+    change the result: through the inline worker, a plain inorder/base
+    job after the same workload's inorder/ssp job simulates nothing."""
+    client = ServiceClient(config=ServiceConfig(root=tmp_path / "svc"))
+    (ssp,) = client.run_batch([RunSpec.create("mcf", scale="tiny",
+                                              variant="ssp")])
+    assert ssp.ok and runs == {"sim": 2, "profile": 1}
+    (base,) = client.run_batch([RunSpec.create("mcf", scale="tiny")])
+    assert base.ok and not base.cached
+    assert runs == {"sim": 2, "profile": 1}

@@ -1,12 +1,11 @@
-"""Resilience layer: checkpoint/resume, watchdog supervision, ladder.
+"""Resilience layer: checkpoint/resume, the watchdog, the ladder.
 
-Covers the contracts ISSUE/README promise: a snapshot restored into a
+Covers the contracts README promises: a snapshot restored into a
 fresh simulator finishes with byte-identical statistics; a SIGKILLed run
 resumes from its last good checkpoint; flipping any byte of a checkpoint
 file makes ``restore`` refuse it; hung workers are killed by the
-watchdog and the circuit breaker trips the spec to serial execution;
-resource blowouts walk the degradation ladder down to the unadapted
-binary instead of failing.
+watchdog and their spec still completes; resource blowouts walk the
+degradation ladder down to the unadapted binary instead of failing.
 """
 
 import json
@@ -235,21 +234,16 @@ def test_sigkilled_run_resumes_to_identical_stats(tmp_path):
     assert not list(ckpt_root.rglob("*.ckpt"))
 
 
-# Supervisor process that parks one worker in a long sleep.  The worker
+# A Runner whose forked local worker parks in a long sleep.  The worker
 # reports its own pid through a file so the test outside can watch it die.
-_ORPHAN_SUPERVISOR = """
+_ORPHAN_RUNNER = """
 import os, sys, time
-from repro.resilience import ResilienceConfig, Supervisor
+from repro.resilience import ResilienceConfig
+from repro.runner import Runner, RunSpec
 
 pid_file = sys.argv[1]
 
-class SleepSpec:
-    def content_hash(self):
-        return "f" * 64
-    def label(self):
-        return "orphan/regression"
-
-def task_fn(task):
+def task_fn(spec):
     tmp = pid_file + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(str(os.getpid()))
@@ -257,33 +251,33 @@ def task_fn(task):
     time.sleep(600)
     return {"stats": {}}
 
-def make_task(**kwargs):
-    return kwargs
-
-config = ResilienceConfig(heartbeat_timeout=900.0, poll_interval=0.02)
-Supervisor(config, task_fn, make_task, jobs=1).run([SleepSpec()])
+config = ResilienceConfig(heartbeat_timeout=900.0)
+Runner(jobs=1, cache=None, service=None, task_fn=task_fn,
+       resilience=config).run([RunSpec(workload="orphan")])
 """
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="worker pdeathsig is Linux-only")
-def test_worker_dies_when_supervisor_is_sigkilled(tmp_path):
-    """A SIGKILLed supervisor must not leave an orphaned worker behind.
+def test_worker_dies_when_runner_is_sigkilled(tmp_path):
+    """A SIGKILLed Runner must not leave an orphaned local worker.
 
     Without PR_SET_PDEATHSIG the orphan keeps simulating and eventually
     *retires the checkpoints* the killed run left for its replacement —
     ``daemon=True`` only covers clean interpreter exits."""
-    script = tmp_path / "supervisor.py"
-    script.write_text(_ORPHAN_SUPERVISOR, encoding="utf-8")
+    script = tmp_path / "runner.py"
+    script.write_text(_ORPHAN_RUNNER, encoding="utf-8")
     pid_file = tmp_path / "worker.pid"
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    # The killed Runner cannot remove its private queue root: keep it
+    # under tmp_path.
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR), TMPDIR=str(tmp_path))
     proc = subprocess.Popen([sys.executable, str(script), str(pid_file)],
                             env=env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     try:
         deadline = time.monotonic() + 60
         while not pid_file.exists():
-            assert proc.poll() is None, "supervisor died before launching"
+            assert proc.poll() is None, "runner died before launching"
             assert time.monotonic() < deadline, "worker never started"
             time.sleep(0.01)
         worker_pid = int(pid_file.read_text())
@@ -299,7 +293,7 @@ def test_worker_dies_when_supervisor_is_sigkilled(tmp_path):
             time.sleep(0.05)
         else:
             os.kill(worker_pid, signal.SIGKILL)  # don't leak it
-            pytest.fail("worker survived its supervisor's SIGKILL")
+            pytest.fail("worker survived its runner's SIGKILL")
     finally:
         if proc.poll() is None:  # pragma: no cover - cleanup on failure
             proc.kill()
@@ -386,36 +380,32 @@ def test_list_runs_and_discard(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# supervisor: watchdog, circuit breaker, degradation ladder
+# the engine's failure policy: watchdog, degradation ladder, terminal result
 # ---------------------------------------------------------------------------
 
-def test_watchdog_kills_hung_worker_and_breaker_trips_to_serial():
+def test_watchdog_kills_hung_worker_and_its_spec_completes():
     spec = RunSpec.create("mcf", scale="tiny", model="inorder",
                           variant="base")
-    config = ResilienceConfig(heartbeat_timeout=1.0, poll_interval=0.02,
-                              breaker_threshold=2, backoff_base=0.05,
-                              backoff_max=0.1)
+    config = ResilienceConfig(heartbeat_timeout=1.0)
     runner = Runner(jobs=2, cache=None, resilience=config)
-    # Two hangs: the watchdog kills both parallel attempts, the breaker
-    # trips the spec to serial, and the (now fault-free) serial attempt
-    # completes the run.
+    # Two hangs: the watchdog kills both hung workers, the queue
+    # redelivers the job each time, and its third execution (the fault
+    # plan exhausted) completes the run.
     with injecting("worker.hang:1:2"):
         result = runner.run_one(spec)
     assert result.ok, result.error
     meta = result.metrics["resilience"]
     assert meta["watchdog_kills"] >= 1
-    assert meta["serial"] is True
     assert meta["ladder_step"] == STEP_FULL
     counters = runner.telemetry.snapshot()["resilience"]
     assert counters["watchdog_kills"] >= 1
-    assert counters["circuit_trips"] == 1
     assert counters["skips"] == 0
 
 
 def test_oom_walks_the_ladder_down_to_unadapted():
     spec = RunSpec.create("mcf", scale="tiny", model="inorder",
                           variant="ssp")
-    config = ResilienceConfig(backoff_base=0.01, backoff_max=0.02)
+    config = ResilienceConfig()
     runner = Runner(jobs=1, cache=None, resilience=config)
     # Three OOMs in a row: full -> basic -> top1 -> unadapted, where the
     # exhausted fault plan finally lets the run complete.
@@ -433,17 +423,16 @@ def test_oom_walks_the_ladder_down_to_unadapted():
 def test_unrecoverable_spec_is_skipped_with_diagnostic():
     spec = RunSpec.create("mcf", scale="tiny", model="inorder",
                           variant="base")
-    config = ResilienceConfig(backoff_base=0.01, backoff_max=0.02,
-                              breaker_threshold=1, max_attempts=4)
-    runner = Runner(jobs=1, cache=None, resilience=config)
-    # base has no ladder to descend; once serial also fails, skip.
+    runner = Runner(jobs=1, cache=None, retries=2,
+                    resilience=ResilienceConfig())
+    # base has no ladder to descend: every attempt dies of OOM, and
+    # after retries + 1 of them the spec ends as one failed result.
     with injecting("worker.oom"):
         result = runner.run_one(spec)
     assert not result.ok
-    assert "oom" in result.error or "memory" in result.error.lower()
-    meta = result.metrics["resilience"]
-    assert meta["skipped"] is True
-    assert runner.telemetry.snapshot()["resilience"]["skips"] == 1
+    assert "MemoryError" in result.error and "worker.oom" in result.error
+    assert result.attempts == 3
+    assert runner.telemetry.snapshot()["failures"] == 1
 
 
 # ---------------------------------------------------------------------------

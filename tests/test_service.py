@@ -191,6 +191,34 @@ class TestRunBatch:
         assert len(gets) == 28
 
 
+    def test_wait_reads_queue_state_once_per_round(self, tmp_path,
+                                                   monkeypatch):
+        """The inline worker drains until starved before the status is
+        read, so waiting on the tiny matrix (28 unique specs, each
+        submitted twice) costs a few queue-state reads per spec, not one
+        per spec per job."""
+        client = make_client(tmp_path)
+        batch_id = client.submit(_tiny_matrix() * 2)
+        calls = []
+        real_state_of = JobQueue.state_of
+        monkeypatch.setattr(
+            JobQueue, "state_of",
+            lambda self, digest: calls.append(digest)
+            or real_state_of(self, digest))
+        state = client.wait(batch_id, task_fn=fake_task, timeout=30)
+        assert state["complete"] and state["done"] == 28
+        assert len(calls) <= 3 * 28
+
+
+def _tiny_matrix():
+    return [RunSpec.create(kernel, scale="tiny", model=model,
+                           variant=variant)
+            for kernel in ("mcf", "em3d", "health", "mst", "vpr",
+                           "treeadd.df", "treeadd.bf")
+            for model in ("inorder", "ooo")
+            for variant in ("base", "ssp")]
+
+
 class TestRunnerServiceMode:
     def test_standalone_without_configuration(self):
         assert Runner(cache=None).service is None
@@ -231,6 +259,28 @@ class TestRunnerServiceMode:
         assert served.ok
         assert json.dumps(served.stats_dict, sort_keys=True) \
             == json.dumps(plain.stats_dict, sort_keys=True)
+
+
+class TestForkedLocalWorkers:
+    def test_each_unique_spec_runs_once_and_matches_inline(self,
+                                                           tmp_path):
+        """Two forked local workers drain the tiny matrix, every spec
+        twice: the done records show one execution per unique spec, and
+        the results are byte-identical to one inline worker's."""
+        specs = _tiny_matrix() * 2
+        root = tmp_path / "svc"
+        forked = Runner(jobs=2, service=ServiceConfig(root=root)).run(specs)
+        records = [json.loads(path.read_text()) for path in
+                   (root / "queue" / "done").glob("*.json")]
+        assert len(records) == 28
+        assert all(r["ok"] and r["executed"] and r["attempts"] == 1
+                   for r in records)
+        assert len({r["worker"] for r in records}) <= 2
+        inline = Runner(jobs=1, cache=None, service=None).run(specs)
+        for a, b in zip(forked, inline):
+            assert a.ok and b.ok and not a.cached
+            assert json.dumps(a.stats_dict, sort_keys=True) \
+                == json.dumps(b.stats_dict, sort_keys=True)
 
 
 def _worker_main(root, worker_id):
