@@ -9,7 +9,8 @@ into :class:`~repro.sim.stats.SimStats`:
 2. every miss goes to one
    :meth:`~repro.service.client.ServiceClient.run_batch` call — on the
    configured service root, or on a private per-call root whose queue
-   lives only for the call.  The queue and its
+   lives only for the call (named after the owner's pid, so the next
+   private run removes it if the owner was killed).  The queue and its
    :class:`~repro.service.worker.ServiceWorker` are the only way a miss
    executes: ``jobs=1`` is one inline worker, anything else ``jobs``
    forked local workers with a watchdog.  The failure policy is the
@@ -27,6 +28,9 @@ inline, forked and cached executions of the same spec yield identical
 from __future__ import annotations
 
 import contextlib
+import os
+import re
+import shutil
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +51,41 @@ _DEFAULT_CACHE = object()
 
 #: Sentinel meaning "enable service mode iff REPRO_SERVICE_ROOT is set".
 _DEFAULT_SERVICE = object()
+
+
+#: Private roots are ``repro-run-<owner pid>-<random>`` under the temp
+#: directory; the pid lets a later run reap a root whose owner died
+#: without cleaning up (SIGKILL).
+_PRIVATE_ROOT_PREFIX = "repro-run-"
+_PRIVATE_ROOT_RE = re.compile(re.escape(_PRIVATE_ROOT_PREFIX) + r"(\d+)-.")
+
+
+def _pid_alive(pid: int) -> bool:
+    """False only when no process ``pid`` exists."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except (PermissionError, OverflowError):
+        pass  # someone else's process, or a number no pid can take
+    return True
+
+
+def _reap_dead_private_roots(tmpdir: str) -> None:
+    """Remove private roots whose owner process no longer exists.
+
+    A live pid keeps its roots, even when the pid was recycled by an
+    unrelated process: a leaked directory is cheaper than deleting a
+    running batch's queue.
+    """
+    try:
+        names = os.listdir(tmpdir)
+    except OSError:
+        return
+    for name in names:
+        match = _PRIVATE_ROOT_RE.match(name)
+        if match is not None and not _pid_alive(int(match.group(1))):
+            shutil.rmtree(os.path.join(tmpdir, name), ignore_errors=True)
 
 
 class RunnerError(RuntimeError):
@@ -202,8 +241,11 @@ class Runner:
         with contextlib.ExitStack() as stack:
             client = self._service_client
             if self.service is None:
-                root = stack.enter_context(
-                    tempfile.TemporaryDirectory(prefix="repro-run-"))
+                tmpdir = tempfile.gettempdir()
+                _reap_dead_private_roots(tmpdir)
+                root = stack.enter_context(tempfile.TemporaryDirectory(
+                    prefix=f"{_PRIVATE_ROOT_PREFIX}{os.getpid()}-",
+                    dir=tmpdir))
                 config = ServiceConfig(root=Path(root),
                                        max_attempts=self.retries + 1)
                 client = ServiceClient(
@@ -211,6 +253,10 @@ class Runner:
                              else config.make_backend()),
                     config=config)
                 client.checkpoint_root = None
+                # This runner just missed every spec it sends, and no
+                # other client shares the queue: submit need not look
+                # them up again (the worker still dedupes).
+                client.submit_checks_backend = False
             elif client is None:
                 client = self._service_client = ServiceClient(
                     backend=self.cache, config=self.service)

@@ -302,28 +302,37 @@ def execute_task(task: WorkerTask) -> Dict[str, Any]:
                             or task.rss_budget_mb):
         cadence = _PROGRESS_CADENCE
 
-    def on_checkpoint(running_sim) -> None:
-        if heartbeat is not None:
-            heartbeat.beat(cycle=running_sim.cycle, stage="simulate")
+    def check_budget(cycle: int) -> None:
+        """Raise :class:`ResourceBudgetError` once this attempt is past
+        its wall-clock or RSS budget (the ladder's trigger)."""
         if task.deadline is not None:
             elapsed = time.perf_counter() - started
             if elapsed > task.deadline:
                 raise ResourceBudgetError(
                     f"{spec.label()} exceeded its {task.deadline}s "
-                    f"wall-clock budget at cycle {running_sim.cycle} "
+                    f"wall-clock budget at cycle {cycle} "
                     f"({elapsed:.1f}s elapsed)")
         if task.rss_budget_mb is not None:
             rss = _peak_rss_mb()
             if rss is not None and rss > task.rss_budget_mb:
                 raise ResourceBudgetError(
                     f"{spec.label()} exceeded its {task.rss_budget_mb} "
-                    f"MiB RSS budget at cycle {running_sim.cycle} "
+                    f"MiB RSS budget at cycle {cycle} "
                     f"({rss:.0f} MiB peak)")
+
+    def on_checkpoint(running_sim) -> None:
+        if heartbeat is not None:
+            heartbeat.beat(cycle=running_sim.cycle, stage="simulate")
+        check_budget(running_sim.cycle)
         if store is not None and task.checkpoint_every:
             store.save(key, {"state": running_sim.snapshot()},
                        cycle=running_sim.cycle, label=spec.label())
             resilience["checkpoints"] += 1
 
+    # The cadence only checks the budget inside a run; a run shorter
+    # than one cadence step (or a budget already spent building and
+    # adapting the binary) is caught here.
+    check_budget(sim.cycle)
     stats = sim.run(checkpoint_every=cadence, on_checkpoint=on_checkpoint)
     if spec.variant in _CHECKED_VARIANTS:
         # After a restore the live heap is the snapshot's, not the one

@@ -123,6 +123,10 @@ class ServiceClient:
         #: CheckpointStore root (a private root is deleted after its
         #: batch, and ``--resume`` must outlive it).
         self.checkpoint_root: Optional[Path] = self.root / "checkpoints"
+        #: Whether :meth:`submit` skips specs the backend already holds.
+        #: A :class:`~repro.runner.executor.Runner` on a private root
+        #: turns it off: it has just missed every spec it submits.
+        self.submit_checks_backend = True
 
     # -- submit ----------------------------------------------------------------------
 
@@ -142,7 +146,8 @@ class ServiceClient:
         enqueued = 0
         cached = 0
         for digest, spec in unique.items():
-            if self.backend.get(spec) is not None:
+            if self.submit_checks_backend \
+                    and self.backend.get(spec) is not None:
                 cached += 1
                 continue
             _, new = self.queue.submit(spec)

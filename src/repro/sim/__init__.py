@@ -8,7 +8,6 @@ from .config import (
     table1_rows,
 )
 from .caches import (
-    AccessResult,
     CacheLevel,
     LoadStats,
     MemorySystem,
@@ -24,7 +23,7 @@ from .trace import ContextTrace, TracingInOrderSimulator, trace_run
 __all__ = [
     "CacheConfig", "MachineConfig", "inorder_config", "ooo_config",
     "table1_rows",
-    "AccessResult", "CacheLevel", "LoadStats", "MemorySystem",
+    "CacheLevel", "LoadStats", "MemorySystem",
     "PrefetchStats",
     "GsharePredictor",
     "CYCLE_CATEGORIES", "STALL_CATEGORY", "SimStats",

@@ -16,6 +16,7 @@ BTB_MISS_BUBBLE = 2
 
 #: Global-history bits folded into the gshare index.
 HISTORY_BITS = 11
+_HISTORY_MASK = (1 << HISTORY_BITS) - 1
 
 
 class GsharePredictor:
@@ -40,49 +41,46 @@ class GsharePredictor:
         self.mispredicts = 0
         self.btb_misses = 0
 
-    def _index(self, pc: int, tid: int) -> int:
-        hist = self._history.get(tid, 0)
-        return (pc ^ (hist << 1)) & (self.entries - 1)
-
     def predict_and_update(self, pc: int, tid: int, taken: bool) -> int:
         """Predict the branch at ``pc``, update state, return the penalty.
 
         Returns 0 for a correct prediction, ``BTB_MISS_BUBBLE`` for a
         correctly-predicted taken branch whose target was not in the BTB,
         or -1 to signal a direction misprediction (caller applies its
-        pipeline's refill penalty).
+        pipeline's refill penalty).  A mispredicted branch still touches
+        the BTB (LRU lookup+insert of ``pc``), as a taken one does.
         """
         self.lookups += 1
-        idx = self._index(pc, tid)
-        counter = self._counters[idx]
+        history = self._history
+        hist = history.get(tid, 0)
+        idx = (pc ^ (hist << 1)) & (self.entries - 1)
+        counters = self._counters
+        counter = counters[idx]
         predicted = counter >= 2
 
         # Update the counter and per-thread history.
         if taken and counter < 3:
-            self._counters[idx] = counter + 1
+            counters[idx] = counter + 1
         elif not taken and counter > 0:
-            self._counters[idx] = counter - 1
-        hist = self._history.get(tid, 0)
-        self._history[tid] = ((hist << 1) | (1 if taken else 0)) & (
-            (1 << HISTORY_BITS) - 1)
+            counters[idx] = counter - 1
+        history[tid] = ((hist << 1) | (1 if taken else 0)) & _HISTORY_MASK
 
-        if predicted != taken:
-            self.mispredicts += 1
-            self._btb_touch(pc)
-            return -1
-        if taken and not self._btb_touch(pc):
-            self.btb_misses += 1
-            return BTB_MISS_BUBBLE
-        return 0
-
-    def _btb_touch(self, pc: int) -> bool:
-        """LRU lookup+insert of ``pc``; True if it was present."""
+        if not taken and not predicted:
+            return 0  # correctly predicted not taken: no BTB access
         s = self._btb[pc % self._btb_sets]
         if pc in s:
             s.remove(pc)
             s.append(pc)
-            return True
-        s.append(pc)
-        if len(s) > self._btb_ways:
-            s.pop(0)
-        return False
+            hit = True
+        else:
+            s.append(pc)
+            if len(s) > self._btb_ways:
+                s.pop(0)
+            hit = False
+        if predicted != taken:
+            self.mispredicts += 1
+            return -1
+        if not hit:
+            self.btb_misses += 1
+            return BTB_MISS_BUBBLE
+        return 0

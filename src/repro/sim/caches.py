@@ -29,24 +29,6 @@ L1, L2, L3, MEM = "L1", "L2", "L3", "MEM"
 LEVELS = (L1, L2, L3, MEM)
 
 
-class AccessResult:
-    """Outcome of one memory access."""
-
-    __slots__ = ("ready", "level", "partial")
-
-    def __init__(self, ready: int, level: str, partial: bool = False):
-        #: Cycle at which the value is available to dependent instructions.
-        self.ready = ready
-        #: Hierarchy level that supplied the data (fill origin for partials).
-        self.level = level
-        #: True if the line was already in transit to L1 (Figure 9 partial).
-        self.partial = partial
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        p = " partial" if self.partial else ""
-        return f"AccessResult(ready={self.ready}, {self.level}{p})"
-
-
 class CacheLevel:
     """One set-associative cache level with true LRU replacement."""
 
@@ -173,44 +155,23 @@ class MemorySystem:
         self.prefetch_sources: Dict[int, int] = {}
         self._prefetched_lines: Dict[int, int] = {}
 
-    # -- helpers ---------------------------------------------------------------
-
-    def line_of(self, addr: int) -> int:
-        return addr >> self._line_shift
-
-    def _tlb_access(self, addr: int) -> int:
-        """Returns extra cycles for a TLB miss (0 on hit)."""
-        page = addr >> self._page_shift
-        tlb = self._tlb
-        if page in tlb:
-            del tlb[page]
-            tlb[page] = None
-            return 0
-        tlb[page] = None
-        if len(tlb) > self._tlb_entries:
-            del tlb[next(iter(tlb))]
-        self.tlb_misses += 1
-        return self.config.tlb_miss_penalty
-
-    def _fill_buffer_start(self, now: int) -> int:
-        """Earliest cycle a new fill can start, honouring the 16 entries."""
-        fills = self._fills
-        while fills and fills[0] <= now:
-            heapq.heappop(fills)
-        if len(fills) >= self.config.fill_buffer_entries:
-            return heapq.heappop(fills)
-        return now
-
     # -- the access path --------------------------------------------------------
 
     def access(self, addr: int, now: int, uid: int, is_main: bool,
-               is_prefetch: bool = False, is_store: bool = False) -> AccessResult:
+               is_prefetch: bool = False,
+               is_store: bool = False) -> Tuple[int, str]:
         """Perform one data access at cycle ``now``.
 
-        Returns when the value is ready and which level supplied it.  Main
-        thread accesses are recorded in the per-static-load statistics;
-        speculative-thread accesses (the prefetches) only mutate cache
-        state.
+        Returns ``(ready, level)``: the cycle at which the value is
+        available to dependent instructions and the hierarchy level that
+        supplied it (the fill's origin for a partial miss).  Main-thread
+        loads are recorded in the per-static-load statistics, partial
+        misses included; speculative-thread accesses (the prefetches)
+        only mutate cache state.
+
+        This is the simulators' hottest shared code, so the TLB, cache
+        probes, inserts, fill-buffer drain and statistics are one
+        straight-line body instead of helper calls.
         """
         cfg = self.config
         # An explicit lfetch — or a speculative thread's copy of a
@@ -228,122 +189,141 @@ class MemorySystem:
                 pstats = self.prefetch_stats[uid] = PrefetchStats()
             pstats.issued += 1
 
+        line = addr >> self._line_shift
+        partial = False
         if cfg.perfect_memory or uid in cfg.perfect_load_uids:
             if not cfg.perfect_memory:
                 # "Delinquent loads always hit in the L1 cache" (Figure 2):
                 # the line is materialised instantly, so sibling loads of
                 # the same line hit too — otherwise their misses would
                 # simply migrate to the next load of the line.
-                line = self.line_of(addr)
                 self.l1.insert(line)
                 self.l2.insert(line)
                 self.l3.insert(line)
                 self._in_transit.pop(line, None)
-            result = AccessResult(now + cfg.l1.latency, L1)
-            if is_main and not is_prefetch and not is_store:
-                self._record(uid, result, now, self.line_of(addr))
-            return result
-
-        line = addr >> self._line_shift
-        # TLB probe, inlined from :meth:`_tlb_access`: the access path is
-        # the simulator's hottest shared code and the call overhead alone
-        # was measurable at tiny scale.
-        page = addr >> self._page_shift
-        tlb = self._tlb
-        if page in tlb:
-            del tlb[page]
-            tlb[page] = None
-            start = now
+            ready, level = now + cfg.l1.latency, L1
         else:
-            tlb[page] = None
-            if len(tlb) > self._tlb_entries:
-                del tlb[next(iter(tlb))]
-            self.tlb_misses += 1
-            start = now + cfg.tlb_miss_penalty
+            # TLB probe (same MRU touch as the caches).
+            page = addr >> self._page_shift
+            tlb = self._tlb
+            if page in tlb:
+                del tlb[page]
+                tlb[page] = None
+                start = now
+            else:
+                tlb[page] = None
+                if len(tlb) > self._tlb_entries:
+                    del tlb[next(iter(tlb))]
+                self.tlb_misses += 1
+                start = now + cfg.tlb_miss_penalty
 
-        transit = self._in_transit.get(line)
-        if transit is not None:
-            done, origin = transit
-            if done > start:
+            transit = self._in_transit.get(line)
+            if transit is not None and transit[0] > start:
                 # Partial miss: the line is already on its way to L1.
-                result = AccessResult(done, origin, partial=True)
-                if is_main and not is_prefetch and not is_store:
-                    self._record(uid, result, now, line)
-                return result
-            del self._in_transit[line]
+                ready, level = transit
+                partial = True
+            else:
+                if transit is not None:
+                    del self._in_transit[line]
+                # L1 probe; every insert below goes into a set the probe
+                # just showed does not hold the line.
+                l1 = self.l1
+                idx1 = line & (l1.num_sets - 1)
+                s1 = l1._sets.get(idx1)
+                if s1 is not None and line in s1:
+                    del s1[line]
+                    s1[line] = None
+                    ready, level = start + l1.latency, L1
+                else:
+                    # L1 miss: the fill occupies one of the fill-buffer
+                    # entries; drain the finished fills, and wait for
+                    # the earliest one when all are busy.
+                    fills = self._fills
+                    while fills and fills[0] <= start:
+                        heapq.heappop(fills)
+                    if len(fills) >= cfg.fill_buffer_entries:
+                        start = heapq.heappop(fills)
+                    l2 = self.l2
+                    idx2 = line & (l2.num_sets - 1)
+                    s2 = l2._sets.get(idx2)
+                    if s2 is not None and line in s2:
+                        del s2[line]
+                        s2[line] = None
+                        ready, level = start + l2.latency, L2
+                    else:
+                        l3 = self.l3
+                        idx3 = line & (l3.num_sets - 1)
+                        s3 = l3._sets.get(idx3)
+                        if s3 is not None and line in s3:
+                            del s3[line]
+                            s3[line] = None
+                            ready, level = start + l3.latency, L3
+                        else:
+                            ready, level = start + cfg.memory_latency, MEM
+                            if s3 is None:
+                                s3 = l3._sets[idx3] = {}
+                            s3[line] = None
+                            if len(s3) > l3.ways:
+                                del s3[next(iter(s3))]
+                        if s2 is None:
+                            s2 = l2._sets[idx2] = {}
+                        s2[line] = None
+                        if len(s2) > l2.ways:
+                            del s2[next(iter(s2))]
+                    if s1 is None:
+                        s1 = l1._sets[idx1] = {}
+                    s1[line] = None
+                    if len(s1) > l1.ways:
+                        del s1[next(iter(s1))]
+                    self._in_transit[line] = (ready, level)
+                    heapq.heappush(fills, ready)
+                    if prefetching:
+                        # Credit this line's next main-thread consumption
+                        # to the prefetch that started the fill.
+                        self._prefetched_lines[line] = uid
+                    # A non-prefetching demand fill does *not* consume or
+                    # drop the credit: the first main-thread **load**
+                    # touch is the sole consumer (below, which also
+                    # handles the evicted-before-use case).  Popping here
+                    # made a main-thread store's demand fill silently
+                    # discard a pending timely-prefetch credit, deflating
+                    # coverage for store-then-load patterns.
 
-        # L1 probe, inlined from :meth:`CacheLevel.lookup` (same MRU touch).
-        l1 = self.l1
-        s = l1._sets.get(line & (l1.num_sets - 1))
-        if s is not None and line in s:
-            del s[line]
-            s[line] = None
-            result = AccessResult(start + l1.latency, L1)
-            if is_main and not is_prefetch and not is_store:
-                self._record(uid, result, now, line)
-            return result
-
-        # L1 miss: the fill occupies a fill-buffer entry.
-        start = self._fill_buffer_start(start)
-        if self.l2.lookup(line):
-            ready, origin = start + cfg.l2.latency, L2
-        elif self.l3.lookup(line):
-            ready, origin = start + cfg.l3.latency, L3
-            self.l2.insert(line)
-        else:
-            ready, origin = start + cfg.memory_latency, MEM
-            self.l3.insert(line)
-            self.l2.insert(line)
-        self.l1.insert(line)
-        self._in_transit[line] = (ready, origin)
-        heapq.heappush(self._fills, ready)
-        if prefetching:
-            # Credit this line's next main-thread consumption to the
-            # prefetch that started the fill.
-            self._prefetched_lines[line] = uid
-        # A non-prefetching demand fill does *not* consume or drop the
-        # credit: the first main-thread **load** touch is the sole
-        # consumer (in :meth:`_record`, which also handles the
-        # evicted-before-use case).  Popping here made a main-thread
-        # store's demand fill silently discard a pending timely-prefetch
-        # credit, deflating coverage for store-then-load patterns.
-
-        result = AccessResult(ready, origin)
-        if is_main and not is_prefetch and not is_store:
-            self._record(uid, result, now, line)
-        return result
-
-    def _record(self, uid: int, result: AccessResult, now: int,
-                line: int) -> None:
+        if not is_main or is_prefetch or is_store:
+            return ready, level
         stats = self.load_stats.get(uid)
         if stats is None:
             stats = self.load_stats[uid] = LoadStats()
         stats.accesses += 1
-        if result.partial:
-            stats.partials[result.level] += 1
-            self.partial_counts[result.level] += 1
+        if partial:
+            stats.partials[level] += 1
+            self.partial_counts[level] += 1
         else:
-            stats.hits[result.level] += 1
-            self.level_counts[result.level] += 1
-        beyond_l1 = (result.ready - now) - self.config.l1.latency
-        if result.level != L1 and beyond_l1 > 0:
-            stats.miss_cycles += beyond_l1
-        pf_uid = self._prefetched_lines.pop(line, None)
-        if pf_uid is not None:
-            # First main-thread touch of a prefetched line: a full L1 hit
-            # means the prefetch was timely, a partial hit means it was
-            # late but still shortened the miss.  A full (non-partial)
-            # miss means the prefetched copy was evicted first — the
-            # credit is dropped without counting the prefetch as useful.
-            if result.partial:
-                stats.prefetch_late += 1
-            elif result.level == L1:
-                stats.prefetch_timely += 1
-            else:
-                return
-            pstats = self.prefetch_stats.get(pf_uid)
-            if pstats is not None:
-                pstats.useful += 1
+            stats.hits[level] += 1
+            self.level_counts[level] += 1
+        if level != L1:
+            beyond_l1 = (ready - now) - cfg.l1.latency
+            if beyond_l1 > 0:
+                stats.miss_cycles += beyond_l1
+        if self._prefetched_lines:
+            pf_uid = self._prefetched_lines.pop(line, None)
+            if pf_uid is not None:
+                # First main-thread touch of a prefetched line: a full L1
+                # hit means the prefetch was timely, a partial hit means
+                # it was late but still shortened the miss.  A full
+                # (non-partial) miss means the prefetched copy was evicted
+                # first — the credit is dropped without counting the
+                # prefetch as useful.
+                if partial:
+                    stats.prefetch_late += 1
+                elif level == L1:
+                    stats.prefetch_timely += 1
+                else:
+                    return ready, level
+                pstats = self.prefetch_stats.get(pf_uid)
+                if pstats is not None:
+                    pstats.useful += 1
+        return ready, level
 
     # -- inspection --------------------------------------------------------------
 

@@ -92,17 +92,6 @@ class HWThread:
         self.spawn_parked_pc: Optional[int] = None
 
 
-class _Resources:
-    """Per-cycle shared function-unit budget."""
-
-    __slots__ = ("mem", "int_", "br")
-
-    def __init__(self, config: MachineConfig):
-        self.mem = config.memory_ports
-        self.int_ = config.int_units
-        self.br = config.branch_units
-
-
 class InOrderSimulator:
     """Runs a finalised program on the in-order SMT machine model."""
 
@@ -376,270 +365,6 @@ class InOrderSimulator:
         self._chk_fires[chk_uid] = fires + 1
         return True
 
-    def _issue_thread_fast(self, thread: HWThread, budget: int, now: int,
-                           res: _Resources) -> int:
-        """Issue up to ``budget`` instructions from ``thread`` at ``now``.
-
-        Returns the number issued.  Updates scoreboard, caches, predictor,
-        and may spawn/kill threads.  Each instruction passes the issue
-        checks (budget, scoreboard, units, chaining-spawn wait), takes one
-        architectural step through :func:`repro.isa.decode.step_decoded`
-        and is then timed by kind from the step's result tuple: this loop
-        models time only.  The per-instruction counters and unit pools
-        accumulate in locals that flush once per call.
-        """
-        program = self.program
-        dcode = self._dcode
-        state = thread.state
-        config = self.config
-        heap = self.heap
-        memory = self.memory
-        stats = self.stats
-        predictor = self.predictor
-        spec_budget = config.spec_instruction_budget
-        is_main = state.tid == 0
-        issued = 0
-        # Main-thread instructions issued inside a recovery stub (rfi
-        # stack non-empty: between a fired chk.c and its rfi).  They are
-        # adaptation overhead, counted separately so the
-        # retired-instruction oracle can compare models net of fired
-        # triggers.
-        n_stub = 0
-        spec_base = thread.spec_issued
-        counts = self._issue_counts if is_main else self._spec_issue_counts
-        ready = thread.reg_ready
-        bound = thread.ready_bound
-        levels = thread.reg_level
-        rfi_stack = state.rfi_stack
-        res_int = res.int_
-        res_mem = res.mem
-        res_br = res.br
-
-        while issued < budget:
-            # Runaway-slice containment: a speculative context that has
-            # exhausted its instruction budget is killed on the spot.
-            # thread.spec_issued == spec_base + issued at every loop top
-            # (each issue increments both), so the budget check can stay
-            # on locals.
-            if not is_main and spec_budget \
-                    and spec_base + issued >= spec_budget:
-                state.killed = True
-                stats.budget_kills += 1
-                break
-
-            pc = state.pc
-            d = dcode[pc]
-
-            # Scoreboard: stall on use of a not-yet-ready register.  The
-            # scan is skipped outright while no write is still pending
-            # (``bound`` caps every reg_ready value).
-            if bound > now:
-                worst = 0
-                for reg in d[8]:                  # D_READS
-                    t = ready.get(reg, 0)
-                    if t > worst:
-                        worst = t
-                if worst > now:
-                    thread.wake = worst
-                    break
-
-            # Structural hazards: shared function units.
-            rescls = d[10]                        # D_RES
-            if rescls == RES_INT:
-                if res_int == 0:
-                    thread.wake = now + 1
-                    break
-                res_int -= 1
-            elif rescls == RES_MEM:
-                if res_mem == 0:
-                    thread.wake = now + 1
-                    break
-                res_mem -= 1
-            else:
-                if res_br == 0:
-                    thread.wake = now + 1
-                    break
-                res_br -= 1
-
-            kind = d[0]                           # D_KIND
-
-            # A chaining spawn in a speculative thread *waits* for a free
-            # context (the lightweight exception fires "when a free
-            # hardware context is available", Section 2.1) — this is what
-            # keeps a chain alive as a self-throttling pipeline.  The main
-            # thread never blocks: its chk.c simply does not fire.
-            if kind == K_SPAWN and not is_main \
-                    and self._free_slot() is None:
-                if thread.spawn_parked_pc == pc:
-                    # Second attempt with no context: give up — the spawn
-                    # request is ignored (Section 2.1) and the thread runs
-                    # on, which also rules out all-contexts-parked
-                    # deadlock.
-                    thread.spawn_parked_pc = None
-                else:
-                    stats.spawn_waits += 1
-                    thread.spawn_parked_pc = pc
-                    thread.wake = now + self.SPAWN_WAIT_LIMIT
-                    self._context_waiters.append(thread)
-                    break
-
-            counts[pc] += 1
-            chk_fires = False
-            if kind == K_CHK:
-                chk_fires = self.spawning and self._free_slot() is not None
-                if chk_fires and config.dynamic_chk_throttle:
-                    chk_fires = self._throttle_allows(d[13])  # D_UID
-            elif kind == K_CALLI and is_main:
-                # The target, read before the call; recorded below only
-                # if the call executes.
-                call_fid = state.regs.get(d[3], 0)
-            # Inside a recovery stub, read before the step (a fired chk.c
-            # pushes the rfi stack, rfi pops it).
-            if rfi_stack:
-                n_stub += 1
-
-            # The architectural step.  A squashed instruction (false
-            # qualifying predicate) still consumed its slot and unit and
-            # counts as issued; what it costs is decided below.
-            r = step_decoded(program, heap, state, d, chk_fires)
-            issued += 1
-
-            # Timing only from here on, from the step's result tuple.
-            if kind <= K_CMP or kind == K_LIBLD:
-                if r[3]:                          # R_EXECUTED
-                    dest = d[2]                   # D_DEST
-                    t = now + d[9]                # D_LAT
-                    ready[dest] = t
-                    if t > bound:
-                        bound = t
-                    levels[dest] = None
-                continue
-
-            if kind == K_LD:
-                dest = d[2]
-                addr = r[0]                       # R_MEM
-                if addr is None:
-                    # Squashed, or a deferred speculative fault: the
-                    # register is written without a memory access.
-                    ready[dest] = now + 1
-                    if now + 1 > bound:
-                        bound = now + 1
-                    levels[dest] = None
-                else:
-                    access = memory.access(addr, now, d[13], is_main)
-                    ready[dest] = access.ready
-                    if access.ready > bound:
-                        bound = access.ready
-                    levels[dest] = access.level
-                    if is_main and access.level != L1:
-                        heapq.heappush(self._main_misses, access.ready)
-                continue
-
-            if kind == K_BRC:
-                # An executed br.cond is always taken: its predicate is
-                # both the qualifying predicate and the branch condition.
-                # A squashed one still trains the predictor, not taken.
-                taken = bool(r[1])                # R_TAKEN
-                penalty = predictor.predict_and_update(pc, state.tid, taken)
-                if penalty < 0:
-                    stats.mispredicts += 1
-                    thread.stall_until = now + 1 + config.mispredict_penalty
-                    thread.wake = thread.stall_until
-                    break
-                if not taken:
-                    continue
-                if penalty > 0:
-                    thread.stall_until = now + 1 + penalty
-                    thread.wake = thread.stall_until
-                break  # taken branch ends this thread's fetch group
-
-            if kind == K_ST:
-                if r[0] is not None:
-                    memory.access(r[0], now, d[13], is_main, is_store=True)
-                continue
-
-            if kind == K_LFETCH:
-                if r[0] is None:
-                    # Squashed, or outside the heap: non-faulting, dropped.
-                    memory.prefetches_dropped += 1
-                else:
-                    memory.access(r[0], now, d[13], is_main,
-                                  is_prefetch=True)
-                continue
-
-            if kind <= K_RET:
-                if kind == K_CALLI and is_main and r[3]:
-                    self._note_indirect(d[13], call_fid)
-                break  # br, br.call, br.call.ind, br.ret end the group
-
-            if kind == K_CHK:
-                if r[4]:                          # R_CHK
-                    # Lightweight exception: pipeline flush, resume in
-                    # the stub.
-                    stats.chk_fired += 1
-                    self._on_chk_fired(d[13], now)
-                    thread.stall_until = now + config.chk_flush_penalty
-                    thread.wake = thread.stall_until
-                    break
-                stats.chk_ignored += 1
-                continue
-
-            if kind == K_SPAWN:
-                if r[2] is not None:              # R_SPAWN
-                    self._spawn(thread, r[2], now)
-                continue
-
-            if kind == K_KILL or kind == K_HALT:
-                break
-            # rfi, lib.st and nop do not end the fetch group.
-
-        if issued and thread.wake <= now \
-                and not (state.halted or state.killed):
-            thread.wake = now + 1
-        thread.ready_bound = bound
-        res.int_ = res_int
-        res.mem = res_mem
-        res.br = res_br
-        if issued:
-            if is_main:
-                stats.main_instructions += issued
-                if n_stub:
-                    stats.main_stub_instructions += n_stub
-            else:
-                stats.spec_instructions += issued
-                thread.spec_issued = spec_base + issued
-        return issued
-
-    # -- accounting -----------------------------------------------------------------
-
-    def _main_category_fast(self, main: HWThread, issued_main: int,
-                            now: int) -> str:
-        """Figure 10 category of the main thread for cycle ``now``."""
-        misses = self._main_misses
-        while misses and misses[0] <= now:
-            heapq.heappop(misses)
-        if issued_main > 0:
-            return "CacheExec" if misses else "Exec"
-        ms = main.state
-        if ms.halted or ms.killed:
-            return "Other"
-        if main.stall_until > now:
-            return "Other"  # flush/redirect bubble
-        ready = main.reg_ready
-        worst_cycle, worst_reg = 0, None
-        for reg in self._dreads[ms.pc]:
-            t = ready.get(reg, 0)
-            if t > worst_cycle:
-                worst_cycle, worst_reg = t, reg
-        if worst_cycle > now:
-            level = main.reg_level.get(worst_reg)
-            if level == L1:
-                return "Exec"  # short L1-hit interlock
-            if level in STALL_CATEGORY:
-                return STALL_CATEGORY[level]
-            return "Other"
-        return "Other"  # lost fetch slots to other threads, etc.
-
     # -- main loop --------------------------------------------------------------------
 
     def run(self, checkpoint_every: Optional[int] = None,
@@ -658,67 +383,87 @@ class InOrderSimulator:
         A simulator whose state was installed by :meth:`restore` continues
         from the checkpointed cycle instead of starting over.
 
-        One iteration per non-skipped cycle, issuing from the pre-decoded
-        table, with hoisted locals, precomputed slot orders, a fused
-        reap-and-liveness pass, inline scoreboard checks over decoded
-        read sets, and inline Figure 10 accounting on the issuing path.
+        One iteration per non-skipped cycle: reap, select up to two
+        issuable threads, issue from each, then charge the cycle to the
+        main thread's Figure 10 category.  Issue is one loop body over
+        the candidates.  Each instruction passes the issue checks
+        (budget, scoreboard, units, chaining-spawn wait), takes one
+        architectural step through :func:`repro.isa.decode.step_decoded`
+        and is then timed by kind from the step's result tuple: this loop
+        models time only.  Everything constant over a run is bound to a
+        local once, and the rare per-cycle events (checkpoint, cycle
+        limit, profiler sample) share one ``next_event`` compare.
         """
-        config = self.config
         if not self._started:
             self._begin()
+        config = self.config
         main = self.contexts[0]
         main_state = main.state
         stats = self.stats
         now = self._now
-        next_checkpoint = None
+        next_checkpoint = _FAR_FUTURE
         if on_checkpoint is not None and checkpoint_every:
             next_checkpoint = now + checkpoint_every
+        max_cycles = self.max_cycles
+        prof_next = self._prof_next
+        next_event = min(next_checkpoint, max_cycles, prof_next)
+        prof = None
 
+        program = self.program
+        dcode = self._dcode
         dreads = self._dreads
+        heap = self.heap
+        memory = self.memory
+        access = memory.access
+        predict = self.predictor.predict_and_update
         contexts = self.contexts
         slot_orders = self._slot_orders
         breakdown = stats.cycle_breakdown
         main_misses = self._main_misses
+        main_counts = self._issue_counts
+        spec_counts = self._spec_issue_counts
         heappop = heapq.heappop
+        heappush = heapq.heappush
         n_ctx = config.hardware_contexts
         # Speculative slots the round-robin pointer cycles over; a
         # single-context machine has none and keeps _rr at 1.
         n_spec = max(n_ctx - 1, 1)
         issue_width = config.issue_width
         bundle_size = config.bundle_size
-        max_cycles = self.max_cycles
         cycle_budget = config.spec_cycle_budget
+        spec_budget = config.spec_instruction_budget
         memory_ports = config.memory_ports
         int_units = config.int_units
         branch_units = config.branch_units
-        res = _Resources(config)
+        mispredict_penalty = config.mispredict_penalty
+        chk_flush_penalty = config.chk_flush_penalty
+        spawning = self.spawning
+        throttle = config.dynamic_chk_throttle
         rr = self._rr
-        prof_next = self._prof_next
-        issue = self._issue_thread_fast
         deadlines = self._spec_deadlines
+        main_only = (main,)
         # Force a full reap pass on the first iteration: a restored
         # snapshot (or a resumed run) may hold dead-but-unreaped
         # contexts.
         reap_due = True
 
         while not (main_state.halted or main_state.killed):
-            if next_checkpoint is not None and now >= next_checkpoint:
-                self._now = now
-                self._rr = rr
-                on_checkpoint(self)
-                while next_checkpoint <= now:
-                    next_checkpoint += checkpoint_every
-            if now >= max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded {self.max_cycles} cycles")
-            # Profiling gate: one int compare per iteration when off
-            # (``prof_next`` is the far-future sentinel).  On a sampled
-            # iteration ``prof`` goes non-None and the loop takes wall
-            # laps at its phase boundaries below.
-            prof = None
-            if now >= prof_next:
-                prof = self._profiler
-                t_prof = prof.begin(now)
+            if now >= next_event:
+                if now >= next_checkpoint:
+                    self._now = now
+                    self._rr = rr
+                    on_checkpoint(self)
+                    while next_checkpoint <= now:
+                        next_checkpoint += checkpoint_every
+                if now >= max_cycles:
+                    raise RuntimeError(
+                        f"simulation exceeded {self.max_cycles} cycles")
+                # A sampled iteration: ``prof`` goes non-None and the
+                # loop takes wall laps at its phase boundaries below.
+                if now >= prof_next:
+                    prof = self._profiler
+                    t_prof = prof.begin(now)
+                next_event = min(next_checkpoint, max_cycles, prof_next)
 
             # Reap finished speculative threads and wake parked spawners.
             # The slot walk only runs when a context can actually have
@@ -803,54 +548,285 @@ class InOrderSimulator:
 
             issued_main = 0
             if cand0 is not None:
-                res.mem = memory_ports
-                res.int_ = int_units
-                res.br = branch_units
+                # The cycle's shared function units.
+                res_int = int_units
+                res_mem = memory_ports
+                res_br = branch_units
                 if cand1 is None:
-                    n = issue(cand0, issue_width, now, res)
-                    if cand0 is main:
-                        issued_main = n
+                    budget = issue_width
+                    cands = main_only if cand0 is main else (cand0,)
                 else:
-                    n = issue(cand0, bundle_size, now, res)
-                    if cand0 is main:
-                        issued_main = n
-                    n = issue(cand1, bundle_size, now, res)
-                    if cand1 is main:
-                        issued_main = n
-                if ((cand0 is not main
-                     and (cand0.state.halted or cand0.state.killed))
-                        or (cand1 is not None and cand1 is not main
-                            and (cand1.state.halted
-                                 or cand1.state.killed))):
-                    reap_due = True
+                    budget = bundle_size
+                    cands = (cand0, cand1)
+                for thread in cands:
+                    state = thread.state
+                    is_main = thread is main
+                    counts = main_counts if is_main else spec_counts
+                    ready = thread.reg_ready
+                    bound = thread.ready_bound
+                    levels = thread.reg_level
+                    rfi_stack = state.rfi_stack
+                    issued = 0
+                    # Main-thread instructions issued inside a recovery
+                    # stub (rfi stack non-empty: between a fired chk.c and
+                    # its rfi).  They are adaptation overhead, counted
+                    # separately so the retired-instruction oracle can
+                    # compare models net of fired triggers.
+                    n_stub = 0
+                    # Runaway-slice containment: a speculative context
+                    # stops at its instruction budget; the while's else
+                    # arm kills it once it stopped there short of the
+                    # cycle's issue budget.
+                    stop = budget
+                    if not is_main and spec_budget:
+                        spec_base = thread.spec_issued
+                        if spec_budget - spec_base < budget:
+                            stop = spec_budget - spec_base
+
+                    while issued < stop:
+                        pc = state.pc
+                        d = dcode[pc]
+
+                        # Scoreboard: stall on use of a not-yet-ready
+                        # register.  The scan is skipped outright while no
+                        # write is still pending (``bound`` caps every
+                        # reg_ready value).
+                        if bound > now:
+                            worst = 0
+                            for reg in d[8]:              # D_READS
+                                t = ready.get(reg, 0)
+                                if t > worst:
+                                    worst = t
+                            if worst > now:
+                                thread.wake = worst
+                                break
+
+                        # Structural hazards: shared function units.
+                        rescls = d[10]                    # D_RES
+                        if rescls == RES_INT:
+                            if res_int == 0:
+                                thread.wake = now + 1
+                                break
+                            res_int -= 1
+                        elif rescls == RES_MEM:
+                            if res_mem == 0:
+                                thread.wake = now + 1
+                                break
+                            res_mem -= 1
+                        else:
+                            if res_br == 0:
+                                thread.wake = now + 1
+                                break
+                            res_br -= 1
+
+                        kind = d[0]                       # D_KIND
+                        chk_fires = False
+                        if kind > K_LFETCH:
+                            if kind == K_SPAWN:
+                                # A chaining spawn in a speculative thread
+                                # *waits* for a free context (the
+                                # lightweight exception fires "when a free
+                                # hardware context is available", Section
+                                # 2.1) — this keeps a chain alive as a
+                                # self-throttling pipeline.  The main
+                                # thread never blocks: its chk.c simply
+                                # does not fire.
+                                if not is_main and self._free_slot() is None:
+                                    if thread.spawn_parked_pc == pc:
+                                        # Second attempt with no context:
+                                        # give up — the request is ignored
+                                        # (Section 2.1) and the thread runs
+                                        # on, which also rules out
+                                        # all-contexts-parked deadlock.
+                                        thread.spawn_parked_pc = None
+                                    else:
+                                        stats.spawn_waits += 1
+                                        thread.spawn_parked_pc = pc
+                                        thread.wake = \
+                                            now + self.SPAWN_WAIT_LIMIT
+                                        self._context_waiters.append(thread)
+                                        break
+                            elif kind == K_CHK:
+                                chk_fires = spawning \
+                                    and self._free_slot() is not None
+                                if chk_fires and throttle:
+                                    chk_fires = self._throttle_allows(
+                                        d[13])            # D_UID
+                            elif kind == K_CALLI and is_main:
+                                # The target, read before the call;
+                                # recorded below only if the call executes.
+                                call_fid = state.regs.get(d[3], 0)
+
+                        counts[pc] += 1
+                        # Inside a recovery stub, read before the step (a
+                        # fired chk.c pushes the rfi stack, rfi pops it).
+                        if rfi_stack:
+                            n_stub += 1
+
+                        # The architectural step.  A squashed instruction
+                        # (false qualifying predicate) still consumed its
+                        # slot and unit and counts as issued; what it
+                        # costs is decided below.
+                        r = step_decoded(program, heap, state, d, chk_fires)
+                        issued += 1
+
+                        # Timing only from here on, from the step's result
+                        # tuple.
+                        if kind <= K_CMP or kind == K_LIBLD:
+                            if r[3]:                      # R_EXECUTED
+                                dest = d[2]               # D_DEST
+                                t = now + d[9]            # D_LAT
+                                ready[dest] = t
+                                if t > bound:
+                                    bound = t
+                                levels[dest] = None
+                            continue
+
+                        if kind == K_LD:
+                            dest = d[2]
+                            addr = r[0]                   # R_MEM
+                            if addr is None:
+                                # Squashed, or a deferred speculative
+                                # fault: the register is written without a
+                                # memory access.
+                                t = now + 1
+                                level = None
+                            else:
+                                t, level = access(addr, now, d[13], is_main)
+                                if is_main and level != L1:
+                                    heappush(main_misses, t)
+                            ready[dest] = t
+                            if t > bound:
+                                bound = t
+                            levels[dest] = level
+                            continue
+
+                        if kind == K_BRC:
+                            # An executed br.cond is always taken: its
+                            # predicate is both the qualifying predicate
+                            # and the branch condition.  A squashed one
+                            # still trains the predictor, not taken.
+                            taken = bool(r[1])            # R_TAKEN
+                            penalty = predict(pc, state.tid, taken)
+                            if penalty < 0:
+                                stats.mispredicts += 1
+                                thread.stall_until = thread.wake = \
+                                    now + 1 + mispredict_penalty
+                                break
+                            if not taken:
+                                continue
+                            if penalty > 0:
+                                thread.stall_until = thread.wake = \
+                                    now + 1 + penalty
+                            break  # a taken branch ends the fetch group
+
+                        if kind == K_ST:
+                            if r[0] is not None:
+                                access(r[0], now, d[13], is_main, False, True)
+                            continue
+
+                        if kind == K_LFETCH:
+                            if r[0] is None:
+                                # Squashed, or outside the heap:
+                                # non-faulting, dropped.
+                                memory.prefetches_dropped += 1
+                            else:
+                                access(r[0], now, d[13], is_main, True)
+                            continue
+
+                        if kind <= K_RET:
+                            if kind == K_CALLI and is_main and r[3]:
+                                self._note_indirect(d[13], call_fid)
+                            break  # br, br.call(.ind), br.ret end the group
+
+                        if kind == K_CHK:
+                            if r[4]:                      # R_CHK
+                                # Lightweight exception: pipeline flush,
+                                # resume in the stub.
+                                stats.chk_fired += 1
+                                self._on_chk_fired(d[13], now)
+                                thread.stall_until = thread.wake = \
+                                    now + chk_flush_penalty
+                                break
+                            stats.chk_ignored += 1
+                            continue
+
+                        if kind == K_SPAWN:
+                            if r[2] is not None:          # R_SPAWN
+                                self._spawn(thread, r[2], now)
+                            continue
+
+                        if kind == K_KILL or kind == K_HALT:
+                            break
+                        # rfi, lib.st and nop do not end the fetch group.
+                    else:
+                        if issued < budget:
+                            state.killed = True
+                            stats.budget_kills += 1
+
+                    thread.ready_bound = bound
+                    if issued:
+                        if thread.wake <= now \
+                                and not (state.halted or state.killed):
+                            thread.wake = now + 1
+                        if is_main:
+                            issued_main = issued
+                            stats.main_instructions += issued
+                            if n_stub:
+                                stats.main_stub_instructions += n_stub
+                        else:
+                            stats.spec_instructions += issued
+                            thread.spec_issued += issued
+                    if not is_main and (state.halted or state.killed):
+                        reap_due = True
             if prof is not None:
                 t_prof = prof.lap("issue", t_prof)
 
+            # Figure 10 accounting for this cycle.
+            while main_misses and main_misses[0] <= now:
+                heappop(main_misses)
             if issued_main:
-                # Inline _main_category_fast's issuing arm (the common
-                # case): drain expired misses, charge CacheExec/Exec.
-                while main_misses and main_misses[0] <= now:
-                    heappop(main_misses)
-                breakdown["CacheExec" if main_misses else "Exec"] += 1
+                category = "CacheExec" if main_misses else "Exec"
+            elif main_state.halted or main_state.killed \
+                    or main.stall_until > now or main.ready_bound <= now:
+                # Done, a flush/redirect bubble, or fetch slots lost to
+                # other threads.
+                category = "Other"
             else:
-                category = self._main_category_fast(main, 0, now)
-                breakdown[category] += 1
+                # Stalled on the scoreboard: charge the level that
+                # supplies the latest-arriving source register.
+                ready = main.reg_ready
+                worst, worst_reg = 0, None
+                for reg in dreads[main_state.pc]:
+                    t = ready.get(reg, 0)
+                    if t > worst:
+                        worst, worst_reg = t, reg
+                if worst > now:
+                    level = main.reg_level.get(worst_reg)
+                    # A short L1-hit interlock counts as execution.
+                    category = "Exec" if level == L1 \
+                        else STALL_CATEGORY.get(level, "Other")
+                else:
+                    category = "Other"
+            breakdown[category] += 1
             if prof is not None:
                 prof.lap("account", t_prof)
                 self._prof_next = prof_next = prof.sample(
                     now, stats, issued_main, cand0 is None)
-            if main_state.halted or main_state.killed:
-                now += 1
-                break
+                next_event = min(next_checkpoint, max_cycles, prof_next)
+                prof = None
 
+            # Only an issuing main thread can halt or kill itself, so a
+            # finished run always leaves through here and the loop test.
             if cand0 is not None:
                 now += 1
                 continue
 
             # Nothing issuable (so nothing issued and ``category`` is this
-            # cycle's): skip to the earliest wake-up.
+            # cycle's): skip to the earliest wake-up.  Without live
+            # speculative threads only the main thread can wake.
             wake = _FAR_FUTURE
-            for ctx in contexts:
+            for ctx in contexts if have_spec else main_only:
                 if ctx is None:
                     continue
                 cs = ctx.state

@@ -426,10 +426,8 @@ class OOOSimulator:
                         start += 1
                     port_used[start] = port_used.get(start, 0) + 1
                     if kind == K_LD:
-                        access = memory.access(mem_addr, start, d[13],
-                                               is_main)
-                        completion = access.ready
-                        reg_level[dest] = access.level
+                        completion, reg_level[dest] = memory.access(
+                            mem_addr, start, d[13], is_main)
                     elif kind == K_ST:
                         memory.access(mem_addr, start, d[13], is_main,
                                       is_store=True)

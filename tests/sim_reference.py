@@ -28,12 +28,7 @@ from repro.isa.interp import ExecutionError, ThreadState, spawn_thread
 from repro.isa.memory import Heap
 from repro.isa.program import Program
 from repro.sim.caches import L1
-from repro.sim.inorder import (
-    _FAR_FUTURE,
-    HWThread,
-    InOrderSimulator,
-    _Resources,
-)
+from repro.sim.inorder import _FAR_FUTURE, HWThread, InOrderSimulator
 from repro.sim.ooo import OOOSimulator, _OOOThread
 from repro.sim.stats import STALL_CATEGORY, SimStats
 
@@ -219,6 +214,17 @@ def execute(program: Program, heap: Heap, state: ThreadState,
         return ExecResult(pc + 1)
 
     raise ExecutionError(f"unimplemented opcode {op!r}")  # pragma: no cover
+
+
+class _Resources:
+    """Per-cycle shared function-unit budget."""
+
+    __slots__ = ("mem", "int_", "br")
+
+    def __init__(self, config):
+        self.mem = config.memory_ports
+        self.int_ = config.int_units
+        self.br = config.branch_units
 
 
 class ReferenceInOrderSimulator(InOrderSimulator):
@@ -443,14 +449,14 @@ class ReferenceInOrderSimulator(InOrderSimulator):
             # -- latency & side effects per class ---------------------------------
             if op == "ld":
                 if result.mem_addr is not None and result.executed:
-                    access = self.memory.access(
+                    ready, level = self.memory.access(
                         result.mem_addr, now, instr.uid, is_main)
-                    thread.reg_ready[instr.dest] = access.ready
-                    if access.ready > thread.ready_bound:
-                        thread.ready_bound = access.ready
-                    thread.reg_level[instr.dest] = access.level
-                    if is_main and access.level != L1:
-                        heapq.heappush(self._main_misses, access.ready)
+                    thread.reg_ready[instr.dest] = ready
+                    if ready > thread.ready_bound:
+                        thread.ready_bound = ready
+                    thread.reg_level[instr.dest] = level
+                    if is_main and level != L1:
+                        heapq.heappush(self._main_misses, ready)
                 else:
                     thread.reg_ready[instr.dest] = now + 1
                     if now + 1 > thread.ready_bound:
@@ -779,10 +785,9 @@ class ReferenceOOOSimulator(OOOSimulator):
             start = self._take_slot(self._port_used, start,
                                     config.memory_ports)
             if instr.op == "ld":
-                access = self.memory.access(mem_addr, start, instr.uid,
-                                            is_main)
-                completion = access.ready
-                thread.reg_level[instr.dest] = access.level
+                completion, level = self.memory.access(
+                    mem_addr, start, instr.uid, is_main)
+                thread.reg_level[instr.dest] = level
             elif instr.op == "st":
                 self.memory.access(mem_addr, start, instr.uid, is_main,
                                    is_store=True)

@@ -2,19 +2,27 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from repro.experiments import ExperimentContext, figure8
+from repro.guard.errors import ResourceBudgetError
+from repro.resilience import ResilienceConfig
 from repro.runner import (
     ResultCache,
     Runner,
     RunnerError,
     RunSpec,
+    WorkerTask,
     clear_artifact_cache,
     code_version,
     execute_spec,
+    execute_task,
     freeze_options,
     freeze_overrides,
 )
@@ -298,3 +306,103 @@ class TestExperimentIntegration:
         run = context.run("mcf")
         assert run.stats("inorder", "base") is run.stats("inorder", "base")
         assert context.telemetry.memo_hits == 1
+
+
+def own_roots_task(spec):
+    """Runs inline: reports the private roots named after this process."""
+    roots = list(Path(tempfile.gettempdir()).glob(
+        f"repro-run-{os.getpid()}-*"))
+    return {"stats": EMPTY_STATS, "wall_time": 0.0,
+            "metrics": {"own_roots": len(roots)}}
+
+
+class TestBudgetBeforeTheRun:
+    """A run shorter than one progress cadence still checks its budget."""
+
+    def test_blown_deadline_raises_before_the_first_cadence_point(self):
+        spec = RunSpec.create("mcf", scale="tiny", model="inorder",
+                              variant="ssp")
+        with pytest.raises(ResourceBudgetError,
+                           match="wall-clock budget at cycle 0"):
+            execute_task(WorkerTask(spec=spec, deadline=1e-9))
+
+    def test_blown_deadline_walks_the_ladder(self):
+        # The shape of ``python -m repro mcf --scale tiny --no-cache
+        # --deadline 0.0001``: the 34,919-cycle SSP run never reaches a
+        # cadence point, yet every rung blows the budget, so the job
+        # ends on the bottom (unadapted base) rung's error.
+        spec = RunSpec.create("mcf", scale="tiny", model="inorder",
+                              variant="ssp")
+        runner = Runner(jobs=1, cache=None, retries=0, service=None,
+                        resilience=ResilienceConfig(deadline=1e-4))
+        result = runner.run_one(spec)
+        assert not result.ok
+        assert "ResourceBudgetError" in result.error
+        assert "mcf/tiny/inorder/base exceeded" in result.error
+
+
+class TestPrivateRoots:
+    """A private root carries its owner's pid; roots of dead owners
+    (a SIGKILLed runner) are reaped by the next private run."""
+
+    @pytest.fixture
+    def tmpdir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        return tmp_path
+
+    @staticmethod
+    def stale_root(tmpdir, pid):
+        root = tmpdir / f"repro-run-{pid}-k1lled00"
+        (root / "pending").mkdir(parents=True)
+        (root / "pending" / "job.json").write_text("{}")
+        return root
+
+    @staticmethod
+    def run_private():
+        runner = Runner(jobs=1, cache=None, service=None,
+                        task_fn=own_roots_task)
+        result = runner.run_one(fake_spec("private-root"))
+        assert result.ok
+        return result
+
+    def test_root_of_a_dead_owner_is_removed(self, tmpdir):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        stale = self.stale_root(tmpdir, child.pid)
+        result = self.run_private()
+        assert not stale.exists()
+        # The run's own root was named after this process and removed.
+        assert result.metrics["own_roots"] == 1
+        assert not list(tmpdir.glob("repro-run-*"))
+
+    def test_root_of_a_live_pid_is_kept(self, tmpdir):
+        # A live pid may be a recycled one; its roots are left alone,
+        # as are names no dead owner's root can have.
+        stale = self.stale_root(tmpdir, os.getppid())
+        not_a_pid = self.stale_root(tmpdir, 10 ** 20)
+        unrelated = tmpdir / "repro-run-12345678"
+        unrelated.mkdir()
+        self.run_private()
+        assert stale.exists() and not_a_pid.exists() and unrelated.exists()
+
+
+class TestSubmitLookups:
+    def test_private_root_looks_each_miss_up_twice(self, tmp_path,
+                                                   monkeypatch):
+        """The runner's lookup and the worker's dedupe; ``submit`` does
+        not look a private run's misses up again."""
+        gets = []
+        real_get = ResultCache.get
+
+        def counting_get(self, spec):
+            gets.append(spec.content_hash())
+            return real_get(self, spec)
+
+        monkeypatch.setattr(ResultCache, "get", counting_get)
+        specs = [fake_spec(f"lookup{i}") for i in range(3)]
+        runner = Runner(jobs=1, cache=ResultCache(root=tmp_path),
+                        service=None, task_fn=counting_task)
+        assert all(r.ok for r in runner.run(specs + specs))
+        assert sorted(gets) == sorted(
+            [spec.content_hash() for spec in specs] * 2)

@@ -45,43 +45,45 @@ class TestCacheLevel:
 class TestHierarchy:
     def test_cold_miss_goes_to_memory(self):
         m = mem()
-        r = m.access(0x2000, now=0, uid=1, is_main=True)
-        assert r.level == MEM
+        ready, level = m.access(0x2000, now=0, uid=1, is_main=True)
+        assert level == MEM
         # Memory latency plus the first-touch TLB miss penalty.
-        assert r.ready == m.config.memory_latency + m.config.tlb_miss_penalty
+        assert ready == m.config.memory_latency + m.config.tlb_miss_penalty
 
     def test_second_access_hits_l1(self):
         m = mem()
-        first = m.access(0x2000, 0, 1, True)
-        r = m.access(0x2000, first.ready + 1, 1, True)
-        assert r.level == L1
-        assert r.ready == first.ready + 1 + m.config.l1.latency
+        first, _ = m.access(0x2000, 0, 1, True)
+        ready, level = m.access(0x2000, first + 1, 1, True)
+        assert level == L1
+        assert ready == first + 1 + m.config.l1.latency
 
     def test_same_line_different_word_hits(self):
         m = mem()
-        first = m.access(0x2000, 0, 1, True)
-        r = m.access(0x2038, first.ready + 1, 1, True)  # same 64B line
-        assert r.level == L1
+        first, _ = m.access(0x2000, 0, 1, True)
+        _, level = m.access(0x2038, first + 1, 1, True)  # same 64B line
+        assert level == L1
 
     def test_partial_miss_on_in_transit_line(self):
         m = mem()
-        first = m.access(0x2000, 0, 1, True)
-        r = m.access(0x2000, 10, 2, True)  # long before fill completes
-        assert r.partial
-        assert r.level == MEM              # origin of the fill
-        assert r.ready == first.ready      # completes with the fill
+        first, _ = m.access(0x2000, 0, 1, True)
+        ready, level = m.access(0x2000, 10, 2, True)  # fill still on its way
+        assert m.load_stats[2].partials[MEM] == 1
+        assert m.partial_counts == {L2: 0, L3: 0, MEM: 1}
+        assert level == MEM                # origin of the fill
+        assert ready == first              # completes with the fill
 
     def test_prefetch_then_demand_load_is_partial(self):
         m = mem()
-        pf = m.access(0x4000, 0, 99, is_main=False, is_prefetch=True)
-        demand = m.access(0x4000, 50, 1, is_main=True)
-        assert demand.partial and demand.ready == pf.ready
+        pf, _ = m.access(0x4000, 0, 99, is_main=False, is_prefetch=True)
+        demand, _ = m.access(0x4000, 50, 1, is_main=True)
+        assert m.load_stats[1].partials[MEM] == 1 and demand == pf
 
     def test_prefetch_long_before_demand_gives_l1_hit(self):
         m = mem()
-        pf = m.access(0x4000, 0, 99, is_main=False, is_prefetch=True)
-        demand = m.access(0x4000, pf.ready + 10, 1, True)
-        assert demand.level == L1 and not demand.partial
+        pf, _ = m.access(0x4000, 0, 99, is_main=False, is_prefetch=True)
+        _, level = m.access(0x4000, pf + 10, 1, True)
+        assert level == L1 and m.load_stats[1].hits[L1] == 1
+        assert not any(m.partial_counts.values())
 
     def test_l2_hit_after_l1_eviction(self):
         m = mem()
@@ -90,21 +92,21 @@ class TestHierarchy:
         lines = cfg.l1.size_bytes // 64 * 2
         t = 0
         for i in range(lines):
-            t = m.access(0x2000 + i * 64, t, 1, True).ready + 1
-        r = m.access(0x2000, t + 1000, 1, True)
-        assert r.level in (L2, L3)  # evicted from L1, held below
+            t = m.access(0x2000 + i * 64, t, 1, True)[0] + 1
+        _, level = m.access(0x2000, t + 1000, 1, True)
+        assert level in (L2, L3)  # evicted from L1, held below
 
     def test_perfect_memory_mode(self):
         m = MemorySystem(inorder_config().with_perfect_memory())
-        r = m.access(0x2000, 0, 1, True)
-        assert r.level == L1 and r.ready == m.config.l1.latency
+        ready, level = m.access(0x2000, 0, 1, True)
+        assert level == L1 and ready == m.config.l1.latency
 
     def test_perfect_delinquent_load_mode(self):
         m = MemorySystem(inorder_config().with_perfect_loads({7}))
-        fast = m.access(0x2000, 0, 7, True)
-        slow = m.access(0x6000, 0, 8, True)
-        assert fast.level == L1
-        assert slow.level == MEM
+        _, fast = m.access(0x2000, 0, 7, True)
+        _, slow = m.access(0x6000, 0, 8, True)
+        assert fast == L1
+        assert slow == MEM
 
 
 class TestFillBuffer:
@@ -114,17 +116,17 @@ class TestFillBuffer:
         results = [m.access(0x2000 + i * 64, 0, i, True)
                    for i in range(cfg.fill_buffer_entries + 4)]
         # The 17th+ miss cannot start until an earlier fill completes.
-        ready = sorted(r.ready for r in results)
+        ready = sorted(r for r, _ in results)
         assert ready[-1] > ready[0] + cfg.memory_latency // 2
 
 
 class TestTLB:
     def test_tlb_miss_penalty_applied_once(self):
         m = mem()
-        first = m.access(0x2000, 0, 1, True)
+        first, _ = m.access(0x2000, 0, 1, True)
         # Same page later: L1 hit without the TLB penalty.
-        later = m.access(0x2008, first.ready + 5, 1, True)
-        assert later.ready - (first.ready + 5) == m.config.l1.latency
+        later, _ = m.access(0x2008, first + 5, 1, True)
+        assert later - (first + 5) == m.config.l1.latency
         assert m.tlb_misses == 1
 
 
@@ -150,18 +152,18 @@ class TestStatistics:
 
     def test_miss_rate(self):
         m = mem()
-        r = m.access(0x2000, 0, 5, True)
-        m.access(0x2000, r.ready + 1, 5, True)
+        ready, _ = m.access(0x2000, 0, 5, True)
+        m.access(0x2000, ready + 1, 5, True)
         stats = m.load_stats[5]
         assert stats.accesses == 2 and stats.l1_misses == 1
         assert stats.miss_rate() == 0.5
 
     def test_flush_clears_state_not_stats(self):
         m = mem()
-        r = m.access(0x2000, 0, 5, True)
+        ready, _ = m.access(0x2000, 0, 5, True)
         m.flush()
-        r2 = m.access(0x2000, r.ready + 1, 5, True)
-        assert r2.level == MEM  # cold again
+        _, level = m.access(0x2000, ready + 1, 5, True)
+        assert level == MEM  # cold again
         assert m.load_stats[5].accesses == 2
 
 
@@ -186,17 +188,18 @@ class TestPrefetchAttribution:
         m.access(0x4000, 0, 99, is_main=False, is_prefetch=True)
         m.access(0x8000, 500, 1, is_main=True)  # evicts the line everywhere
         m.access(0x4000, 1000, 2, is_main=True, is_store=True)  # miss+fill
-        r = m.access(0x4000, 1010, 3, is_main=True)  # load rides the fill
-        assert r.partial
+        m.access(0x4000, 1010, 3, is_main=True)  # load rides the fill
+        assert m.load_stats[3].partials[MEM] == 1
         assert m.load_stats[3].prefetch_late == 1
         assert m.prefetch_stats[99].useful == 1
 
     def test_load_after_store_hit_gets_timely_credit(self):
         m = mem()
-        pf = m.access(0x4000, 0, 99, is_main=False, is_prefetch=True)
-        m.access(0x4000, pf.ready + 1, 2, is_main=True, is_store=True)
-        r = m.access(0x4000, pf.ready + 2, 3, is_main=True)
-        assert r.level == L1 and not r.partial
+        pf, _ = m.access(0x4000, 0, 99, is_main=False, is_prefetch=True)
+        m.access(0x4000, pf + 1, 2, is_main=True, is_store=True)
+        _, level = m.access(0x4000, pf + 2, 3, is_main=True)
+        assert level == L1 and m.load_stats[3].hits[L1] == 1
+        assert not any(m.load_stats[3].partials.values())
         assert m.load_stats[3].prefetch_timely == 1
         assert m.prefetch_stats[99].useful == 1
 
