@@ -85,8 +85,7 @@ class WorkloadRun:
         """Memoised simulation of one (model, variant) configuration."""
         key = (model, variant)
         if key in self._stats:
-            self.runner.telemetry.record_memo_hit(
-                f"{self.name}/{self.scale}/{model}/{variant}")
+            self.runner.telemetry.counters["memo_hits"] += 1
             return self._stats[key]
         result = self.runner.stats(self.spec(model, variant))
         self._stats[key] = result

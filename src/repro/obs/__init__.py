@@ -12,6 +12,9 @@ Zero-overhead-when-disabled instrumentation for the whole reproduction:
 * exporters — JSONL event log and Chrome trace-event JSON loadable in
   Perfetto, with simulator thread tracks derived from
   :class:`~repro.sim.trace.ContextTrace`;
+* one run record (:mod:`~repro.obs.record`): one schema version and one
+  counter vocabulary shared by the metrics document, the runner
+  telemetry, the fleet document and the trace's ``meta`` line;
 * a metrics-document collector and the ``repro report`` renderer.
 """
 
@@ -25,7 +28,6 @@ from .tracer import (
     ensure_tracer,
 )
 from .export import (
-    JSONL_SCHEMA,
     SIM_PID,
     TOOL_PID,
     chrome_trace_events,
@@ -35,7 +37,6 @@ from .export import (
     write_jsonl,
 )
 from .metrics import (
-    METRICS_SCHEMA,
     collect_metrics,
     delinquent_rows,
     slice_rows,
@@ -47,21 +48,21 @@ from .profiler import (
     render_profile,
 )
 from .fleet import (
-    FLEET_SCHEMA,
     collect_fleet,
     fleet_summary_lines,
     render_fleet,
 )
+from .record import COUNTERS, SCHEMA
 from .report import render_report
 
 __all__ = [
     "Counter", "Histogram", "NullTracer", "NULL_TRACER", "Span", "Tracer",
     "ensure_tracer",
-    "JSONL_SCHEMA", "SIM_PID", "TOOL_PID", "chrome_trace_events",
+    "SIM_PID", "TOOL_PID", "chrome_trace_events",
     "jsonl_records", "profiler_counter_events", "write_chrome_trace",
     "write_jsonl",
-    "METRICS_SCHEMA", "collect_metrics", "delinquent_rows", "slice_rows",
+    "collect_metrics", "delinquent_rows", "slice_rows",
     "CycleProfiler", "DEFAULT_INTERVAL", "profile_run", "render_profile",
-    "FLEET_SCHEMA", "collect_fleet", "fleet_summary_lines", "render_fleet",
-    "render_report",
+    "collect_fleet", "fleet_summary_lines", "render_fleet",
+    "COUNTERS", "SCHEMA", "render_report",
 ]

@@ -3,7 +3,8 @@
 Two serialisations of one observed run:
 
 * :func:`write_jsonl` — an append-friendly machine-readable log, one JSON
-  object per line.  Record ``type``s: ``meta``, ``span``, ``event``,
+  object per line.  Record ``type``s: ``meta`` (first, carrying the run
+  record's :data:`~repro.obs.record.SCHEMA`), ``span``, ``event``,
   ``counter``, ``histogram``, ``sim_event`` and ``context_interval``.
 * :func:`write_chrome_trace` — the Chrome trace-event format
   (``{"traceEvents": [...]}``), loadable in Perfetto / ``chrome://tracing``.
@@ -20,12 +21,11 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional
 
+from .record import SCHEMA
+
 #: Synthetic process ids for the two timelines of a Chrome trace.
 TOOL_PID = 1
 SIM_PID = 2
-
-#: JSONL schema version emitted in the ``meta`` record.
-JSONL_SCHEMA = 1
 
 
 def jsonl_records(tracer=None, context_trace=None,
@@ -33,7 +33,7 @@ def jsonl_records(tracer=None, context_trace=None,
                   ) -> List[Dict[str, Any]]:
     """All observability records of one run, in emission order."""
     records: List[Dict[str, Any]] = []
-    head: Dict[str, Any] = {"type": "meta", "schema": JSONL_SCHEMA}
+    head: Dict[str, Any] = {"type": "meta", "schema": SCHEMA}
     if meta:
         head.update(meta)
     records.append(head)

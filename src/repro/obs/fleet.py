@@ -7,9 +7,11 @@ across the service root: per-worker summary JSONs under
 :func:`collect_fleet` folds all of it into a single JSON-safe fleet
 document — per-worker throughput, queue depth and oldest lease age,
 dedupe and hit rates — and :func:`render_fleet` renders it as the
-``repro service top`` screen (one-shot or ``--watch``).  The same
-document rides along in metrics documents (``doc["fleet"]``) and the
-report renderer.
+``repro service top`` screen (one-shot or ``--watch``).  The document is
+the ``fleet`` section of the run record (:mod:`repro.obs.record`): each
+worker row and the totals hold the record's counters under its names,
+the totals summed over them.  The same document rides along in metrics
+documents (``doc["fleet"]``) and the report renderer.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..guard import faultinject
+from .record import SCHEMA, counters, hit_rate, render_counters, total
 
-#: Schema version of the fleet document.
-FLEET_SCHEMA = 2
+#: The counters of the per-worker table in ``service top``, with their
+#: column headings.
+_COLUMNS = (("executed", "exec"), ("deduped", "dedup"), ("failures", "fail"),
+            ("retries", "retry"), ("stolen_leases", "stolen"),
+            ("degraded", "degr"), ("resumes", "resume"))
 
 
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
@@ -53,28 +59,24 @@ def _worker_rows(root: Path,
         started = float(summary.get("started") or 0.0)
         finished = float(summary.get("finished") or 0.0)
         wall = max(finished - started, 0.0)
-        executed = int(summary.get("executed") or 0)
-        deduped = int(summary.get("deduped") or 0)
-        jobs = executed + deduped
-        rows.append({
+        row: Dict[str, Any] = {
             "worker": summary.get("worker") or path.stem,
             "pid": summary.get("pid"),
-            "executed": executed,
-            "deduped": deduped,
-            "failures": int(summary.get("failures") or 0),
-            "requeues": int(summary.get("requeues") or 0),
-            "stolen_leases": int(summary.get("stolen_leases") or 0),
-            "degraded": int(summary.get("degraded") or 0),
+            **counters(summary),
             "ladder": summary.get("ladder") or {},
-            "resumes": int(summary.get("resumes") or 0),
-            "checkpoints": int(summary.get("checkpoints") or 0),
             "wall_time": wall,
-            "throughput": jobs / wall if wall > 0 else 0.0,
             "age": max(now - finished, 0.0) if finished else None,
             "backend": summary.get("backend") or {},
             "faults": summary.get("faults") or {},
-        })
+        }
+        row["throughput"] = _throughput(row, wall)
+        rows.append(row)
     return rows, torn
+
+
+def _throughput(c: Dict[str, Any], wall: float) -> float:
+    """Jobs finished (executed or deduped) per second of ``wall``."""
+    return (c["executed"] + c["deduped"]) / wall if wall > 0 else 0.0
 
 
 def _fold_faults(workers: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -131,35 +133,26 @@ def collect_fleet(root=None, config=None,
     workers, torn = _worker_rows(config.root, now)
     queue = _queue_state(config, now)
 
-    executed = sum(w["executed"] for w in workers)
-    deduped = sum(w["deduped"] for w in workers)
-    jobs = executed + deduped
-    wall = max((w["wall_time"] for w in workers), default=0.0)
+    sums = total(workers)
     totals: Dict[str, Any] = {
         "workers": len(workers),
         "torn_summaries": torn,
-        "executed": executed,
-        "deduped": deduped,
-        "failures": sum(w["failures"] for w in workers),
-        "requeues": sum(w["requeues"] for w in workers),
-        "stolen_leases": sum(w["stolen_leases"] for w in workers),
-        "degraded": sum(w["degraded"] for w in workers),
-        "resumes": sum(w["resumes"] for w in workers),
-        "checkpoints": sum(w["checkpoints"] for w in workers),
-        "dedupe_rate": deduped / jobs if jobs else 0.0,
+        **sums,
+        "hit_rate": hit_rate(sums),
         # Fleet throughput over the longest worker session — the
         # sessions overlap, so summing per-worker rates would flatter.
-        "throughput": jobs / wall if wall > 0 else 0.0,
+        "throughput": _throughput(sums, max(
+            (w["wall_time"] for w in workers), default=0.0)),
     }
     faults = _fold_faults(workers)
 
     backend = config.make_backend()
-    counters = backend.counters_snapshot()
-    hits = counters.get("hits", 0)
-    misses = counters.get("misses", 0)
+    probe = backend.counters_snapshot()
+    hits = probe.get("hits", 0)
+    misses = probe.get("misses", 0)
     store = backend.stats()
     backend_doc: Dict[str, Any] = {
-        "kind": counters.get("kind"),
+        "kind": probe.get("kind"),
         "entries": store.get("entries", 0),
         "bytes": store.get("bytes", 0),
         # NOTE: counters are per-process; for a one-shot `service top`
@@ -169,7 +162,7 @@ def collect_fleet(root=None, config=None,
     }
 
     doc: Dict[str, Any] = {
-        "schema": FLEET_SCHEMA,
+        "schema": SCHEMA,
         "root": str(config.root),
         "collected": now,
         "workers": workers,
@@ -202,14 +195,9 @@ def fleet_summary_lines(doc: Dict[str, Any]) -> List[str]:
     backend = doc.get("backend") or {}
     head = (f"fleet @ {doc.get('root', '?')}: "
             f"{totals.get('workers', 0)} worker(s), "
-            f"{totals.get('executed', 0)} executed, "
-            f"{totals.get('deduped', 0)} deduped "
-            f"({100 * totals.get('dedupe_rate', 0.0):.0f}%), "
-            f"{totals.get('failures', 0)} failed")
-    if totals.get("degraded"):
-        head += f", {totals['degraded']} degraded"
-    if totals.get("resumes"):
-        head += f", {totals['resumes']} resumed"
+            + render_counters(totals, always=("executed", "deduped",
+                                              "failures"))
+            + f" ({100 * (totals.get('hit_rate') or 0.0):.0f}% hit rate)")
     if totals.get("torn_summaries"):
         head += f" [{totals['torn_summaries']} torn summary(ies) skipped]"
     lines = [head]
@@ -246,9 +234,9 @@ def render_fleet(doc: Dict[str, Any]) -> str:
     workers = doc.get("workers") or []
     if workers:
         lines.append("")
-        header = (f"{'worker':<28} {'exec':>5} {'dedup':>5} {'fail':>4} "
-                  f"{'requeue':>7} {'stolen':>6} {'degr':>4} "
-                  f"{'resume':>6} {'jobs/s':>7} {'wall':>7} {'seen':>5}")
+        header = (f"{'worker':<28} "
+                  + "".join(f"{label:>7}" for _, label in _COLUMNS)
+                  + f" {'jobs/s':>7} {'wall':>7} {'seen':>5}")
         lines.append(header)
         lines.append("-" * len(header))
         ordered = sorted(workers, key=lambda w: w.get("throughput", 0.0),
@@ -256,12 +244,8 @@ def render_fleet(doc: Dict[str, Any]) -> str:
         for w in ordered:
             lines.append(
                 f"{str(w.get('worker', '?'))[:28]:<28} "
-                f"{w.get('executed', 0):>5} {w.get('deduped', 0):>5} "
-                f"{w.get('failures', 0):>4} {w.get('requeues', 0):>7} "
-                f"{w.get('stolen_leases', 0):>6} "
-                f"{w.get('degraded', 0):>4} "
-                f"{w.get('resumes', 0):>6} "
-                f"{w.get('throughput', 0.0):>7.2f} "
+                + "".join(f"{w.get(name, 0):>7}" for name, _ in _COLUMNS)
+                + f" {w.get('throughput', 0.0):>7.2f} "
                 f"{w.get('wall_time', 0.0):>6.1f}s "
                 f"{_age(w.get('age')):>5}")
     else:

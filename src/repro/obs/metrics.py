@@ -5,15 +5,17 @@ about one adapted workload run — pass spans with their wall times and
 recorded metrics, the Table 2 slice statistics, per-delinquent-load miss
 attribution and prefetch coverage / accuracy / timeliness, and the
 simulation outcome — into a single dict suitable for ``--metrics-json``
-and for rendering with :func:`repro.obs.report.render_report`.
+and for rendering with :func:`repro.obs.report.render_report`.  The
+document is the whole run record (:mod:`repro.obs.record`); its
+``runner`` and ``fleet`` sections are the runner telemetry and the
+fleet document.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-#: Schema version of the metrics JSON document.
-METRICS_SCHEMA = 1
+from .record import SCHEMA
 
 
 def slice_rows(tool_result) -> list:
@@ -70,13 +72,13 @@ def collect_metrics(workload: str, scale: str, model: str,
 
     ``resilience`` is the per-run resilience metadata from
     ``RunResult.metrics["resilience"]`` (ladder step, watchdog kills,
-    checkpoint/resume counts); aggregate resilience counters arrive via
-    ``telemetry`` under ``doc["runner"]["resilience"]``.  ``profiler``
+    checkpoint/resume counts); the session's counters arrive via
+    ``telemetry`` under ``doc["runner"]``.  ``profiler``
     is a :class:`~repro.obs.profiler.CycleProfiler` (or its document)
     and ``fleet`` a :func:`repro.obs.fleet.collect_fleet` document.
     """
     doc: Dict[str, Any] = {
-        "schema": METRICS_SCHEMA,
+        "schema": SCHEMA,
         "workload": workload,
         "scale": scale,
         "model": model,

@@ -1,12 +1,15 @@
-"""Human-readable rendering of a metrics document (``repro report``).
+"""Human-readable rendering of a run record (``repro report``).
 
-Turns the dict produced by :func:`repro.obs.metrics.collect_metrics` into
-the per-workload observability report: pass spans with wall times and key
-metrics, the Table 2 slice rows, per-delinquent-load prefetch
-coverage / accuracy / timeliness, the cycle-attribution profile, and the
-service-fleet summary.  Documents are rendered defensively: any section
-may be missing, empty, or partial (older schema versions, zero-run
-telemetry) and still produce a report instead of a crash.
+Turns a view of the run record (:mod:`repro.obs.record`) — the metrics
+document of :func:`repro.obs.metrics.collect_metrics`, a runner
+telemetry document or a fleet document — into the observability
+report: pass spans with wall times and key metrics, the Table 2 slice
+rows, per-delinquent-load prefetch coverage / accuracy / timeliness,
+the runner counters, the cycle-attribution profile, and the
+service-fleet summary.  Each section renders when the document has it,
+and defensively: any section may be missing, empty, or partial (older
+schema versions, zero-run telemetry) and still produce a report instead
+of a crash.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from .profiler import render_profile
+from .record import render_counters
 
 
 def _fmt_metric(value: Any) -> str:
@@ -35,8 +39,17 @@ def _table(headers: List[str], rows: List[List[str]]) -> List[str]:
     return lines
 
 
+def runner_line(runner: Dict[str, Any]) -> str:
+    """One line for a run record's ``runner`` section: its counters,
+    hit rate and wall times."""
+    return (f"{render_counters(runner, always=('launched', 'cache_hits'))}"
+            f" ({100 * (runner.get('hit_rate') or 0.0):.0f}% hit rate); "
+            f"sim wall time {runner.get('sim_wall_time') or 0.0:.2f}s "
+            f"(saved {runner.get('saved_wall_time') or 0.0:.2f}s)")
+
+
 def render_report(metrics: Dict[str, Any]) -> str:
-    """The observability report for one metrics document."""
+    """The observability report for one run-record document."""
     lines: List[str] = []
     title = (f"observability report: {metrics.get('workload', '?')} "
              f"({metrics.get('scale', '?')}, {metrics.get('model', '?')})")
@@ -134,16 +147,7 @@ def render_report(metrics: Dict[str, Any]) -> str:
     runner = metrics.get("runner")
     if runner:
         lines.append("")
-        line = (f"runner: {runner.get('launched', 0)} simulated, "
-                f"{runner.get('cache_hits', 0)} cached "
-                f"({100 * runner.get('hit_rate', 0.0):.0f}% hit rate), ")
-        # Older metrics documents predate service mode; .get throughout.
-        if runner.get("dedupe_hits"):
-            line += (f"{runner['dedupe_hits']} deduped by other "
-                     f"workers, ")
-        line += (f"sim wall {runner.get('sim_wall_time', 0.0):.2f}s "
-                 f"(saved {runner.get('saved_wall_time', 0.0):.2f}s)")
-        lines.append(line)
+        lines.append("runner: " + runner_line(runner))
         backend = runner.get("cache_backend")
         if backend:
             parts = [f"kind={backend.get('kind', 'local')}"]
@@ -152,15 +156,6 @@ def render_report(metrics: Dict[str, Any]) -> str:
                 if backend.get(counter):
                     parts.append(f"{counter}={backend[counter]}")
             lines.append("cache backend: " + "  ".join(parts))
-        resilience = runner.get("resilience")
-        if resilience and any(resilience.values()):
-            lines.append(
-                "resilience: "
-                f"checkpoints={resilience.get('checkpoints', 0)} "
-                f"resumes={resilience.get('resumes', 0)} "
-                f"watchdog kills={resilience.get('watchdog_kills', 0)} "
-                f"degraded={resilience.get('degraded_runs', 0)} "
-                f"poisoned={resilience.get('skips', 0)}")
 
     run_meta = metrics.get("resilience")
     if run_meta:
@@ -180,7 +175,8 @@ def render_report(metrics: Dict[str, Any]) -> str:
         lines.append("")
         lines.append(render_profile(profiler))
 
-    fleet = metrics.get("fleet")
+    # A fleet document is the record's fleet section on its own.
+    fleet = metrics.get("fleet", metrics if "totals" in metrics else None)
     if fleet:
         from .fleet import fleet_summary_lines
         lines.append("")

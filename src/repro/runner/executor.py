@@ -120,7 +120,6 @@ class Runner:
     def __init__(self, jobs: int = 1,
                  cache=_DEFAULT_CACHE,
                  retries: int = 1,
-                 telemetry: Optional[RunnerTelemetry] = None,
                  task_fn: Callable[[RunSpec], Dict] = execute_spec,
                  resilience: Optional["ResilienceConfig"] = None,
                  service=_DEFAULT_SERVICE):
@@ -132,7 +131,6 @@ class Runner:
                 default — honours ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE``.
             retries: extra attempts after a failed one (on a private
                 root; a service root's queue sets its own).
-            telemetry: shared counters; a fresh instance by default.
             task_fn: the unit of work (overridable for tests): a
                 callable ``spec -> payload``.
             resilience: budgets, checkpoints and the watchdog timeout.
@@ -156,7 +154,7 @@ class Runner:
             ResultCache.from_environment() if cache is _DEFAULT_CACHE
             else cache)
         self.retries = max(0, int(retries))
-        self.telemetry = telemetry or RunnerTelemetry()
+        self.telemetry = RunnerTelemetry()
         self.task_fn = task_fn
         self.resilience = resilience
         self._service_client: Optional["ServiceClient"] = None
@@ -209,9 +207,7 @@ class Runner:
             for result in self._execute(pending):
                 by_hash[result.spec.content_hash()] = result
         if self.cache is not None:
-            self.telemetry.record_backend_stats(
-                self.cache.counters_snapshot(),
-                backend_id=f"{type(self.cache).__name__}:{id(self.cache)}")
+            self.telemetry.cache_backend = self.cache.counters_snapshot()
         return [by_hash[digest] for digest in order]
 
     # -- cache -----------------------------------------------------------------------
@@ -223,7 +219,10 @@ class Runner:
         if entry is None:
             return None
         wall = entry.get("wall_time", 0.0)
-        self.telemetry.record_cache_hit(spec.label(), wall, digest)
+        self.telemetry.counters["cache_hits"] += 1
+        self.telemetry.records.append({"spec": digest, "label": spec.label(),
+                                       "cached": True, "wall_time": wall,
+                                       "attempts": 0})
         return RunResult(spec, stats=SimStats.from_dict(entry["stats"]),
                          cached=True, wall_time=wall,
                          stats_dict=entry["stats"],

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..resilience.config import ResilienceConfig
-from ..resilience.ladder import STEP_FULL, ladder_steps
+from ..resilience.ladder import STEP_FULL
 from ..runner.cache import ResultCache
 from ..runner.executor import RunResult
 from ..runner.spec import RunSpec
@@ -475,31 +475,32 @@ def _executed_by(record: Optional[Dict], worker_ids) -> bool:
 
 def _fold(telemetry: RunnerTelemetry, spec: RunSpec, result: RunResult,
           record: Optional[Dict], kills) -> None:
-    """Record one batch result in ``telemetry``.  ``record`` is the done
-    record when the client's own workers executed the job (their events
-    happened in other processes, or without a telemetry sink)."""
-    label, digest = spec.label(), spec.content_hash()
-    for reason in kills:
-        telemetry.record_watchdog_kill(label, reason)
+    """Write one batch result into ``telemetry``'s counters and records.
+    ``record`` is the done record when the client's own workers executed
+    the job (their events happened in other processes, or without a
+    telemetry sink)."""
+    c = telemetry.counters
+    c["watchdog_kills"] += len(kills)
+    row = {"spec": spec.content_hash(), "label": spec.label(),
+           "cached": record is None, "wall_time": result.wall_time,
+           "attempts": result.attempts}
     if record is None and result.ok:
         # Another worker (or a concurrent client) paid for this
         # simulation: a service-level dedupe.
-        telemetry.record_dedupe(label, digest)
+        c["deduped"] += 1
+        telemetry.records.append(dict(row, deduped=True, wall_time=0.0))
         return
     if record is not None:
-        for _ in range(record["attempts"]):
-            telemetry.record_launch(label)
-        for step, kind in zip(ladder_steps(spec)[1:],
-                              record.get("degraded_after", ())):
-            telemetry.record_degraded(label, step, kind)
-        if record.get("resumed_from_cycle") is not None:
-            telemetry.record_resume(label, record["resumed_from_cycle"])
-        telemetry.record_checkpoints(record.get("checkpoints", 0))
+        c["launched"] += record["attempts"]
+        descents = len(record.get("degraded_after", ()))
+        c["degraded"] += descents > 0
+        c["descents"] += descents
+        c["resumes"] += record.get("resumed_from_cycle") is not None
+        c["checkpoints"] += record.get("checkpoints", 0)
+    c["retries"] += max(result.attempts - 1, 0)
     if result.ok:
-        telemetry.record_complete(label, result.wall_time,
-                                  result.attempts, digest)
+        c["executed"] += 1
+        telemetry.records.append(row)
         return
-    if "poisoned" in result.metrics:
-        telemetry.record_skip(label, result.error)
-    telemetry.record_failure(label, result.error or "failed",
-                             result.attempts)
+    c["poisoned"] += "poisoned" in result.metrics
+    c["failures"] += 1

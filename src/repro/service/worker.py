@@ -53,6 +53,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..guard import faultinject
 from ..guard.errors import ResourceBudgetError
+from ..obs.record import SCHEMA, counters
 from ..resilience.config import ResilienceConfig
 from ..resilience.ladder import degrade_spec, ladder_steps
 from ..runner.cache import ResultCache
@@ -126,16 +127,10 @@ class ServiceWorker:
         #: kill the client.
         self.on_result: Optional[Callable[[str, Dict], None]] = None
         self.started = time.time()
-        # Counters mirrored into the summary file for cross-process
-        # assertions ("exactly one simulation per unique spec hash").
-        self.executed = 0
-        self.deduped = 0
-        self.failures = 0
-        self.requeues = 0
-        self.stolen = 0
-        self.degraded = 0
-        self.resumes = 0
-        self.checkpoints = 0
+        #: The run record's counter map, mirrored into the summary file
+        #: for cross-process assertions ("exactly one simulation per
+        #: unique spec hash").
+        self.counters: Dict[str, int] = counters()
         #: step -> count of jobs that completed at that ladder rung
         #: (full-capability completions are not recorded here).
         self.ladder: Dict[str, int] = {}
@@ -148,7 +143,7 @@ class ServiceWorker:
         if lease is None:
             return None
         if lease.stolen:
-            self.stolen += 1
+            self.counters["stolen_leases"] += 1
         return self._process(lease)
 
     def _process(self, lease: Lease) -> str:
@@ -161,7 +156,7 @@ class ServiceWorker:
             os._exit(CRASH_EXIT_STATUS)
         entry = self.backend.get(spec)
         if entry is not None:
-            self.deduped += 1
+            self.counters["deduped"] += 1
             lease.complete(executed=False,
                            wall_time=entry.get("wall_time", 0.0),
                            worker=self.worker_id)
@@ -175,6 +170,7 @@ class ServiceWorker:
                      + int(lease.job.get("steals", 0)))
             for site in _WORKER_SITES:
                 faultinject.sync_fired(site, prior)
+        self.counters["launched"] += 1
         try:
             payload, executed_spec, descents = self._execute(spec, lease)
         except Exception as exc:  # noqa: BLE001 - routed to the queue
@@ -184,10 +180,7 @@ class ServiceWorker:
                 f"{type(exc).__name__}: {exc}", worker=self.worker_id,
                 fault_site=fault_site,
                 traceback_text=traceback.format_exc(limit=8))
-            if requeued:
-                self.requeues += 1
-            else:
-                self.failures += 1
+            self.counters["retries" if requeued else "failures"] += 1
             return digest
         wall = payload.get("wall_time", 0.0)
         res_record = payload.get("resilience") or {}
@@ -198,7 +191,8 @@ class ServiceWorker:
             # degraded result lives under its own content hash) the
             # done record carries the redirect clients need to find it.
             step = ladder_steps(spec)[len(descents)]
-            self.degraded += 1
+            self.counters["degraded"] += 1
+            self.counters["descents"] += len(descents)
             self.ladder[step] = self.ladder.get(step, 0) + 1
             metrics["resilience"] = {"ladder_step": step,
                                      "reasons": res_record["reasons"]}
@@ -206,10 +200,10 @@ class ServiceWorker:
                         executed_spec=executed_spec.key(),
                         executed_hash=executed_spec.content_hash())
         if res_record.get("resumed_from_cycle") is not None:
-            self.resumes += 1
+            self.counters["resumes"] += 1
             meta["resumed_from_cycle"] = res_record["resumed_from_cycle"]
         if res_record.get("checkpoints"):
-            self.checkpoints += res_record["checkpoints"]
+            self.counters["checkpoints"] += res_record["checkpoints"]
             meta["checkpoints"] = res_record["checkpoints"]
         self.backend.put(executed_spec, payload["stats"], wall,
                          metrics=metrics or None)
@@ -223,7 +217,7 @@ class ServiceWorker:
             os._exit(CRASH_EXIT_STATUS)
         lease.complete(executed=True, wall_time=wall,
                        worker=self.worker_id, meta=meta)
-        self.executed += 1
+        self.counters["executed"] += 1
         return digest
 
     def _execute(self, spec: RunSpec,
@@ -312,20 +306,17 @@ class ServiceWorker:
     # -- summary ---------------------------------------------------------------------
 
     def summary(self) -> Dict:
+        """This worker's run record: its counters under the record's
+        names, its ladder rungs, its store's counters and, when a fault
+        plan is installed, the fault scorecard."""
         doc = {
+            "schema": SCHEMA,
             "worker": self.worker_id,
             "pid": os.getpid(),
             "started": self.started,
             "finished": time.time(),
-            "executed": self.executed,
-            "deduped": self.deduped,
-            "failures": self.failures,
-            "requeues": self.requeues,
-            "stolen_leases": self.stolen,
-            "degraded": self.degraded,
+            **self.counters,
             "ladder": dict(self.ladder),
-            "resumes": self.resumes,
-            "checkpoints": self.checkpoints,
             "backend": self.backend.counters_snapshot(),
         }
         faults = faultinject.snapshot()

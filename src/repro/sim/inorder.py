@@ -264,11 +264,6 @@ class InOrderSimulator:
             self._prof_next = self._now
         else:
             self._prof_next = _FAR_FUTURE
-        # Snapshots pickled before the scoreboard bound existed lack the
-        # slot; recompute it exactly from the restored scoreboard.
-        for ctx in self.contexts:
-            if ctx is not None and not hasattr(ctx, "ready_bound"):
-                ctx.ready_bound = max(ctx.reg_ready.values(), default=0)
         # Derived reap-trigger state (not part of the snapshot): rebuild
         # from the restored contexts.  Dead-but-unreaped contexts are
         # handled by the unconditional reap pass on the first iteration

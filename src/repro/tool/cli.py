@@ -85,6 +85,7 @@ from ..obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from ..obs.record import render_counters
 from ..runner import (
     ResultCache,
     Runner,
@@ -168,6 +169,66 @@ def _print_prefetch_effectiveness(stats, delinquent_uids) -> None:
               f"prefetches {m['prefetches_issued']})")
 
 
+def _simulate(artifacts: WorkloadArtifacts, ssp_spec: RunSpec,
+              runner: Runner, tracer, profiler, observing: bool):
+    """Simulate the adapted binary of ``artifacts`` on ``ssp_spec``'s
+    model: (stats, baseline cycles, context trace, resilience meta), or
+    None when a simulation failed.
+
+    An observed in-order run is context-traced and a profiled run is
+    in-process (the profiler hooks the live run loop); both bypass the
+    runner.  Everything else, and the OOO baseline, goes through
+    ``runner``.
+    """
+    model = ssp_spec.model
+    base_spec = RunSpec.create(ssp_spec.workload, scale=ssp_spec.scale,
+                               model=model, variant="base")
+    traced = observing and model == "inorder"
+    specs = [] if traced or profiler is not None else [ssp_spec]
+    if model != "inorder":
+        specs.append(base_spec)
+    results = runner.run(specs)
+    for result in results:
+        if not result.ok:
+            print(f"      simulation failed: {result.error}",
+                  file=sys.stderr)
+            return None
+    base = (results[-1].stats.cycles if model != "inorder"
+            else artifacts.profile.baseline_cycles)
+    if specs and specs[0] is ssp_spec:
+        return (results[0].stats, base, None,
+                results[0].metrics.get("resilience"))
+    program = artifacts.tool_result.program
+    heap = artifacts.workload.build_heap()
+    context_trace = None
+    if traced:
+        from ..sim import trace_run
+        with tracer.span("simulate", category="sim") as sp:
+            stats, context_trace = trace_run(program, heap,
+                                             profiler=profiler)
+            sp.set(cycles=stats.cycles, spawns=stats.spawns)
+    else:
+        from ..sim import make_simulator
+        sim = make_simulator(program, heap, model)
+        sim.attach_profiler(profiler)
+        stats = sim.run()
+    artifacts.workload.check_output(heap)
+    return stats, base, context_trace, None
+
+
+def _run_record(artifacts: WorkloadArtifacts, spec: RunSpec, tracer,
+                runner: Runner, stats=None, baseline=None,
+                resilience_meta=None, profiler=None, fleet=None) -> dict:
+    """The run record of one workload run: the document of both
+    ``--metrics-json`` and ``report WORKLOAD``."""
+    return collect_metrics(
+        spec.workload, spec.scale, spec.model, profile=artifacts.profile,
+        tool_result=artifacts.tool_result, stats=stats,
+        baseline_cycles=baseline, tracer=tracer,
+        telemetry=runner.telemetry, resilience=resilience_meta,
+        profiler=profiler, fleet=fleet)
+
+
 def _adapt_and_report(name: str, scale: str, model: str,
                       show_disassembly: bool, runner: Runner,
                       trace: Optional[str] = None,
@@ -214,59 +275,11 @@ def _adapt_and_report(name: str, scale: str, model: str,
           f"avg live-ins={row['avg_live_ins']:.1f}")
 
     print(f"[3/4] simulating the SSP-enhanced binary ({model}) ...")
-    context_trace = None
-    resilience_meta = None
-    if model == "inorder":
-        if observing:
-            # A context-traced simulation (bypasses the runner so the
-            # exporters get per-context occupancy + sim events).
-            from ..sim import trace_run
-            with tracer.span("simulate", category="sim") as sp:
-                heap = artifacts.workload.build_heap()
-                stats, context_trace = trace_run(result.program, heap,
-                                                 profiler=profiler)
-                artifacts.workload.check_output(heap)
-                sp.set(cycles=stats.cycles, spawns=stats.spawns)
-        elif profiler is not None:
-            # A profiled simulation is in-process by necessity (the
-            # profiler hooks the live run loop), bypassing the runner.
-            from ..sim import make_simulator
-            heap = artifacts.workload.build_heap()
-            sim = make_simulator(result.program, heap, "inorder")
-            sim.attach_profiler(profiler)
-            stats = sim.run()
-            artifacts.workload.check_output(heap)
-        else:
-            ssp_result = runner.run_one(ssp_spec)
-            if not ssp_result.ok:
-                print(f"      simulation failed: {ssp_result.error}",
-                      file=sys.stderr)
-                return _guard_exit_code(guard, EXIT_FAILURE)
-            stats = ssp_result.stats
-            resilience_meta = ssp_result.metrics.get("resilience")
-        base = profile.baseline_cycles
-    else:
-        base_spec = RunSpec.create(name, scale=scale, model=model,
-                                   variant="base")
-        if profiler is not None:
-            from ..sim import make_simulator
-            heap = artifacts.workload.build_heap()
-            sim = make_simulator(result.program, heap, "ooo")
-            sim.attach_profiler(profiler)
-            stats = sim.run()
-            artifacts.workload.check_output(heap)
-            base_result = runner.run_one(base_spec)
-            if base_result.stats is None:
-                print("      simulation failed", file=sys.stderr)
-                return _guard_exit_code(guard, EXIT_FAILURE)
-            base = base_result.stats.cycles
-        else:
-            ssp_result, base_result = runner.run([ssp_spec, base_spec])
-            if ssp_result.stats is None or base_result.stats is None:
-                print("      simulation failed", file=sys.stderr)
-                return _guard_exit_code(guard, EXIT_FAILURE)
-            stats, base = ssp_result.stats, base_result.stats.cycles
-            resilience_meta = ssp_result.metrics.get("resilience")
+    run = _simulate(artifacts, ssp_spec, runner, tracer, profiler,
+                    observing)
+    if run is None:
+        return _guard_exit_code(guard, EXIT_FAILURE)
+    stats, base, context_trace, resilience_meta = run
     print(f"      {model} baseline: {base} cycles; SSP: {stats.cycles} "
           f"cycles; speedup {base / stats.cycles:.2f}x")
     print(f"      spawns={stats.spawns} chk fired/ignored="
@@ -299,11 +312,8 @@ def _adapt_and_report(name: str, scale: str, model: str,
         print(f"      trace written to {trace} (JSONL) and "
               f"{chrome_path} (Perfetto/chrome://tracing)")
     if metrics_json:
-        metrics = collect_metrics(
-            name, scale, model, profile=profile, tool_result=result,
-            stats=stats, baseline_cycles=base, tracer=tracer,
-            telemetry=runner.telemetry, resilience=resilience_meta,
-            profiler=profiler)
+        metrics = _run_record(artifacts, ssp_spec, tracer, runner, stats,
+                              base, resilience_meta, profiler)
         with open(metrics_json, "w", encoding="utf-8") as fh:
             json.dump(metrics, fh, indent=2, sort_keys=True)
         print(f"      metrics written to {metrics_json}")
@@ -662,10 +672,8 @@ def _service_command(argv: List[str]) -> int:
             if injector is not None:
                 faultinject.uninstall()
         print(f"worker {worker.worker_id}: {processed} job(s) — "
-              f"{worker.executed} executed, {worker.deduped} deduped, "
-              f"{worker.failures} failed, {worker.requeues} requeued, "
-              f"{worker.stolen} stolen lease(s), {worker.degraded} "
-              f"degraded, {worker.resumes} resumed")
+              + render_counters(worker.counters,
+                                always=("executed", "deduped", "failures")))
         if injector is not None and injector.fired:
             fired = "  ".join(f"{site}={count}" for site, count
                               in sorted(injector.fired.items()))
@@ -749,8 +757,10 @@ def _report_command(argv: List[str]) -> int:
     parser.add_argument("--model", default="inorder",
                         choices=("inorder", "ooo"))
     parser.add_argument("--from", dest="from_file", metavar="FILE",
-                        help="render a saved --metrics-json document "
-                             "instead of running anything")
+                        help="render a saved run-record document "
+                             "(--metrics-json, --telemetry-json or "
+                             "'service top --json') instead of running "
+                             "anything")
     parser.add_argument("--fleet", action="store_true",
                         help="also aggregate and render the service "
                              "root's fleet telemetry (workers, queue, "
@@ -770,36 +780,18 @@ def _report_command(argv: List[str]) -> int:
     spec = RunSpec.create(args.workload, scale=args.scale,
                           model=args.model, variant="ssp")
     artifacts = _observed_artifacts(spec, tracer)
-    profile = artifacts.profile
-    result = artifacts.tool_result
-    stats = None
-    baseline = (profile.baseline_cycles if args.model == "inorder"
-                else None)
-    telemetry = None
-    if result.adapted is not None:
-        if args.model == "inorder":
-            from ..sim import trace_run
-            with tracer.span("simulate", category="sim") as sp:
-                heap = artifacts.workload.build_heap()
-                stats, _ = trace_run(result.program, heap)
-                artifacts.workload.check_output(heap)
-                sp.set(cycles=stats.cycles, spawns=stats.spawns)
-        else:
-            runner = Runner()
-            base_spec = RunSpec.create(args.workload, scale=args.scale,
-                                       model=args.model, variant="base")
-            stats = runner.stats(spec)
-            baseline = runner.stats(base_spec).cycles
-            telemetry = runner.telemetry
+    runner = Runner()
+    run = None
+    if artifacts.tool_result.adapted is not None:
+        run = _simulate(artifacts, spec, runner, tracer, None,
+                        observing=True)
+    stats, base, _, resilience_meta = run or (None, None, None, None)
     fleet = None
     if args.fleet:
         from ..obs import collect_fleet
         fleet = collect_fleet()
-    metrics = collect_metrics(
-        args.workload, args.scale, args.model, profile=profile,
-        tool_result=result, stats=stats, baseline_cycles=baseline,
-        tracer=tracer, telemetry=telemetry, fleet=fleet)
-    print(render_report(metrics))
+    print(render_report(_run_record(artifacts, spec, tracer, runner, stats,
+                                    base, resilience_meta, fleet=fleet)))
     return 0
 
 

@@ -314,14 +314,14 @@ class TestReportPartialDocuments:
         from repro.runner import RunnerTelemetry
         doc = {"workload": "x", "runner": RunnerTelemetry().snapshot()}
         text = render_report(doc)
-        assert "runner: 0 simulated" in text
+        assert "runner: 0 launched" in text
         assert "0% hit rate" in text
 
     def test_runner_section_missing_newer_keys(self):
         # An old metrics document from before service/resilience mode.
         doc = {"runner": {"launched": 2, "cache_hits": 1}}
         text = render_report(doc)
-        assert "runner: 2 simulated" in text
+        assert "runner: 2 launched" in text
         assert "resilience" not in text
 
     def test_guard_section_with_bare_diagnostics(self):
@@ -375,38 +375,28 @@ class TestHistogramPercentileCache:
 class TestTelemetryBackendAccumulation:
     def test_empty_until_recorded(self):
         from repro.runner import RunnerTelemetry
-        assert RunnerTelemetry().backend_stats is None
+        assert RunnerTelemetry().snapshot()["cache_backend"] is None
 
-    def test_same_backend_keeps_latest_snapshot(self):
-        from repro.runner import RunnerTelemetry
-        telemetry = RunnerTelemetry()
-        telemetry.record_backend_stats({"kind": "local", "hits": 1},
-                                       backend_id="a")
-        telemetry.record_backend_stats({"kind": "local", "hits": 5},
-                                       backend_id="a")
-        # Counters are cumulative per backend: latest snapshot wins.
-        assert telemetry.backend_stats == {"kind": "local", "hits": 5}
+    def test_same_backend_keeps_latest_snapshot(self, tmp_path):
+        from repro.runner import ResultCache, Runner, RunSpec
+        cache = ResultCache(root=tmp_path / "cache")
+        runner = Runner(cache=cache, task_fn=_fake_payload)
+        spec = RunSpec.create("mcf", scale="tiny", variant="base")
+        runner.run_one(spec)
+        assert runner.telemetry.snapshot()["cache_backend"]["hits"] == 0
+        runner.run_one(spec)
+        # The cache's counters are cumulative: the latest snapshot wins.
+        assert runner.telemetry.snapshot()["cache_backend"] \
+            == cache.counters_snapshot()
+        assert runner.telemetry.snapshot()["cache_backend"]["hits"] == 1
 
-    def test_distinct_backends_accumulate_across_batches(self):
-        from repro.runner import RunnerTelemetry
-        telemetry = RunnerTelemetry()
-        telemetry.record_backend_stats(
-            {"kind": "local", "hits": 2, "puts": 1}, backend_id="a")
-        telemetry.record_backend_stats(
-            {"kind": "shared", "hits": 3, "misses": 4}, backend_id="b")
-        merged = telemetry.backend_stats
-        assert merged["hits"] == 5
-        assert merged["puts"] == 1
-        assert merged["misses"] == 4
-        assert merged["kind"] == "mixed"
-        assert merged["backends"] == 2
 
-    def test_snapshot_carries_merged_stats(self):
-        from repro.runner import RunnerTelemetry
-        telemetry = RunnerTelemetry()
-        telemetry.record_backend_stats({"hits": 1}, backend_id="a")
-        telemetry.record_backend_stats({"hits": 2}, backend_id="b")
-        assert telemetry.snapshot()["cache_backend"]["hits"] == 3
+def _fake_payload(spec):
+    from repro.sim.caches import MemorySystem
+    from repro.sim.config import MachineConfig
+    from repro.sim.stats import SimStats
+    stats = SimStats(MemorySystem(MachineConfig())).to_dict()
+    return {"stats": stats, "wall_time": 0.5}
 
 
 _EXECUTE_INTO_CACHE = """
@@ -459,15 +449,18 @@ class TestRunnerMetricsPassthrough:
         result = Runner(cache=cache).run_one(spec)
         assert result.ok and result.metrics == {}
 
-    def test_telemetry_to_dict(self):
-        from repro.runner import RunnerTelemetry
-        telemetry = RunnerTelemetry()
-        telemetry.record_launch("x")
-        telemetry.record_complete("x", 1.5, 1, "abc")
-        doc = telemetry.to_dict()
+    def test_telemetry_to_dict(self, tmp_path):
+        from repro.obs import SCHEMA
+        from repro.runner import Runner, RunSpec
+        runner = Runner(cache=None, task_fn=_fake_payload)
+        spec = RunSpec.create("mcf", scale="tiny", variant="base")
+        runner.run_one(spec)
+        doc = runner.telemetry.to_dict()
         json.dumps(doc)
-        assert doc["summary"]["launched"] == 1
-        assert doc["records"][0]["label"] == "x"
+        assert doc["schema"] == SCHEMA
+        assert doc["runner"]["launched"] == 1
+        assert doc["runner"]["sim_wall_time"] == 0.5
+        assert doc["records"][0]["label"] == spec.label()
 
 
 class TestCLIObservability:
@@ -494,7 +487,7 @@ class TestCLIObservability:
         saved = json.loads(metrics.read_text())
         assert saved["workload"] == "treeadd.df"
         assert saved["delinquent_loads"]
-        assert "summary" in json.loads(telemetry.read_text())
+        assert "runner" in json.loads(telemetry.read_text())
 
     def test_plain_run_still_prints_effectiveness(self, capsys):
         assert main(["treeadd.df", "--scale", "tiny", "--no-cache"]) == 0

@@ -11,13 +11,16 @@ import time
 
 import pytest
 
+from repro.guard import injecting
 from repro.obs import (
+    COUNTERS,
     collect_fleet,
     fleet_summary_lines,
     render_fleet,
     render_report,
 )
-from repro.runner import RunSpec
+from repro.resilience import ResilienceConfig
+from repro.runner import Runner, RunSpec
 from repro.service import ServiceClient, ServiceConfig, ServiceWorker
 from repro.tool.cli import main
 
@@ -85,14 +88,43 @@ class TestCollectFleet:
         # spec; the queue skips it (already done), so fake the summary.
         summary = {"worker": "w2", "pid": 999, "started": 100.0,
                    "finished": 110.0, "executed": 0, "deduped": 3,
-                   "failures": 0, "requeues": 0, "stolen_leases": 0,
+                   "failures": 0, "retries": 0, "stolen_leases": 0,
                    "backend": {}}
         path = drained_root.root / "workers" / "w2.json"
         path.write_text(json.dumps(summary), encoding="utf-8")
         doc = collect_fleet(config=drained_root)
         assert doc["totals"]["workers"] == 2
         assert doc["totals"]["deduped"] == 3
-        assert doc["totals"]["dedupe_rate"] == pytest.approx(3 / 4)
+        assert doc["totals"]["hit_rate"] == pytest.approx(3 / 4)
+
+
+class TestOneCounterVocabulary:
+    def test_a_degraded_job_reads_the_same_in_every_view(self, tmp_path):
+        """One job degraded once by an injected OOM, through a resilient
+        Runner and through an inline resilient ServiceWorker: the runner
+        telemetry, the worker summary and the fleet totals all count it
+        under the same keys."""
+        spec = RunSpec.create("mcf", scale="tiny", model="inorder",
+                              variant="ssp")
+        runner = Runner(jobs=1, cache=None, service=None,
+                        resilience=ResilienceConfig())
+        with injecting("worker.oom:1:1"):
+            assert runner.run_one(spec).ok
+        telemetry = runner.telemetry.snapshot()
+
+        config = ServiceConfig(root=tmp_path / "svc")
+        ServiceClient(config=config).submit([spec])
+        worker = ServiceWorker(config.make_queue(), config.make_backend(),
+                               resilience=ResilienceConfig())
+        with injecting("worker.oom:1:1"):
+            assert worker.drain() == 1
+        summary = json.loads(worker.write_summary().read_text())
+        totals = collect_fleet(config=config)["totals"]
+
+        for view in (telemetry, summary, totals):
+            assert set(COUNTERS) <= set(view)
+            for name in ("degraded", "descents", "launched", "executed"):
+                assert view[name] == 1, (name, view)
 
 
 class TestRendering:

@@ -397,9 +397,9 @@ def test_watchdog_kills_hung_worker_and_its_spec_completes():
     meta = result.metrics["resilience"]
     assert meta["watchdog_kills"] >= 1
     assert meta["ladder_step"] == STEP_FULL
-    counters = runner.telemetry.snapshot()["resilience"]
+    counters = runner.telemetry.snapshot()
     assert counters["watchdog_kills"] >= 1
-    assert counters["skips"] == 0
+    assert counters["poisoned"] == 0
 
 
 def test_oom_walks_the_ladder_down_to_unadapted():
@@ -415,9 +415,9 @@ def test_oom_walks_the_ladder_down_to_unadapted():
     meta = result.metrics["resilience"]
     assert meta["ladder_step"] == STEP_UNADAPTED
     assert meta["executed_spec"]["variant"] == "base"
-    counters = runner.telemetry.snapshot()["resilience"]
-    assert counters["degraded_runs"] == 3
-    assert counters["skips"] == 0
+    counters = runner.telemetry.snapshot()
+    assert counters["descents"] == 3
+    assert counters["poisoned"] == 0
 
 
 def test_unrecoverable_spec_is_skipped_with_diagnostic():

@@ -214,6 +214,31 @@ class TestRunnerCaching:
         assert snap["sim_wall_time"] == pytest.approx(0.75)
         assert snap["saved_wall_time"] == pytest.approx(0.25)
 
+    def test_hit_rate_counts_each_spec_once(self, tmp_path):
+        cache = ResultCache(root=tmp_path / "cache")
+        cached = fake_spec("a")
+        Runner(cache=cache, task_fn=counting_task).run_one(cached)
+        retried = fake_spec(str(tmp_path / "marker"), scale="small")
+        runner = Runner(cache=cache, retries=1, task_fn=marker_task)
+        assert all(r.ok for r in runner.run([cached, retried]))
+        snap = runner.telemetry.snapshot()
+        # Two specs asked for, one served cached; the retry is one more
+        # attempt of the same spec, not another request.
+        assert snap["hit_rate"] == pytest.approx(0.5)
+        assert snap["requests"] == 2
+        assert snap["launched"] == 2
+        assert snap["retries"] == 1
+
+    def test_failed_spec_is_one_request(self):
+        def always_fails(spec):
+            raise RuntimeError("boom")
+        runner = Runner(cache=None, retries=1, task_fn=always_fails)
+        assert not runner.run_one(fake_spec()).ok
+        snap = runner.telemetry.snapshot()
+        assert snap["requests"] == 1
+        assert snap["launched"] == 2
+        assert snap["failures"] == 1
+
 
 class TestRetryAndTimeout:
     def test_serial_retry_on_transient_failure(self, tmp_path):
@@ -290,22 +315,23 @@ class TestExperimentIntegration:
             "tiny", runner=Runner(cache=ResultCache(root=cache_root)))
         first = figure8.run(context=cold, scale="tiny",
                             benchmarks=["mcf"])
-        assert cold.telemetry.launched > 0
+        assert cold.telemetry.counters["launched"] > 0
 
         clear_artifact_cache()   # simulate a fresh process
         warm = ExperimentContext(
             "tiny", runner=Runner(cache=ResultCache(root=cache_root)))
         second = figure8.run(context=warm, scale="tiny",
                              benchmarks=["mcf"])
-        assert warm.telemetry.launched == 0
-        assert warm.telemetry.cache_hits == cold.telemetry.launched
+        assert warm.telemetry.counters["launched"] == 0
+        assert warm.telemetry.counters["cache_hits"] \
+            == cold.telemetry.counters["launched"]
         assert first.rows == second.rows
 
     def test_context_memoises_stats_objects(self):
         context = ExperimentContext("tiny", runner=Runner(cache=None))
         run = context.run("mcf")
         assert run.stats("inorder", "base") is run.stats("inorder", "base")
-        assert context.telemetry.memo_hits == 1
+        assert context.telemetry.counters["memo_hits"] == 1
 
 
 def own_roots_task(spec):

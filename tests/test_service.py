@@ -130,8 +130,8 @@ class TestRunBatch:
         assert len(results) == 3
         assert all(r.ok and not r.cached for r in results)
         assert len(_CALLS) == len(set(_CALLS)) == 3
-        assert telemetry.launched == 3
-        assert telemetry.dedupe_hits == 0
+        assert telemetry.counters["launched"] == 3
+        assert telemetry.counters["deduped"] == 0
 
     def test_second_client_sees_dedupe_hits(self, tmp_path):
         specs = [spec_n(0), spec_n(1)]
@@ -143,9 +143,9 @@ class TestRunBatch:
             specs, telemetry=telemetry, task_fn=fake_task, timeout=30)
         assert all(r.ok and r.cached for r in results)
         assert _CALLS == []
-        assert telemetry.launched == 0
-        assert telemetry.dedupe_hits == 2
-        assert telemetry.hit_rate == 1.0
+        assert telemetry.counters["launched"] == 0
+        assert telemetry.counters["deduped"] == 2
+        assert telemetry.snapshot()["hit_rate"] == 1.0
 
     def test_terminal_failure_surfaces_once(self, tmp_path):
         client = make_client(tmp_path, max_attempts=1)
@@ -154,7 +154,7 @@ class TestRunBatch:
                                    task_fn=failing_task, timeout=30)
         assert not results[0].ok
         assert "kaboom" in results[0].error
-        assert telemetry.failures == 1
+        assert telemetry.counters["failures"] == 1
 
     def test_requeue_then_success(self, tmp_path):
         client = make_client(tmp_path, max_attempts=3)
@@ -249,7 +249,7 @@ class TestRunnerServiceMode:
         again = second.run(specs)
         assert all(r.cached for r in again)
         assert len(_CALLS) == 2
-        assert second.telemetry.cache_hits == 2
+        assert second.telemetry.counters["cache_hits"] == 2
 
     def test_service_stats_match_standalone(self, tmp_path):
         spec = RunSpec.create("treeadd.df", variant="ssp")

@@ -399,7 +399,7 @@ class TestWorkerCrashSite:
                                     task_fn=fake_task,
                                     worker_id="rescuer")
             assert rescuer.step() == digest
-            assert rescuer.stolen == 1
+            assert rescuer.counters["stolen_leases"] == 1
             assert injector.recovered["worker.crash"] >= 1
         assert client.queue.state_of(digest) == "done"
 
@@ -420,7 +420,7 @@ class TestServiceLadder:
         # OOM; the fourth (unadapted) completes.
         with injecting("worker.oom:1:3"):
             assert worker.step() == spec.content_hash()
-        assert worker.degraded == 1
+        assert worker.counters["degraded"] == 1
         assert worker.ladder == {STEP_UNADAPTED: 1}
 
         record = client.queue.read_done(spec.content_hash())
@@ -685,7 +685,7 @@ class TestChaosFleet:
 
         # The fleet document folds the survivors' fault scorecards.
         doc = collect_fleet(config=config)
-        assert doc["schema"] == 2
+        assert doc["schema"] == 3
         if doc.get("faults"):
             assert set(doc["faults"]) <= {"worker.crash",
                                           "backend.put.partial"}
