@@ -3,8 +3,10 @@ fuzzing.
 
 Four layers of assurance over the post-pass adaptation pipeline:
 
-* :mod:`repro.check.lint` — static rules (control-flow integrity,
-  register discipline, trigger legality) over adapted binaries;
+* :mod:`repro.check.lint` — the static rules over adapted binaries
+  (Figure 7 shape, control-flow integrity, register discipline, trigger
+  legality); the emitter runs the shape rules through
+  ``verify_adapted_binary`` before it ships a binary;
 * :mod:`repro.check.proof` — the static equivalence proof the tool's
   verify stage tries before it runs the shadow check;
 * :mod:`repro.check.oracle` — cross-model differential testing of the
@@ -25,6 +27,7 @@ import importlib
 _EXPORTS = {
     "FuzzReport": ".fuzz", "run_case": ".fuzz", "run_fuzz": ".fuzz",
     "LintViolation": ".lint", "lint_program": ".lint",
+    "VerificationError": ".lint", "verify_adapted_binary": ".lint",
     "OracleResult": ".oracle", "run_oracle": ".oracle",
     "prove_equivalent": ".proof",
 }

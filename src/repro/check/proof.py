@@ -19,23 +19,23 @@ and the caller then runs the differential check as before.
 Obligations, in order:
 
 1. ``verify`` — the linked code the shadow run would step is the
-   blocks' (the binary was finalised after its last edit), and
-   :func:`~repro.codegen.verify.verify_adapted_binary` passes, so every
-   stub is ``lib.st* ; spawn ; rfi`` and writes no register;
-2. ``lint`` — :func:`~repro.check.lint.lint_program` reports nothing;
-3. ``main-code`` — the entry and the function table are the
-   original's, every original function keeps its main-code blocks in
-   order, and each main-code block is the original's with only ``chk.c``
-   added and ``nop`` removed, compared by content (op, operands,
-   predicate, target, relation), not only by uid as the linter does;
-4. ``speculative`` — stub instructions are unpredicated with live-in
+   blocks' (the binary was finalised after its last edit);
+2. ``lint`` — :func:`~repro.check.lint.lint_program` reports nothing.
+   Among its rules: every stub is ``lib.st* ; spawn ; rfi`` and so
+   writes no register, and ``trig.main-code-preserved`` holds — the
+   entry and the function table are the original's, every original
+   function keeps its main-code blocks in order, and each main-code
+   block is the original's with only ``chk.c`` added and ``nop``
+   removed, compared by uid and by content (op, operands, predicate,
+   target, relation);
+3. ``speculative`` — stub instructions are unpredicated with live-in
    slots inside the buffer, and no instruction a spawned thread can
    reach is a store, an ``rfi`` or a ``br.call.ind``, shifts by a
    register or by an amount outside 0..63, names a live-in slot outside
    the buffer, or falls off the end of the code — everything else a
    speculative thread does is contained silently by the shadow
    interpreter;
-5. ``reference`` — the profile recorded a run of this very binary, the
+4. ``reference`` — the profile recorded a run of this very binary, the
    adapted main thread provably fits the shadow run's step limit, and
    the verify heap is the recorded run's initial heap.
 
@@ -45,16 +45,9 @@ first; it is tried only after the static ones hold.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
-from ..codegen.verify import (
-    FIRE_LIMIT,
-    MAX_SHADOW_STEPS,
-    SLICE_PREFIX,
-    STUB_PREFIX,
-    VerificationError,
-    verify_adapted_binary,
-)
+from ..codegen.verify import FIRE_LIMIT, MAX_SHADOW_STEPS
 from ..isa.instructions import (
     OP_BR,
     OP_BR_COND,
@@ -65,7 +58,6 @@ from ..isa.instructions import (
     OP_KILL,
     OP_LIB_LD,
     OP_LIB_ST,
-    OP_NOP,
     OP_RET,
     OP_RFI,
     OP_SPAWN,
@@ -76,7 +68,7 @@ from ..isa.interp import LIB_SLOTS
 from ..isa.memory import Heap
 from ..isa.program import Program
 from ..profiling.profile import ProgramProfile
-from .lint import lint_program
+from .lint import is_speculative, lint_program
 
 #: Ops a speculative thread must never reach: a store raises, an ``rfi``
 #: has no recovery to return to, and an indirect call can enter main
@@ -86,44 +78,6 @@ _SHIFTS = frozenset({"shl", "shr"})
 #: Ops after which control does not fall through to the next pc (when
 #: unpredicated).
 _NO_FALLTHROUGH = frozenset({OP_BR, OP_RET, OP_KILL, OP_HALT})
-
-
-def _content(instr: Instruction) -> Tuple:
-    return (instr.op, instr.dest, tuple(instr.srcs), instr.imm, instr.pred,
-            instr.target, instr.relation)
-
-
-def _speculative(label: str) -> bool:
-    return label.startswith(STUB_PREFIX) or label.startswith(SLICE_PREFIX)
-
-
-def _main_code_preserved(original: Program, adapted: Program
-                         ) -> Optional[str]:
-    if adapted.entry != original.entry:
-        return "entry function changed"
-    ids = original.function_by_id
-    if adapted.function_by_id[:len(ids)] != ids:
-        return "function table changed"
-    for name, orig_func in original.functions.items():
-        func = adapted.functions.get(name)
-        if func is None:
-            return f"{name}: function missing"
-        blocks = [b for b in func.blocks if not _speculative(b.label)]
-        if [b.label for b in blocks] != [b.label for b in orig_func.blocks]:
-            return f"{name}: main-code blocks changed"
-        for block, orig in zip(blocks, orig_func.blocks):
-            kept = [i for i in block.instrs if i.op != OP_CHK_C]
-            j = 0
-            for instr in orig.instrs:
-                if j < len(kept) and kept[j].uid == instr.uid \
-                        and _content(kept[j]) == _content(instr):
-                    j += 1
-                elif instr.op != OP_NOP:
-                    return (f"{name}:{block.label}: {instr} is not kept "
-                            "unchanged")
-            if j != len(kept):
-                return f"{name}:{block.label}: {kept[j]} was introduced"
-    return None
 
 
 def _slot_ok(instr: Instruction) -> bool:
@@ -173,7 +127,7 @@ def _speculation_contained(adapted: Program, main_chks: List[int]
 
 def _is_main_code(original: Program, adapted: Program, pc: int) -> bool:
     return adapted.function_of_index[pc] in original.functions \
-        and not _speculative(adapted.block_of_index[pc])
+        and not is_speculative(adapted.block_of_index[pc])
 
 
 def _adapted_steps(original: Program, adapted: Program,
@@ -224,16 +178,9 @@ def prove_equivalent(original: Program, adapted: Program,
     if not adapted.finalized or len(linked) != len(adapted.code) \
             or any(a is not b for a, b in zip(linked, adapted.code)):
         return "verify: the linked code is not the blocks' (finalize)"
-    try:
-        verify_adapted_binary(adapted)
-    except VerificationError as exc:
-        return f"verify: {exc}"
     violations = lint_program(original, adapted)
     if violations:
         return f"lint: {violations[0]}"
-    failed = _main_code_preserved(original, adapted)
-    if failed is not None:
-        return f"main-code: {failed}"
     main_chks = [pc for pc, instr in enumerate(adapted.code)
                  if instr.op == OP_CHK_C
                  and _is_main_code(original, adapted, pc)]

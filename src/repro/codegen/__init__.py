@@ -1,20 +1,21 @@
-"""SSP-enabled code generation (Section 3.4.2)."""
+"""SSP-enabled code generation (Section 3.4.2).
+
+The Figure 7 rules the emitted binary is held against live in
+:mod:`repro.check.lint`; :mod:`repro.codegen.verify` holds the
+differential check.
+"""
 
 from .liveins import LiveInLayout
 from .emit import (
+    SLICE_PREFIX,
     SPEC_CLONE_SUFFIX,
+    STUB_PREFIX,
     AdaptedBinary,
     EmitError,
     SliceRecord,
     SSPEmitter,
 )
-from .verify import (
-    VerificationError,
-    is_well_formed,
-    verify_adapted_binary,
-)
 
-__all__ = ["LiveInLayout", "SPEC_CLONE_SUFFIX", "AdaptedBinary",
-           "EmitError", "SliceRecord", "SSPEmitter",
-           "VerificationError", "is_well_formed",
-           "verify_adapted_binary"]
+__all__ = ["LiveInLayout", "SLICE_PREFIX", "SPEC_CLONE_SUFFIX",
+           "STUB_PREFIX", "AdaptedBinary", "EmitError", "SliceRecord",
+           "SSPEmitter"]

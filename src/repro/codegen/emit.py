@@ -18,6 +18,8 @@ trigger points, and produces the adapted binary:
 Invariants enforced: a slice block never contains a store; instructions
 whose qualifying predicate is not computed inside the slice are pruned
 (speculative slices tolerate dropped code, not wrong main-thread state).
+:meth:`SSPEmitter.finalize` holds the result against the Figure 7 rules
+of :func:`repro.check.lint.verify_adapted_binary` before it ships.
 
 Callees invoked from inside a slice body are cloned into store-free
 speculative versions ("the tool can form a slice block by extracting
@@ -40,6 +42,10 @@ from .liveins import LiveInLayout
 
 #: Suffix for store-free speculative clones of callee functions.
 SPEC_CLONE_SUFFIX = ".sspclone"
+#: Label prefix of the stub blocks ``chk.c`` triggers jump to.
+STUB_PREFIX = ".ssp_stub"
+#: Label prefix of slice blocks; ``<slice>.<suffix>`` continues a slice.
+SLICE_PREFIX = ".ssp_slice"
 
 
 class SliceRecord:
@@ -108,8 +114,8 @@ class SSPEmitter:
         n = self._counter
         func_name = scheduled.region_slice.region.function
         func = self.program.function(func_name)
-        stub_label = f".ssp_stub{n}"
-        slice_label = f".ssp_slice{n}"
+        stub_label = f"{STUB_PREFIX}{n}"
+        slice_label = f"{SLICE_PREFIX}{n}"
 
         layout = LiveInLayout(scheduled.live_ins)
         stub = func.add_block(stub_label)
@@ -122,10 +128,7 @@ class SSPEmitter:
         emitted = self._emit_slice_body(func, slice_block, scheduled,
                                         layout, slice_label)
 
-        delinquents = frozenset(
-            scheduled.region_slice.delinquent_uids
-            if hasattr(scheduled.region_slice, "delinquent_uids")
-            else {scheduled.load.uid})
+        delinquents = frozenset(scheduled.region_slice.delinquent_uids)
         live_ins = frozenset(layout.registers)
         for point in triggers:
             key = (point.function, point.block)
@@ -144,10 +147,9 @@ class SSPEmitter:
         return record
 
     def finalize(self) -> AdaptedBinary:
-        """Apply triggers, validate, finalise and return the new binary."""
+        """Apply triggers, verify, finalise and return the new binary."""
         self._apply_triggers()
-        self._validate()
-        from .verify import verify_adapted_binary
+        from ..check.lint import verify_adapted_binary
         verify_adapted_binary(self.program)
         self.program.finalize()
         return AdaptedBinary(self.program, self.records)
@@ -181,9 +183,7 @@ class SSPEmitter:
 
         defined: Set[str] = set(layout.registers) | {regs.ZERO}
         emitted = 0
-        delinquents = scheduled.region_slice.delinquent_uids \
-            if hasattr(scheduled.region_slice, "delinquent_uids") else \
-            {scheduled.load.uid}
+        delinquents = scheduled.region_slice.delinquent_uids
         body_uids = {i.uid for i in scheduled.ordered}
 
         def emit_chase_retry(load_clone: Instruction) -> None:
@@ -369,18 +369,3 @@ class SSPEmitter:
                         continue
                 return candidate
         return None
-
-    # -- validation -------------------------------------------------------------------------------
-
-    def _validate(self) -> None:
-        for func in self.program.functions.values():
-            for block in func.blocks:
-                is_slice = block.label.startswith(".ssp_slice")
-                if not is_slice and not func.name.endswith(
-                        SPEC_CLONE_SUFFIX):
-                    continue
-                for instr in block.instrs:
-                    if instr.is_store:
-                        raise EmitError(
-                            f"store in speculative code: {instr} in "
-                            f"{func.name}:{block.label}")

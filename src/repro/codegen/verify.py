@@ -1,20 +1,17 @@
-"""Static verification of SSP-adapted binaries (Figure 7 invariants).
+"""Differential (semantic-equivalence) verification of adapted binaries.
 
-The emitter's output must satisfy a set of structural invariants for the
-adaptation to be sound — the properties Section 2 bases SSP's "separating
-the performance issue from the correctness issue" argument on.  This
-verifier checks them on any program, so tests (and the tool itself, at
-finalise time) can prove an adapted binary is well formed:
-
-1. every ``chk.c`` targets a stub block inside the same function;
-2. every stub block is ``lib.st* ; spawn ; rfi`` — it copies live-ins,
-   spawns, and returns to the interrupted instruction;
-3. every spawn targets a slice block (or the stub's own slice);
-4. slice blocks and everything reachable from them without returning to
-   main code contain **no stores** and terminate in ``kill``;
-5. slice blocks begin by copying live-ins out of the buffer, and the
-   slots they read match the slots their stub wrote;
-6. ``rfi`` appears only in stub blocks; ``kill`` only in speculative code.
+The structural invariants of an adapted binary — the Figure 7 shape of
+stubs and slices — are rules of :mod:`repro.check.lint`.  They prove the
+binary *well formed*; they do not prove it computes the same thing.  The
+differential check runs the original and the adapted programs
+functionally and compares the main thread's architectural outcome
+(registers, predicates, halted state) and the final heap.  Speculative
+work must be architecturally invisible, so any divergence means the
+adaptation is unsound and must be rolled back.  Both runs step the
+pre-decoded table (repro.isa.decode), and the run of the original is
+skipped when the profile already recorded it.  The tool first tries
+repro.check.proof, which proves this check's verdict without running
+anything, and runs the check only when the proof does not go through.
 """
 
 from __future__ import annotations
@@ -29,143 +26,6 @@ from ..isa.instructions import OP_CHK_C, OP_SPAWN
 from ..isa.interp import ExecutionError, ThreadState, spawn_thread
 from ..isa.memory import Heap
 from ..isa.program import Program
-
-STUB_PREFIX = ".ssp_stub"
-SLICE_PREFIX = ".ssp_slice"
-
-
-class VerificationError(Exception):
-    """An adapted binary violates an SSP structural invariant."""
-
-
-def _slice_block_labels(program: Program, func_name: str,
-                        root_label: str) -> List[str]:
-    """The slice block plus its continuation blocks (retry/go chains)."""
-    func = program.function(func_name)
-    labels = [b.label for b in func.blocks]
-    start = labels.index(root_label)
-    out = [root_label]
-    for label in labels[start + 1:]:
-        if label.startswith(root_label + "."):
-            out.append(label)
-        else:
-            break
-    return out
-
-
-def verify_adapted_binary(program: Program) -> Dict[str, int]:
-    """Check all invariants; returns summary counts or raises
-    :class:`VerificationError`."""
-    counts = {"triggers": 0, "stubs": 0, "slices": 0, "spawns": 0}
-    for func_name, func in program.functions.items():
-        stub_slots: Dict[str, List[int]] = {}
-        stub_spawn_target: Dict[str, Optional[str]] = {}
-
-        # Pass 1: stubs.
-        for block in func.blocks:
-            if not block.label.startswith(STUB_PREFIX):
-                continue
-            counts["stubs"] += 1
-            ops = [i.op for i in block.instrs]
-            if not ops or ops[-1] != "rfi":
-                raise VerificationError(
-                    f"{func_name}:{block.label}: stub must end in rfi")
-            if "spawn" not in ops:
-                raise VerificationError(
-                    f"{func_name}:{block.label}: stub never spawns")
-            body = ops[:-1]
-            if body and body[-1] != "spawn":
-                raise VerificationError(
-                    f"{func_name}:{block.label}: spawn must precede rfi")
-            for op in body[:-1]:
-                if op != "lib.st":
-                    raise VerificationError(
-                        f"{func_name}:{block.label}: stub may only copy "
-                        f"live-ins before spawning (found {op})")
-            stub_slots[block.label] = [i.imm for i in block.instrs
-                                       if i.op == "lib.st"]
-            spawn = next(i for i in block.instrs if i.op == "spawn")
-            stub_spawn_target[block.label] = spawn.target
-
-        # Pass 2: triggers.
-        for block in func.blocks:
-            if block.label.startswith(STUB_PREFIX) or \
-                    block.label.startswith(SLICE_PREFIX):
-                continue
-            for instr in block.instrs:
-                if instr.op == "chk.c":
-                    counts["triggers"] += 1
-                    if instr.target not in stub_slots:
-                        raise VerificationError(
-                            f"{func_name}:{block.label}: chk.c targets "
-                            f"{instr.target!r}, which is not a stub block")
-                if instr.op == "rfi":
-                    raise VerificationError(
-                        f"{func_name}:{block.label}: rfi outside a stub")
-                if instr.op == "kill":
-                    raise VerificationError(
-                        f"{func_name}:{block.label}: kill outside "
-                        "speculative code")
-
-        # Pass 3: slices.
-        slice_roots = [b.label for b in func.blocks
-                       if b.label.startswith(SLICE_PREFIX)
-                       and "." not in b.label[len(SLICE_PREFIX):]]
-        for root in slice_roots:
-            counts["slices"] += 1
-            labels = _slice_block_labels(program, func_name, root)
-            instrs = [i for label in labels
-                      for i in func.block(label).instrs]
-            ops = [i.op for i in instrs]
-            if "kill" not in ops:
-                raise VerificationError(
-                    f"{func_name}:{root}: slice never kills itself")
-            for instr in instrs:
-                if instr.is_store:
-                    raise VerificationError(
-                        f"{func_name}:{root}: store in a slice ({instr})")
-                if instr.op == "halt":
-                    raise VerificationError(
-                        f"{func_name}:{root}: slice must kill, not halt")
-                if instr.op == "spawn":
-                    counts["spawns"] += 1
-            # Live-in slot agreement with the spawning stub(s).
-            read_slots = [i.imm for i in instrs if i.op == "lib.ld"]
-            for stub_label, target in stub_spawn_target.items():
-                if target != root:
-                    continue
-                written = stub_slots[stub_label]
-                missing = set(read_slots) - set(written)
-                if missing:
-                    raise VerificationError(
-                        f"{func_name}:{root}: reads live-in slots "
-                        f"{sorted(missing)} that {stub_label} never "
-                        "writes")
-    return counts
-
-
-def is_well_formed(program: Program) -> bool:
-    """Boolean convenience wrapper around :func:`verify_adapted_binary`."""
-    try:
-        verify_adapted_binary(program)
-        return True
-    except VerificationError:
-        return False
-
-
-# -- differential (semantic-equivalence) verification ---------------------------------
-#
-# Structural invariants prove the adapted binary is *well formed*; they do
-# not prove it computes the same thing.  The differential check runs the
-# original and the adapted programs functionally and compares the main
-# thread's architectural outcome (registers, predicates, halted state) and
-# the final heap.  Speculative work must be architecturally invisible, so
-# any divergence means the adaptation is unsound and must be rolled back.
-# Both runs step the pre-decoded table (repro.isa.decode), and the run of
-# the original is skipped when the profile already recorded it.  The
-# tool first tries repro.check.proof, which proves this check's verdict
-# without running anything, and runs the check only when the proof
-# does not go through.
 
 #: Forced fires per ``chk.c`` site in a shadow run.
 FIRE_LIMIT = 8

@@ -350,22 +350,19 @@ class ServiceClient:
                 state.get("queued", 0))
 
     def wait(self, batch_id: str, timeout: Optional[float] = None,
-             task_fn: Callable[..., Dict] = execute_spec,
-             inline_worker: Optional[bool] = None) -> Dict:
+             task_fn: Callable[..., Dict] = execute_spec) -> Dict:
         """Block until the batch completes (or the timeout lapses).
 
-        With ``inline_worker`` (default: the config's setting) the
-        waiting client claims and executes jobs itself, preferring the
-        batch's own hashes.  Returns the final :meth:`status` dict —
-        poisoned jobs count as terminal, so a poisoned batch returns
+        With ``config.inline_worker`` the waiting client claims and
+        executes jobs itself, preferring the batch's own hashes.
+        Returns the final :meth:`status` dict — poisoned jobs count as
+        terminal, so a poisoned batch returns
         (with ``status["poisoned"] > 0``) rather than hanging.  Idle
         polls back off exponentially (:meth:`_poll_delay`).
         """
-        if inline_worker is None:
-            inline_worker = self.config.inline_worker
         workers = (LocalWorkers(self.queue, self.backend, task_fn,
                                 checkpoint_root=self.checkpoint_root)
-                   if inline_worker else None)
+                   if self.config.inline_worker else None)
         return self._drive(batch_id, workers, timeout, {})
 
     def _drive(self, batch_id: str, workers: Optional[LocalWorkers],

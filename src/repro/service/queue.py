@@ -485,7 +485,6 @@ class JobQueue:
         return "missing"
 
     def counts(self) -> Dict[str, int]:
-        self.ensure()
         leases = list(self.lease_dir.glob("*.lease"))
         fresh = sum(
             1 for lease in leases
@@ -507,7 +506,6 @@ class JobQueue:
         }
 
     def pending_hashes(self) -> List[str]:
-        self.ensure()
         return [path.stem for path in
                 sorted(self.pending_dir.glob("*.json"))]
 

@@ -433,12 +433,11 @@ def _print_poisoned(client, status: dict) -> None:
               file=sys.stderr)
 
 
-def _wait_exit(client, batch_id: str, deadline, inline: bool) -> int:
+def _wait_exit(client, batch_id: str, deadline) -> int:
     """Shared wait path: EXIT_DEADLINE on timeout, EXIT_POISONED when
     quarantined jobs made the batch terminal, else OK/FAILURE."""
     try:
-        status = client.wait(batch_id, timeout=deadline,
-                             inline_worker=inline)
+        status = client.wait(batch_id, timeout=deadline)
     except TimeoutError as exc:
         print(f"deadline exceeded: {exc}", file=sys.stderr)
         return EXIT_DEADLINE
@@ -579,17 +578,16 @@ def _service_command(argv: List[str]) -> int:
               f"spec(s), {manifest['enqueued']} enqueued, "
               f"{manifest['cached_at_submit']} already cached")
         if args.wait:
-            return _wait_exit(client, batch_id, args.deadline,
-                              inline=True)
+            return _wait_exit(client, batch_id, args.deadline)
         print(f"poll with: ssp-postpass service status {batch_id} "
               f"--root {config.root}")
         return EXIT_OK
 
     if args.action == "wait":
+        config.inline_worker = not args.no_worker
         client = ServiceClient(config=config)
         try:
-            return _wait_exit(client, args.batch_id, args.deadline,
-                              inline=not args.no_worker)
+            return _wait_exit(client, args.batch_id, args.deadline)
         except KeyError as exc:
             print(exc.args[0], file=sys.stderr)
             return EXIT_FAILURE

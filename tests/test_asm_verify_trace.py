@@ -3,7 +3,7 @@ context-occupancy tracing."""
 
 import pytest
 
-from repro.codegen import (
+from repro.check.lint import (
     VerificationError,
     is_well_formed,
     verify_adapted_binary,

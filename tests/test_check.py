@@ -129,6 +129,17 @@ class TestLintSynthetic:
         stub.instrs.insert(0, Instruction(op="mov", dest="r50", imm=0))
         assert "regs.stub-clobber" in _rules(lint_program(prog, adapted))
 
+    def test_stub_writing_a_dead_register(self):
+        prog, uid = _base_program()
+        adapted = _adapt(prog, uid)
+        stub = adapted.functions["main"].block(".ssp_stub1")
+        # r60 is dead at the resumption point, so nothing is clobbered,
+        # but the stub is no longer lib.st* ; spawn ; rfi.
+        stub.instrs.insert(0, Instruction(op="mov", dest="r60", imm=1))
+        rules = _rules(lint_program(prog, adapted))
+        assert "cfi.stub-shape" in rules
+        assert "regs.stub-clobber" not in rules
+
     def test_dropped_main_instruction(self):
         prog, uid = _base_program()
         adapted = _adapt(prog, uid)

@@ -20,7 +20,7 @@ from repro import (
     make_workload,
     simulate,
 )
-from repro.codegen import verify_adapted_binary
+from repro.check.lint import verify_adapted_binary
 from repro.isa import round_trip
 
 

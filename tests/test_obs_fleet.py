@@ -48,6 +48,18 @@ class TestCollectFleet:
         assert doc["queue"]["oldest_lease_age"] is None
         assert "no worker summaries yet" in render_fleet(doc)
 
+    def test_missing_root_is_left_absent(self, tmp_path):
+        # A read-only view: a mistyped root must not become a new,
+        # empty service root.
+        root = tmp_path / "nowhere"
+        doc = collect_fleet(root=root)
+        assert doc["totals"]["workers"] == 0
+        assert doc["workers"] == []
+        assert all(doc["queue"][k] == 0 for k in (
+            "pending", "leased", "stale_leases", "done", "failed",
+            "poisoned"))
+        assert not root.exists()
+
     def test_drained_root_aggregates_everything(self, drained_root):
         doc = collect_fleet(config=drained_root)
         json.dumps(doc)

@@ -15,6 +15,7 @@ import dataclasses
 import pytest
 
 from repro.check.fuzz import FuzzWorkload
+from repro.check.lint import lint_program
 from repro.check.proof import prove_equivalent
 from repro.codegen.verify import differential_check
 from repro.guard import faultinject, injecting
@@ -101,7 +102,7 @@ def _slice_store(program):
 
 
 def _main_operand(program):
-    """Same uid, different operand: the linter matches only uids."""
+    """Same uid, different operand: only a content match sees it."""
     block = program.function("main").block("arc_loop")
     index = next(i for i, instr in enumerate(block.instrs)
                  if instr.op == "add" and instr.dest == "r110")
@@ -159,6 +160,13 @@ def test_proof_refuses_mutant(mcf, kind):
     mutant = _mutant(mcf, MUTANTS[kind])
     assert prove_equivalent(program, mutant, profile,
                             workload.build_heap) is not None
+
+
+def test_lint_reports_a_changed_main_operand(mcf):
+    workload, program, profile = mcf
+    mutant = _mutant(mcf, _main_operand)
+    assert "trig.main-code-preserved" in {
+        v.rule for v in lint_program(program, mutant)}
 
 
 def test_proof_refuses_a_binary_edited_after_linking(mcf):
