@@ -12,7 +12,8 @@ rules through :func:`verify_adapted_binary`, and the static proof
 
 * ``cfi.stub-shape`` — every stub block is ``lib.st* ; spawn ; rfi``: it
   copies live-ins, spawns and returns to the interrupted instruction,
-  and writes no register;
+  and writes no register, so a fired trigger cannot clobber main-thread
+  state;
 * ``cfi.spawn-target`` — every main-code ``chk.c`` targets a stub block
   of its own function that spawns;
 * ``cfi.main-code-op`` — ``rfi`` and ``kill`` appear only in speculative
@@ -38,12 +39,6 @@ rules through :func:`verify_adapted_binary`, and the static proof
 * ``cfi.slice-call`` — direct calls from slices only reach store-free
   clones.
 
-**Register discipline** (needs the :mod:`repro.analysis.dataflow` liveness)
-
-* ``regs.stub-clobber`` — a stub never writes a register that is live in
-  the main thread at the resumption point (``chk.c`` + 1), so a fired
-  trigger cannot corrupt main-thread state.
-
 **Trigger legality** (against the *original* binary)
 
 * ``trig.main-code-preserved`` — the entry function and the function
@@ -68,14 +63,8 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.cfg import CFG, EXIT
-from ..analysis.dataflow import (
-    block_liveness,
-    instruction_defs,
-    instruction_uses,
-)
 from ..analysis.dominance import dominator_tree
 from ..codegen.emit import SLICE_PREFIX, SPEC_CLONE_SUFFIX, STUB_PREFIX
-from ..isa import registers as regs
 from ..isa.instructions import (
     OP_BR,
     OP_BR_COND,
@@ -190,7 +179,7 @@ class _FunctionLint:
             if not ops or ops[-1] != OP_RFI:
                 self.report("cfi.slice-termination", label,
                             "stub block does not end in rfi")
-            elif ops[-2:-1] != [OP_SPAWN] or any(
+            if ops[-2:] != [OP_SPAWN, OP_RFI] or any(
                     op != OP_LIB_ST for op in ops[:-2]):
                 self.report("cfi.stub-shape", label,
                             f"stub is {' ; '.join(ops)}, not "
@@ -313,39 +302,6 @@ class _FunctionLint:
                 if succ not in region:
                     self.report("cfi.slice-escape", label,
                                 f"slice region falls through to {succ!r}")
-
-    # -- register discipline ---------------------------------------------------------
-
-    def check_stub_clobber(self) -> None:
-        """Registers a stub writes vs. main-thread liveness at the
-        resumption point of each trigger using it."""
-        func = self.func
-        stub_defs = {
-            label: {r for i in func.block(label).instrs
-                    for r in instruction_defs(i)} - {regs.ZERO}
-            for label in self.stub_labels}
-        if not any(stub_defs.values()):
-            return  # nothing written anywhere: liveness not needed
-        _, live_out = block_liveness(func, self.cfg)
-        for block in self.main_blocks:
-            for index, instr in enumerate(block.instrs):
-                if instr.op != OP_CHK_C:
-                    continue
-                stub = _local_label(instr.target, func.name)
-                defs = stub_defs.get(stub, set())
-                if not defs:
-                    continue
-                live = set(live_out.get(block.label, set()))
-                for later in reversed(block.instrs[index + 1:]):
-                    live -= set(instruction_defs(later))
-                    live |= {r for r in instruction_uses(later, func)
-                             if r not in (regs.ZERO, regs.TRUE_PREDICATE)}
-                clobbered = defs & live
-                if clobbered:
-                    self.report(
-                        "regs.stub-clobber", f"{block.label}@{index}",
-                        f"stub {stub} writes {sorted(clobbered)}, live "
-                        "in the main thread at the resumption point")
 
     # -- trigger legality -------------------------------------------------------------
 
@@ -539,6 +495,5 @@ def lint_program(original: Program, adapted: Program) -> List[LintViolation]:
         checker.check_main_code_preserved(original.functions.get(name))
         if func.blocks:
             checker.check_cfi()
-            checker.check_stub_clobber()
             checker.check_trigger_legality()
     return violations

@@ -124,11 +124,16 @@ class Function:
         layout_index = self.blocks.index(block)
         falls_through = True
         if term is not None:
+            # A target qualified with this function's own name
+            # (``name::label``) is the local label.
+            target = term.target
+            if target is not None and target.startswith(self.name + "::"):
+                target = target[len(self.name) + 2:]
             if term.op == OP_BR:
-                succs.append(term.target)
+                succs.append(target)
                 falls_through = False
             elif term.op == OP_BR_COND:
-                succs.append(term.target)
+                succs.append(target)
             elif term.is_terminator:
                 falls_through = False
         if falls_through and layout_index + 1 < len(self.blocks):

@@ -37,8 +37,9 @@ from ..profiling.profile import ProgramProfile
 from ..resilience.checkpoint import CheckpointStore
 from ..resilience.heartbeat import Heartbeat
 from ..sim.config import MachineConfig
-from ..sim.inorder import DEFAULT_MAX_CYCLES, InOrderSimulator
+from ..sim.inorder import InOrderSimulator
 from ..sim.machine import make_config, make_simulator
+from ..sim.smt import DEFAULT_MAX_CYCLES
 from ..tool.postpass import SSPPostPassTool, ToolOptions, ToolResult
 from ..workloads import make_workload
 from .spec import RunSpec

@@ -18,7 +18,7 @@ from .stats import CYCLE_CATEGORIES, STALL_CATEGORY, SimStats
 from .inorder import InOrderSimulator
 from .ooo import OOOSimulator
 from .machine import MODELS, make_config, make_simulator, simulate
-from .trace import ContextTrace, TracingInOrderSimulator, trace_run
+from .trace import ContextTrace, trace_run
 
 __all__ = [
     "CacheConfig", "MachineConfig", "inorder_config", "ooo_config",
@@ -29,5 +29,5 @@ __all__ = [
     "CYCLE_CATEGORIES", "STALL_CATEGORY", "SimStats",
     "InOrderSimulator", "OOOSimulator",
     "MODELS", "make_config", "make_simulator", "simulate",
-    "ContextTrace", "TracingInOrderSimulator", "trace_run",
+    "ContextTrace", "trace_run",
 ]

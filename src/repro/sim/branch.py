@@ -27,13 +27,14 @@ class GsharePredictor:
     """
 
     def __init__(self, entries: int = 2048, btb_entries: int = 256,
-                 btb_ways: int = 4, num_threads: int = 4):
+                 btb_ways: int = 4):
         if entries & (entries - 1):
             raise ValueError("gshare entries must be a power of two")
         self.entries = entries
         # 2-bit saturating counters, initialised weakly taken.
         self._counters: List[int] = [2] * entries
-        self._history: Dict[int, int] = {t: 0 for t in range(num_threads)}
+        #: tid -> global history; a thread's first branch reads 0.
+        self._history: Dict[int, int] = {}
         self._btb_sets = btb_entries // btb_ways
         self._btb_ways = btb_ways
         self._btb: List[List[int]] = [[] for _ in range(self._btb_sets)]

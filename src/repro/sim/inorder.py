@@ -18,6 +18,11 @@ emergent, not modelled.
 Long stalls are skipped in O(1): when no context can issue, the clock jumps
 to the earliest wake-up, charging the skipped cycles to the main thread's
 current stall category (Figure 10 accounting).
+
+Contexts come from the shared policy of :mod:`repro.sim.smt`.  This loop
+decides only when: finished threads are reaped at the top of a cycle, and
+a chaining spawn with no free context parks until one is reaped, for at
+most ``SPAWN_WAIT_LIMIT`` cycles.
 """
 
 from __future__ import annotations
@@ -42,22 +47,15 @@ from ..isa.decode import (
     K_ST,
     RES_INT,
     RES_MEM,
-    decode_program,
     step_decoded,
 )
-from ..isa.interp import ThreadState, spawn_thread
+from ..isa.interp import ThreadState
 from ..isa.memory import Heap
 from ..isa.program import Program
-from .branch import GsharePredictor
-from .caches import L1, MemorySystem
+from .caches import L1
 from .config import MachineConfig
+from .smt import _FAR_FUTURE, DEFAULT_MAX_CYCLES, SMTSimulator
 from .stats import STALL_CATEGORY, SimStats
-
-#: Sentinel wake cycle for threads with nothing to wait for.
-_FAR_FUTURE = 1 << 60
-
-#: Cycle limit of a run that names none (the profiling run's).
-DEFAULT_MAX_CYCLES = 200_000_000
 
 
 class HWThread:
@@ -67,7 +65,8 @@ class HWThread:
                  "spawn_parked_pc", "spec_issued", "spawn_cycle",
                  "ready_bound")
 
-    def __init__(self, state: ThreadState, start_cycle: int = 0):
+    def __init__(self, state: ThreadState, start_cycle: int = 0,
+                 config: Optional[MachineConfig] = None):
         self.state = state
         #: Instructions issued by this (speculative) context, for the
         #: runaway-slice containment budget.
@@ -92,8 +91,13 @@ class HWThread:
         self.spawn_parked_pc: Optional[int] = None
 
 
-class InOrderSimulator:
+class InOrderSimulator(SMTSimulator):
     """Runs a finalised program on the in-order SMT machine model."""
+
+    SNAPSHOT_MODEL = "inorder"
+    THREAD = HWThread
+    _SNAPSHOT_FIELDS = SMTSimulator._SNAPSHOT_FIELDS + (
+        "_rr", "_context_waiters", "_now")
 
     #: Longest a chaining spawn waits for a free context before being
     #: dropped (bounds priority inversion and prevents deadlock).
@@ -102,10 +106,7 @@ class InOrderSimulator:
     def __init__(self, program: Program, heap: Heap, config: MachineConfig,
                  spawning: bool = True,
                  max_cycles: int = DEFAULT_MAX_CYCLES):
-        if not program.finalized:
-            program.finalize()
-        self.program = program
-        self._dcode = decode_program(program)
+        super().__init__(program, heap, config, spawning, max_cycles)
         self._dreads = [d[D_READS] for d in self._dcode]
         n_ctx = config.hardware_contexts
         # Speculative-context round-robin orders, one per _rr value:
@@ -114,47 +115,16 @@ class InOrderSimulator:
             rr: tuple([0] + [1 + (rr + k - 1) % (n_ctx - 1)
                              for k in range(1, n_ctx)])
             for rr in range(1, n_ctx)} if n_ctx > 1 else {}
-        self.heap = heap
-        self.config = config
-        self.spawning = spawning
-        self.max_cycles = max_cycles
-        self.memory = MemorySystem(config)
-        self.memory.prefetch_sources = dict(
-            getattr(program, "prefetch_sources", {}))
-        self.predictor = GsharePredictor(
-            config.gshare_entries, config.btb_entries, config.btb_ways,
-            config.hardware_contexts)
-        self.stats = SimStats(self.memory)
-        self.contexts: List[Optional[HWThread]] = (
-            [None] * config.hardware_contexts)
-        # Outstanding main-thread misses: heap of completion cycles.
-        self._main_misses: List[int] = []
-        # Live speculative contexts and their cycle-budget deadlines
-        # (spawn_cycle + spec_cycle_budget, min-heap).  The run loop
-        # only walks the context slots when one of these says a context
-        # can actually have died.
-        self._live_spec = 0
+        # Cycle-budget deadlines of the live speculative contexts
+        # (spawn_cycle + spec_cycle_budget, min-heap): the run loop only
+        # walks the context slots when one of these, or a context that
+        # died while issuing, says a context can actually have died.
         self._spec_deadlines: List[int] = []
-        self._next_tid = 0
         self._rr = 1  # round-robin pointer over speculative contexts
         # Speculative threads parked waiting for a free context.
         self._context_waiters: List[HWThread] = []
-        # Dynamic chk.c throttling (Section 4.4.1 future work): per-trigger
-        # fire counts, the partial-hit baseline at first fire, and the set
-        # of suppressed triggers.
-        self._chk_fires: Dict[int, int] = {}
-        self._chk_partials_at_first: Dict[int, int] = {}
-        self._chk_suppressed: set = set()
-        # Checkpoint/resume bookkeeping: current cycle and whether the run
-        # loop has been entered (so a restored simulator continues instead
-        # of re-initialising the main context).
+        # Current cycle, for checkpoints.
         self._now = 0
-        self._started = False
-        # Cycle-attribution profiler (repro.obs.profiler).  With no
-        # profiler attached, ``_prof_next`` is a far-future sentinel and
-        # the run loop's profiling gate is one always-false int compare.
-        self._profiler = None
-        self._prof_next = _FAR_FUTURE
         # Execution profile of the main thread, the functional block and
         # call-graph profile (see :attr:`exec_counts`): issues per pc,
         # squashed ones included, and per-site ``br.call.ind`` targets.
@@ -187,178 +157,21 @@ class InOrderSimulator:
             name = program.function_by_id[fid]
             per_site[name] = per_site.get(name, 0) + 1
 
-    def attach_profiler(self, profiler) -> None:
-        """Sample wall-time attribution into ``profiler`` during run().
-
-        Profiling is observation-only: it never touches simulator state,
-        so a profiled run produces byte-identical statistics.  Profiler
-        state is deliberately outside ``_SNAPSHOT_FIELDS`` — checkpoints
-        stay host-independent and a restored simulator is unprofiled
-        unless the restoring process attaches its own profiler.
-        """
-        profiler.model = self.SNAPSHOT_MODEL
-        self._profiler = profiler
-        self._prof_next = self._now
-
-    # -- checkpoint/resume ---------------------------------------------------------
-
-    #: Everything mutable the run loop touches.  The program itself is NOT
-    #: part of a snapshot: runs are content-addressed by their RunSpec, so
-    #: a resume rebuilds the identical program and only the dynamic state
-    #: crosses the checkpoint file.
-    SNAPSHOT_MODEL = "inorder"
-    _SNAPSHOT_FIELDS = (
-        "heap", "memory", "predictor", "stats", "contexts", "main_state",
-        "_main_misses", "_next_tid", "_rr", "_context_waiters",
-        "_chk_fires", "_chk_partials_at_first", "_chk_suppressed",
-        "_now", "_started",
-    )
-
     @property
     def cycle(self) -> int:
         """Current simulated cycle (updated at checkpoint boundaries)."""
         return self._now
 
-    def snapshot(self) -> Dict[str, object]:
-        """Picklable snapshot of all dynamic state at a cycle boundary.
-
-        The returned mapping aliases live simulator objects; serialise it
-        (``pickle.dumps``) before letting the simulation continue.  Object
-        identity inside the snapshot (stats ↔ memory, contexts ↔ waiters)
-        is preserved by pickling the dict as one unit.
-        """
-        if not self._started:
-            self._begin()
-        state: Dict[str, object] = {
-            name: getattr(self, name) for name in self._SNAPSHOT_FIELDS}
-        state["model"] = self.SNAPSHOT_MODEL
-        state["cycle"] = self._now
-        return state
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Reinstall a :meth:`snapshot`; the next :meth:`run` resumes.
-
-        Refuses snapshots from the other machine model or with missing
-        fields (a truncated or foreign checkpoint payload) by raising
-        :class:`~repro.guard.errors.CheckpointError`.
-        """
-        from ..guard.errors import CheckpointError
-        model = state.get("model") if isinstance(state, dict) else None
-        if model != self.SNAPSHOT_MODEL:
-            raise CheckpointError(
-                f"checkpoint is for model {model!r}, not "
-                f"{self.SNAPSHOT_MODEL!r}")
-        missing = [n for n in self._SNAPSHOT_FIELDS if n not in state]
-        if missing:
-            raise CheckpointError(
-                f"checkpoint payload missing fields: {missing}")
-        for name in self._SNAPSHOT_FIELDS:
-            setattr(self, name, state[name])
-        # The restored memory system keeps its recorded prefetch mapping;
-        # stats must keep pointing at the restored memory system.
-        self.stats.memory = self.memory
-        # A profiler attached *before* restore() captured the pre-restore
-        # clock in _prof_next; renormalise so a resumed profiled run
-        # samples on the configured interval instead of every iteration.
-        if self._profiler is not None:
-            self._prof_next = self._now
-        else:
-            self._prof_next = _FAR_FUTURE
-        # Derived reap-trigger state (not part of the snapshot): rebuild
-        # from the restored contexts.  Dead-but-unreaped contexts are
-        # handled by the unconditional reap pass on the first iteration
-        # of the next run().
+    def restore(self, state: Dict[str, object]) -> None:  # noqa: D102
+        super().restore(state)
+        # Derived reap-trigger state (not part of the snapshot): the
+        # deadlines of the restored live contexts.  Dead-but-unreaped
+        # contexts are handled by the unconditional reap pass on the
+        # first iteration of the next run().
         budget = self.config.spec_cycle_budget
-        self._live_spec = 0
-        self._spec_deadlines = []
-        for ctx in self.contexts[1:]:
-            if ctx is not None and not (ctx.state.halted
-                                        or ctx.state.killed):
-                self._live_spec += 1
-                if budget:
-                    heapq.heappush(self._spec_deadlines,
-                                   ctx.spawn_cycle + budget)
-
-    @property
-    def main_done(self) -> bool:
-        """True once the main thread has halted (or been killed)."""
-        return self._started and self.contexts[0].state.done
-
-    def _begin(self) -> None:
-        """Initialise the main context (once per simulator lifetime)."""
-        program = self.program
-        main_state = ThreadState(
-            tid=0, pc=program.function_entry[program.entry])
-        #: Final main-thread architectural state (the differential oracle
-        #: compares it across execution engines after :meth:`run`).
-        self.main_state = main_state
-        self.contexts[0] = HWThread(main_state)
-        self._now = 0
-        self._started = True
-
-    # -- context management -------------------------------------------------------
-
-    def _on_reap(self, slot: int, now: int) -> None:
-        """Hook invoked when a finished speculative thread frees its
-        context (overridden by the tracing simulator)."""
-
-    def _on_chk_fired(self, uid: int, now: int) -> None:
-        """Hook invoked when a chk.c trigger fires (overridden by the
-        tracing simulator; fired triggers are rare, so the no-op call
-        costs nothing measurable)."""
-
-    def _free_slot(self) -> Optional[int]:
-        for slot in range(1, self.config.hardware_contexts):
-            if self.contexts[slot] is None:
-                return slot
-        return None
-
-    def _spawn(self, parent: HWThread, target: int, now: int) -> bool:
-        slot = self._free_slot()
-        if slot is None:
-            self.stats.spawn_failures += 1
-            return False
-        self._next_tid += 1
-        child_state = spawn_thread(parent.state, self._next_tid, target)
-        child = HWThread(child_state,
-                         start_cycle=now + self.config.spawn_startup_latency)
-        self.contexts[slot] = child
-        self._live_spec += 1
-        budget = self.config.spec_cycle_budget
-        if budget:
-            heapq.heappush(self._spec_deadlines,
-                           child.spawn_cycle + budget)
-        self.stats.spawns += 1
-        return True
-
-    # -- issue logic ---------------------------------------------------------------
-
-    def _total_partials(self) -> int:
-        return sum(self.memory.partial_counts.values())
-
-    def _throttle_allows(self, chk_uid: int) -> bool:
-        """Dynamic coverage/timeliness monitor for one trigger.
-
-        Samples the first N fires; if the main thread gained fewer than
-        ``throttle_min_benefit`` partial hits per fire — the speculative
-        threads are not getting useful prefetches in flight — the trigger
-        is suppressed for the rest of the run (its chk.c "returns no
-        available context").
-        """
-        if chk_uid in self._chk_suppressed:
-            return False
-        config = self.config
-        fires = self._chk_fires.get(chk_uid, 0)
-        if fires == 0:
-            self._chk_partials_at_first[chk_uid] = self._total_partials()
-        elif fires >= config.throttle_sample_fires:
-            gained = (self._total_partials()
-                      - self._chk_partials_at_first[chk_uid])
-            if gained / fires < config.throttle_min_benefit:
-                self._chk_suppressed.add(chk_uid)
-                return False
-        self._chk_fires[chk_uid] = fires + 1
-        return True
+        self._spec_deadlines = sorted(
+            ctx.spawn_cycle + budget for ctx in self.contexts[1:]
+            if ctx is not None and not ctx.state.done) if budget else []
 
     # -- main loop --------------------------------------------------------------------
 
@@ -432,15 +245,17 @@ class InOrderSimulator:
         branch_units = config.branch_units
         mispredict_penalty = config.mispredict_penalty
         chk_flush_penalty = config.chk_flush_penalty
-        spawning = self.spawning
-        throttle = config.dynamic_chk_throttle
+        spawn_latency = config.spawn_startup_latency
+        trace = self.trace
         rr = self._rr
         deadlines = self._spec_deadlines
         main_only = (main,)
         # Force a full reap pass on the first iteration: a restored
         # snapshot (or a resumed run) may hold dead-but-unreaped
-        # contexts.
+        # contexts.  The pass also sets ``have_spec``, which then only
+        # changes at a spawn or at the next pass.
         reap_due = True
+        have_spec = False
 
         while not (main_state.halted or main_state.killed):
             if now >= next_event:
@@ -463,8 +278,7 @@ class InOrderSimulator:
             # Reap finished speculative threads and wake parked spawners.
             # The slot walk only runs when a context can actually have
             # died: an issue-side death last cycle (reap_due) or an
-            # expired cycle-budget deadline; otherwise liveness comes
-            # from the running _live_spec count.
+            # expired cycle-budget deadline.
             if reap_due or (deadlines and deadlines[0] <= now):
                 reap_due = False
                 while deadlines and deadlines[0] <= now:
@@ -475,27 +289,21 @@ class InOrderSimulator:
                     if ctx is None:
                         continue
                     cs = ctx.state
-                    cs_done = cs.halted or cs.killed
-                    if cycle_budget and not cs_done \
+                    if cs.halted or cs.killed:
+                        pass
+                    elif cycle_budget \
                             and now - ctx.spawn_cycle >= cycle_budget:
-                        cs.killed = True
-                        stats.budget_kills += 1
-                        cs_done = True
-                    if cs_done:
-                        contexts[slot] = None
-                        self._live_spec -= 1
-                        stats.threads_completed += 1
-                        self._on_reap(slot, now)
-                        if self._context_waiters:
-                            for waiter in self._context_waiters:
-                                ws = waiter.state
-                                if not (ws.halted or ws.killed):
-                                    waiter.wake = now
-                            self._context_waiters = []
+                        self._budget_kill(cs)
                     else:
                         have_spec = True
-            else:
-                have_spec = self._live_spec != 0
+                        continue
+                    self._release(slot, now)
+                    if self._context_waiters:
+                        for waiter in self._context_waiters:
+                            ws = waiter.state
+                            if not (ws.halted or ws.killed):
+                                waiter.wake = now
+                        self._context_waiters = []
             if prof is not None:
                 t_prof = prof.lap("reap", t_prof)
 
@@ -626,7 +434,7 @@ class InOrderSimulator:
                                 # self-throttling pipeline.  The main
                                 # thread never blocks: its chk.c simply
                                 # does not fire.
-                                if not is_main and self._free_slot() is None:
+                                if not is_main and None not in contexts:
                                     if thread.spawn_parked_pc == pc:
                                         # Second attempt with no context:
                                         # give up — the request is ignored
@@ -642,11 +450,7 @@ class InOrderSimulator:
                                         self._context_waiters.append(thread)
                                         break
                             elif kind == K_CHK:
-                                chk_fires = spawning \
-                                    and self._free_slot() is not None
-                                if chk_fires and throttle:
-                                    chk_fires = self._throttle_allows(
-                                        d[13])            # D_UID
+                                chk_fires = self._chk_gate(d[13])  # D_UID
                             elif kind == K_CALLI and is_main:
                                 # The target, read before the call;
                                 # recorded below only if the call executes.
@@ -739,7 +543,8 @@ class InOrderSimulator:
                                 # Lightweight exception: pipeline flush,
                                 # resume in the stub.
                                 stats.chk_fired += 1
-                                self._on_chk_fired(d[13], now)
+                                if trace is not None:
+                                    trace.note(now, "chk_fired", uid=d[13])
                                 thread.stall_until = thread.wake = \
                                     now + chk_flush_penalty
                                 break
@@ -748,7 +553,13 @@ class InOrderSimulator:
 
                         if kind == K_SPAWN:
                             if r[2] is not None:          # R_SPAWN
-                                self._spawn(thread, r[2], now)
+                                start = now + spawn_latency
+                                if self._spawn(state, r[2], now,
+                                               start) is not None:
+                                    have_spec = True
+                                    if cycle_budget:
+                                        heappush(deadlines,
+                                                 start + cycle_budget)
                             continue
 
                         if kind == K_KILL or kind == K_HALT:

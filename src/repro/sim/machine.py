@@ -15,6 +15,7 @@ from ..isa.program import Program
 from .config import MachineConfig, inorder_config, ooo_config
 from .inorder import InOrderSimulator
 from .ooo import OOOSimulator
+from .smt import DEFAULT_MAX_CYCLES
 from .stats import SimStats
 
 #: model name -> (default-config factory, simulator class).  The single
@@ -43,7 +44,8 @@ def make_config(model: str) -> MachineConfig:
 
 def make_simulator(program: Program, heap: Heap, model: str = "inorder",
                    config: Optional[MachineConfig] = None,
-                   spawning: bool = True, max_cycles: int = 200_000_000):
+                   spawning: bool = True,
+                   max_cycles: int = DEFAULT_MAX_CYCLES):
     """Construct (without running) the simulator for a model name.
 
     This is the entry point for checkpoint/resume callers, which need the
@@ -58,7 +60,7 @@ def make_simulator(program: Program, heap: Heap, model: str = "inorder",
 
 def simulate(program: Program, heap: Heap, model: str = "inorder",
              config: Optional[MachineConfig] = None, spawning: bool = True,
-             max_cycles: int = 200_000_000,
+             max_cycles: int = DEFAULT_MAX_CYCLES,
              checkpoint_every: Optional[int] = None,
              on_checkpoint=None) -> SimStats:
     """Run ``program`` on the selected machine model and return statistics.

@@ -27,6 +27,11 @@ branch blocks fetch until it *executes* (unlike the in-order model, where
 resolution is immediate).  Threads are interleaved through a priority queue
 on their next fetch cycle, so cross-thread cache interactions happen in
 approximately global time order.
+
+Contexts come from the shared policy of :mod:`repro.sim.smt`.  This loop
+decides only when: a thread releases its context at the pop that finds
+it finished, and a chaining spawn with no free context re-polls every 16
+cycles, up to 96 times.
 """
 
 from __future__ import annotations
@@ -48,19 +53,15 @@ from ..isa.decode import (
     K_SPAWN,
     K_ST,
     RES_MEM,
-    decode_program,
     step_decoded,
 )
-from ..isa.interp import ThreadState, spawn_thread
+from ..isa.interp import ThreadState
 from ..isa.memory import Heap
 from ..isa.program import Program
-from .branch import GsharePredictor
-from .caches import L1, MemorySystem
+from .caches import L1
 from .config import MachineConfig
+from .smt import DEFAULT_MAX_CYCLES, SMTSimulator
 from .stats import STALL_CATEGORY, SimStats
-
-#: Sentinel "next profiler sample" cycle when no profiler is attached.
-_FAR_FUTURE = 1 << 60
 
 
 class _OOOThread:
@@ -71,7 +72,7 @@ class _OOOThread:
                  "spawn_retries", "spec_issued", "spawn_cycle")
 
     def __init__(self, state: ThreadState, start_cycle: int,
-                 rob: int, rs: int):
+                 config: MachineConfig):
         self.state = state
         self.fetch_cycle = start_cycle
         #: Instructions fetched by this (speculative) context, for the
@@ -83,75 +84,38 @@ class _OOOThread:
         self.reg_complete: Dict[str, int] = {}
         self.reg_level: Dict[str, Optional[str]] = {}
         #: retirement times of the last ROB instructions.
-        self.retire_ring: Deque[int] = deque(maxlen=rob)
+        self.retire_ring: Deque[int] = deque(maxlen=config.rob_entries)
         #: issue (leave-RS) times of the last RS instructions.
-        self.start_ring: Deque[int] = deque(maxlen=rs)
+        self.start_ring: Deque[int] = deque(maxlen=config.rs_entries)
         self.last_retire = start_cycle
         self.retire_count = 0
-        #: Deferred-spawn retries so far (bounded; see inorder.py).
+        #: Deferred-spawn retries so far (bounded; see run()).
         self.spawn_retries = 0
 
 
-class OOOSimulator:
+class OOOSimulator(SMTSimulator):
     """Runs a finalised program on the out-of-order SMT machine model."""
 
+    SNAPSHOT_MODEL = "ooo"
+    THREAD = _OOOThread
+    _SNAPSHOT_FIELDS = SMTSimulator._SNAPSHOT_FIELDS + (
+        "_issue_used", "_port_used", "_fetch_used", "_queue", "_tie",
+        "_end_cycle", "_pops")
+
     def __init__(self, program: Program, heap: Heap, config: MachineConfig,
-                 spawning: bool = True, max_cycles: int = 200_000_000):
-        if not program.finalized:
-            program.finalize()
-        self.program = program
-        self.heap = heap
-        self.config = config
-        self.spawning = spawning
-        self.max_cycles = max_cycles
-        self._dcode = decode_program(program)
-        self.memory = MemorySystem(config)
-        self.memory.prefetch_sources = dict(
-            getattr(program, "prefetch_sources", {}))
-        self.predictor = GsharePredictor(
-            config.gshare_entries, config.btb_entries, config.btb_ways,
-            config.hardware_contexts * 8)
-        self.stats = SimStats(self.memory)
+                 spawning: bool = True,
+                 max_cycles: int = DEFAULT_MAX_CYCLES):
+        super().__init__(program, heap, config, spawning, max_cycles)
         self._issue_used: Dict[int, int] = {}
         self._port_used: Dict[int, int] = {}
         self._fetch_used: Dict[int, int] = {}
-        self._live_threads = 0
-        self._next_tid = 0
         # Run-loop state, held on the instance so a checkpoint can capture
-        # it mid-run and a restored simulator can continue seamlessly.
-        self._main: Optional[_OOOThread] = None
+        # it mid-run and a restored simulator can continue seamlessly:
+        # (next fetch cycle, tie, thread) per live thread.
         self._queue: List[Tuple[int, int, _OOOThread]] = []
         self._tie = 0
         self._end_cycle: Optional[int] = None
-        self._main_misses: List[int] = []
         self._pops = 0
-        self._started = False
-        # Cycle-attribution profiler (repro.obs.profiler); see inorder.py.
-        self._profiler = None
-        self._prof_next = _FAR_FUTURE
-
-    def attach_profiler(self, profiler) -> None:
-        """Sample wall-time attribution into ``profiler`` during run().
-
-        Observation-only (statistics are byte-identical with or without
-        it) and deliberately outside ``_SNAPSHOT_FIELDS`` — see
-        :meth:`repro.sim.inorder.InOrderSimulator.attach_profiler`.
-        """
-        profiler.model = self.SNAPSHOT_MODEL
-        self._profiler = profiler
-        self._prof_next = self.cycle if self._started else 0
-
-    # -- checkpoint/resume ---------------------------------------------------------
-
-    #: See :attr:`repro.sim.inorder.InOrderSimulator.SNAPSHOT_MODEL` — the
-    #: program is rebuilt from the RunSpec; only dynamic state is captured.
-    SNAPSHOT_MODEL = "ooo"
-    _SNAPSHOT_FIELDS = (
-        "heap", "memory", "predictor", "stats", "main_state",
-        "_issue_used", "_port_used", "_fetch_used", "_live_threads",
-        "_next_tid", "_main", "_queue", "_tie", "_end_cycle",
-        "_main_misses", "_pops", "_started",
-    )
 
     @property
     def cycle(self) -> int:
@@ -160,61 +124,10 @@ class OOOSimulator:
             return self._queue[0][0]
         return self.stats.cycles
 
-    def snapshot(self) -> Dict[str, object]:
-        """Picklable snapshot of all dynamic state (see inorder docs)."""
-        if not self._started:
-            self._begin()
-        state: Dict[str, object] = {
-            name: getattr(self, name) for name in self._SNAPSHOT_FIELDS}
-        state["model"] = self.SNAPSHOT_MODEL
-        state["cycle"] = self.cycle
-        return state
-
-    def restore(self, state: Dict[str, object]) -> None:
-        """Reinstall a :meth:`snapshot`; the next :meth:`run` resumes."""
-        from ..guard.errors import CheckpointError
-        model = state.get("model") if isinstance(state, dict) else None
-        if model != self.SNAPSHOT_MODEL:
-            raise CheckpointError(
-                f"checkpoint is for model {model!r}, not "
-                f"{self.SNAPSHOT_MODEL!r}")
-        missing = [n for n in self._SNAPSHOT_FIELDS if n not in state]
-        if missing:
-            raise CheckpointError(
-                f"checkpoint payload missing fields: {missing}")
-        for name in self._SNAPSHOT_FIELDS:
-            setattr(self, name, state[name])
-        self.stats.memory = self.memory
-        # A profiler attached before restore() captured `_prof_next` from
-        # the pre-restore clock; re-anchor it so resumed profiled runs
-        # sample on the configured interval from the restored cycle.
-        self._prof_next = self.cycle if self._profiler is not None \
-            else _FAR_FUTURE
-
-    @property
-    def main_done(self) -> bool:
-        """True once the main thread has architecturally finished."""
-        return self._started and self._main is not None \
-            and self._main.state.done
-
-    def _begin(self) -> None:
-        """Initialise the main context (once per simulator lifetime)."""
-        program = self.program
-        config = self.config
-        main_state = ThreadState(tid=0,
-                                 pc=program.function_entry[program.entry])
-        #: Final main-thread architectural state (the differential oracle
-        #: compares it across execution engines after :meth:`run`).
-        self.main_state = main_state
-        self._main = _OOOThread(main_state, 0, config.rob_entries,
-                                config.rs_entries)
-        self._queue = [(0, 0, self._main)]
-        self._live_threads = 1
-        self._tie = 0
-        self._end_cycle = None
-        self._main_misses = []
-        self._pops = 0
-        self._started = True
+    def _begin(self) -> _OOOThread:  # noqa: D102
+        main = super()._begin()
+        self._queue = [(0, 0, main)]
+        return main
 
     # -- per-cycle resource pools ---------------------------------------------------
 
@@ -286,16 +199,14 @@ class OOOSimulator:
         memory_ports = config.memory_ports
         bundles_per_cycle = config.bundles_per_cycle
         bundle_size = config.bundle_size
-        hardware_contexts = config.hardware_contexts
         spec_cycle_budget = config.spec_cycle_budget
         spec_budget = config.spec_instruction_budget
         mispredict_penalty = config.mispredict_penalty
         chk_flush_penalty = config.chk_flush_penalty
         spawn_startup_latency = config.spawn_startup_latency
-        rob_entries = config.rob_entries
-        rs_entries = config.rs_entries
         max_cycles = self.max_cycles
-        spawning = self.spawning
+        contexts = self.contexts
+        trace = self.trace
         heappush = heapq.heappush
         heappop = heapq.heappop
         next_checkpoint = None
@@ -307,43 +218,42 @@ class OOOSimulator:
                 on_checkpoint(self)
                 while next_checkpoint <= queue[0][0]:
                     next_checkpoint += checkpoint_every
-            # A heap of one needs no sift — the common case once the
-            # speculative contexts drain.
+            # ``now`` is the popped cycle: pops never go back in time, so
+            # the context policy sees them in order.  A heap of one needs
+            # no sift — the common case once the speculative contexts
+            # drain.
             if len(queue) == 1:
-                fetch, _, thread = queue[0]
+                now, _, thread = queue[0]
                 del queue[0]
             else:
-                fetch, _, thread = heappop(queue)
+                now, _, thread = heappop(queue)
             self._pops += 1
             if self._pops % 50_000 == 0:
-                self._prune_pools(fetch)
+                self._prune_pools(now)
             # Profiling gate: one int compare per pop when off (see
             # inorder.py).  Pops that bail out below go unsampled; the
             # next real fetch group samples instead.
             prof = None
-            if fetch >= self._prof_next:
+            if now >= self._prof_next:
                 prof = self._profiler
-                t_prof = prof.begin(fetch)
+                t_prof = prof.begin(now)
             state = thread.state
             tid = state.tid
             if (tid != 0 and not state.done
                     and spec_cycle_budget
-                    and fetch - thread.spawn_cycle >= spec_cycle_budget):
-                # Containment: the context outlived its cycle budget.
-                state.killed = True
-                stats.budget_kills += 1
-            if state.done:
-                self._live_threads -= 1
+                    and now - thread.spawn_cycle >= spec_cycle_budget):
+                self._budget_kill(state)
+            if state.done or (self._end_cycle is not None
+                              and now >= self._end_cycle):
+                self._release(contexts.index(thread), now, False)
                 continue
-            if self._end_cycle is not None and fetch >= self._end_cycle:
-                self._live_threads -= 1
-                continue
-            if fetch >= max_cycles:
+            if now >= max_cycles:
                 raise RuntimeError(
                     f"simulation exceeded {max_cycles} cycles")
             is_main = tid == 0
 
             # One fetch group: a bundle of up to 3 instructions.
+            fetch = now
             while fetch_used.get(fetch, 0) >= bundles_per_cycle:
                 fetch += 1
             fetch_used[fetch] = fetch_used.get(fetch, 0) + 1
@@ -364,10 +274,10 @@ class OOOSimulator:
                     next_fetch = fetch + 1
 
                 # Chaining spawns in speculative threads wait (bounded)
-                # for a free context rather than being dropped instantly
-                # (see inorder.py).
+                # for a free context rather than being dropped instantly:
+                # a re-poll every 16 cycles, up to 96 times.
                 if (kind == K_SPAWN and tid != 0
-                        and self._live_threads >= hardware_contexts
+                        and None not in contexts
                         and thread.spawn_retries < 96):
                     stats.spawn_waits += 1
                     thread.spawn_retries += 1
@@ -384,8 +294,7 @@ class OOOSimulator:
 
                 chk_fires = False
                 if kind == K_CHK:
-                    chk_fires = (spawning
-                                 and self._live_threads < hardware_contexts)
+                    chk_fires = self._chk_gate(d[13])
                 pc_before = state.pc
                 # Inside a recovery stub (fired chk.c, rfi not yet
                 # executed): counted separately for the retired-instruction
@@ -496,6 +405,8 @@ class OOOSimulator:
                 elif kind == K_CHK:
                     if result[4]:
                         stats.chk_fired += 1
+                        if trace is not None:
+                            trace.note(now, "chk_fired", uid=d[13])
                         # Spawning happens at retirement with an
                         # exception-like flush (Section 4.4.1).
                         next_fetch = retire + chk_flush_penalty
@@ -504,20 +415,12 @@ class OOOSimulator:
                 elif kind == K_SPAWN:
                     if result[2] is not None:
                         thread.spawn_retries = 0
-                        if self._live_threads < hardware_contexts:
-                            self._next_tid += 1
-                            child_state = spawn_thread(state, self._next_tid,
-                                                       result[2])
-                            child = _OOOThread(child_state,
-                                               retire + spawn_startup_latency,
-                                               rob_entries, rs_entries)
-                            self._live_threads += 1
-                            stats.spawns += 1
+                        child = self._spawn(state, result[2], now,
+                                            retire + spawn_startup_latency)
+                        if child is not None:
                             self._tie += 1
                             heappush(queue, (child.fetch_cycle, self._tie,
                                              child))
-                        else:
-                            stats.spawn_failures += 1
                 elif kind == K_KILL or kind == K_HALT:
                     break
                 if state.done:
@@ -528,12 +431,10 @@ class OOOSimulator:
                 self._prof_next = prof.sample(fetch, stats,
                                               1 if is_main else 0, False)
             if state.done:
-                self._live_threads -= 1
+                self._release(contexts.index(thread), now, not is_main)
                 if is_main:
                     self._end_cycle = thread.last_retire
                     stats.cycles = thread.last_retire
-                else:
-                    stats.threads_completed += 1
                 continue
             self._tie += 1
             entry = (next_fetch if next_fetch > fetch + 1 else fetch + 1,

@@ -7,7 +7,9 @@ contexts 1-3, far ahead of the main thread's program counter.
 
 ``render_gantt`` draws an ASCII occupancy chart; tests use the interval
 data to assert scheduling properties (e.g. that several speculative
-threads were ever alive at once).
+threads were ever alive at once).  The context policy of
+:mod:`repro.sim.smt` records into a simulator's ``trace`` when one is set,
+so both machine models trace the same way.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..isa.memory import Heap
 from ..isa.program import Program
-from .config import MachineConfig, inorder_config
-from .inorder import InOrderSimulator
+from .config import MachineConfig
+from .machine import make_simulator
 from .stats import SimStats
 
 
@@ -34,6 +36,8 @@ class ContextTrace:
         #: fired triggers, thread lifecycle (the timeline exporters turn
         #: these into instant events on the context tracks).
         self.events: List[Tuple[int, str, Dict]] = []
+        #: The run's last cycle, once :meth:`finish` has been called.
+        self.end = 0
 
     def note(self, cycle: int, name: str, **args) -> None:
         """Record a simulation-time point event."""
@@ -48,8 +52,16 @@ class ContextTrace:
             self.intervals[slot].append((tid, start, cycle))
 
     def finish(self, cycle: int) -> None:
+        """Close the open intervals at ``cycle``, the run's end, and clip
+        every interval to it (the OOO model releases a context at the
+        fetch cycle that finds it done, which can lie past the main
+        thread's last retirement)."""
+        self.end = cycle
         for slot in list(self._open):
             self.release(slot, cycle)
+        for slot, spans in self.intervals.items():
+            self.intervals[slot] = [(tid, min(start, cycle), min(end, cycle))
+                                    for tid, start, end in spans]
 
     # -- queries -------------------------------------------------------------------
 
@@ -79,8 +91,8 @@ class ContextTrace:
 
     def render_gantt(self, width: int = 72) -> str:
         """ASCII occupancy chart, one row per hardware context."""
-        horizon = max((end for spans in self.intervals.values()
-                       for _, _, end in spans), default=1)
+        horizon = max([1, self.end] + [end for spans in self.intervals.values()
+                                       for _, _, end in spans])
         scale = horizon / width
         lines = [f"cycles 0..{horizon} "
                  f"({scale:.0f} cycles per column)"]
@@ -90,61 +102,27 @@ class ContextTrace:
                 lo = min(width - 1, int(start / scale))
                 hi = min(width - 1, max(lo, int((end - 1) / scale)))
                 for i in range(lo, hi + 1):
-                    row[i] = "M" if slot == 0 else "#"
+                    row[i] = "M" if tid == 0 else "#"
             label = "main " if slot == 0 else f"spec{slot}"
             lines.append(f"{label} |{''.join(row)}|")
         return "\n".join(lines)
 
 
-class TracingInOrderSimulator(InOrderSimulator):
-    """In-order simulator that records context occupancy."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.trace = ContextTrace(self.config.hardware_contexts)
-        self._now_hint = 0
-
-    def _spawn(self, parent, target, now):  # noqa: D102
-        self._now_hint = now
-        before = [i for i, c in enumerate(self.contexts) if c is None]
-        ok = super()._spawn(parent, target, now)
-        if ok:
-            after = [i for i, c in enumerate(self.contexts) if c is None]
-            (slot,) = set(before) - set(after)
-            self.trace.occupy(slot, self._next_tid, now)
-            self.trace.note(now, "spawn", slot=slot, tid=self._next_tid,
-                            parent=parent.state.tid)
-        else:
-            self.trace.note(now, "spawn_failure",
-                            parent=parent.state.tid)
-        return ok
-
-    def _on_reap(self, slot: int, now: int) -> None:  # noqa: D102
-        self.trace.release(slot, now)
-
-    def _on_chk_fired(self, uid: int, now: int) -> None:  # noqa: D102
-        self.trace.note(now, "chk_fired", uid=uid)
-
-    def run(self) -> SimStats:  # noqa: D102
-        self.trace.occupy(0, 0, 0)
-        stats = super().run()
-        self.trace.finish(stats.cycles)
-        return stats
-
-
 def trace_run(program: Program, heap: Heap,
               config: Optional[MachineConfig] = None,
               spawning: bool = True,
-              profiler=None) -> Tuple[SimStats, ContextTrace]:
-    """Simulate on the in-order model with context tracing.
+              profiler=None,
+              model: str = "inorder") -> Tuple[SimStats, ContextTrace]:
+    """Simulate on ``model`` with context tracing.
 
     ``profiler`` optionally attaches a
     :class:`~repro.obs.profiler.CycleProfiler` so one traced run yields
     both the context-occupancy trace and the cycle-attribution profile.
     """
-    sim = TracingInOrderSimulator(program, heap,
-                                  config or inorder_config(), spawning)
+    sim = make_simulator(program, heap, model, config, spawning)
+    sim.trace = trace = ContextTrace(sim.config.hardware_contexts)
     if profiler is not None:
         sim.attach_profiler(profiler)
     stats = sim.run()
-    return stats, sim.trace
+    trace.finish(stats.cycles)
+    return stats, trace

@@ -175,16 +175,15 @@ def _simulate(artifacts: WorkloadArtifacts, ssp_spec: RunSpec,
     model: (stats, baseline cycles, context trace, resilience meta), or
     None when a simulation failed.
 
-    An observed in-order run is context-traced and a profiled run is
-    in-process (the profiler hooks the live run loop); both bypass the
+    An observed run (either model) is context-traced and a profiled run
+    is in-process (the profiler hooks the live run loop); both bypass the
     runner.  Everything else, and the OOO baseline, goes through
     ``runner``.
     """
     model = ssp_spec.model
     base_spec = RunSpec.create(ssp_spec.workload, scale=ssp_spec.scale,
                                model=model, variant="base")
-    traced = observing and model == "inorder"
-    specs = [] if traced or profiler is not None else [ssp_spec]
+    specs = [] if observing or profiler is not None else [ssp_spec]
     if model != "inorder":
         specs.append(base_spec)
     results = runner.run(specs)
@@ -201,11 +200,11 @@ def _simulate(artifacts: WorkloadArtifacts, ssp_spec: RunSpec,
     program = artifacts.tool_result.program
     heap = artifacts.workload.build_heap()
     context_trace = None
-    if traced:
+    if observing:
         from ..sim import trace_run
         with tracer.span("simulate", category="sim") as sp:
             stats, context_trace = trace_run(program, heap,
-                                             profiler=profiler)
+                                             profiler=profiler, model=model)
             sp.set(cycles=stats.cycles, spawns=stats.spawns)
     else:
         from ..sim import make_simulator
@@ -295,13 +294,9 @@ def _adapt_and_report(name: str, scale: str, model: str,
             json.dump(profiler.to_dict(), fh, indent=2, sort_keys=True)
         print(f"      profile written to {profile_out}")
     if gantt:
-        if context_trace is not None:
-            Path(gantt).write_text(context_trace.render_gantt() + "\n",
-                                   encoding="utf-8")
-            print(f"      gantt chart written to {gantt}")
-        else:
-            print("      --gantt needs the inorder model; skipped",
-                  file=sys.stderr)
+        Path(gantt).write_text(context_trace.render_gantt() + "\n",
+                               encoding="utf-8")
+        print(f"      gantt chart written to {gantt}")
     if trace:
         meta = {"workload": name, "scale": scale, "model": model}
         write_jsonl(trace, jsonl_records(tracer, context_trace, meta=meta))

@@ -12,8 +12,9 @@ which interprets Instruction objects and steps them through
 over the pre-decoded issue tables of :mod:`repro.isa.decode`;
 ``tests/test_sim_fastpath.py`` asserts byte-identical ``SimStats``
 between the two on every paper workload and a fuzz corpus.  Everything
-else (construction, spawning, throttling, checkpointing, reaping hooks)
-is inherited, so only the loops are compared.
+else (construction, the context policy of :mod:`repro.sim.smt` —
+spawning, release, budget kills, the ``chk.c`` gate — and
+checkpointing) is inherited, so only the loops are compared.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.isa import registers as regs
 from repro.isa.decode import _ALU, _RELATIONS
 from repro.isa.instructions import Instruction
-from repro.isa.interp import ExecutionError, ThreadState, spawn_thread
+from repro.isa.interp import ExecutionError, ThreadState
 from repro.isa.memory import Heap
 from repro.isa.program import Program
 from repro.sim.caches import L1
@@ -270,12 +271,9 @@ class ReferenceInOrderSimulator(InOrderSimulator):
                         and not ctx.state.done
                         and now - ctx.spawn_cycle >= cycle_budget):
                     # Containment: the context outlived its cycle budget.
-                    ctx.state.killed = True
-                    stats.budget_kills += 1
+                    self._budget_kill(ctx.state)
                 if ctx is not None and ctx.state.done:
-                    self.contexts[slot] = None
-                    stats.threads_completed += 1
-                    self._on_reap(slot, now)
+                    self._release(slot, now)
                     if self._context_waiters:
                         for waiter in self._context_waiters:
                             if not waiter.state.done:
@@ -409,7 +407,7 @@ class ReferenceInOrderSimulator(InOrderSimulator):
             # keeps a chain alive as a self-throttling pipeline.  The main
             # thread never blocks: its chk.c simply does not fire.
             if (op == "spawn" and not is_main
-                    and self._free_slot() is None):
+                    and None not in self.contexts):
                 if thread.spawn_parked_pc == state.pc:
                     # Second attempt with no context: give up — the spawn
                     # request is ignored (Section 2.1) and the thread runs
@@ -425,9 +423,7 @@ class ReferenceInOrderSimulator(InOrderSimulator):
 
             chk_fires = False
             if op == "chk.c":
-                chk_fires = self.spawning and self._free_slot() is not None
-                if chk_fires and config.dynamic_chk_throttle:
-                    chk_fires = self._throttle_allows(instr.uid)
+                chk_fires = self._chk_gate(instr.uid)
 
             pc_before = state.pc
             # A non-empty rfi stack means the main thread is inside a
@@ -500,7 +496,6 @@ class ReferenceInOrderSimulator(InOrderSimulator):
             elif op == "chk.c" and result.chk_taken:
                 # Lightweight exception: pipeline flush, resume in the stub.
                 self.stats.chk_fired += 1
-                self._on_chk_fired(instr.uid, now)
                 thread.stall_until = now + config.chk_flush_penalty
                 thread.wake = thread.stall_until
                 break
@@ -508,7 +503,8 @@ class ReferenceInOrderSimulator(InOrderSimulator):
                 self.stats.chk_ignored += 1
             elif op == "spawn":
                 if result.spawn_target is not None:
-                    self._spawn(thread, result.spawn_target, now)
+                    self._spawn(state, result.spawn_target, now,
+                                now + config.spawn_startup_latency)
             elif op in ("kill", "halt"):
                 break
 
@@ -597,13 +593,12 @@ class ReferenceOOOSimulator(OOOSimulator):
                     and fetch - thread.spawn_cycle
                     >= config.spec_cycle_budget):
                 # Containment: the context outlived its cycle budget.
-                state.killed = True
-                stats.budget_kills += 1
+                self._budget_kill(state)
             if state.done:
-                self._live_threads -= 1
+                self._release(self.contexts.index(thread), fetch, False)
                 continue
             if self._end_cycle is not None and fetch >= self._end_cycle:
-                self._live_threads -= 1
+                self._release(self.contexts.index(thread), fetch, False)
                 continue
             if fetch >= self.max_cycles:
                 raise RuntimeError(
@@ -628,7 +623,7 @@ class ReferenceOOOSimulator(OOOSimulator):
                 # for a free context rather than being dropped instantly
                 # (see inorder.py).
                 if (instr.op == "spawn" and state.tid != 0
-                        and self._live_threads >= config.hardware_contexts
+                        and None not in self.contexts
                         and thread.spawn_retries < 96):
                     stats.spawn_waits += 1
                     thread.spawn_retries += 1
@@ -646,9 +641,7 @@ class ReferenceOOOSimulator(OOOSimulator):
 
                 chk_fires = False
                 if instr.op == "chk.c":
-                    chk_fires = (self.spawning
-                                 and self._live_threads <
-                                 config.hardware_contexts)
+                    chk_fires = self._chk_gate(instr.uid)
                 pc_before = state.pc
                 # Inside a recovery stub (fired chk.c, rfi not yet
                 # executed): counted separately for the retired-instruction
@@ -718,22 +711,13 @@ class ReferenceOOOSimulator(OOOSimulator):
                     stats.chk_ignored += 1
                 elif op == "spawn" and result.spawn_target is not None:
                     thread.spawn_retries = 0
-                    if self._live_threads < config.hardware_contexts:
-                        self._next_tid += 1
-                        child_state = spawn_thread(state, self._next_tid,
-                                                   result.spawn_target)
-                        child = _OOOThread(
-                            child_state,
-                            retire + config.spawn_startup_latency,
-                            config.rob_entries, config.rs_entries)
-                        self._live_threads += 1
-                        stats.spawns += 1
+                    child = self._spawn(state, result.spawn_target, fetch,
+                                        retire + config.spawn_startup_latency)
+                    if child is not None:
                         self._tie += 1
                         heapq.heappush(queue,
                                        (child.fetch_cycle, self._tie,
                                         child))
-                    else:
-                        stats.spawn_failures += 1
                 elif op in ("kill", "halt"):
                     break
                 if state.done:
@@ -744,12 +728,11 @@ class ReferenceOOOSimulator(OOOSimulator):
                 self._prof_next = prof.sample(fetch, stats,
                                               1 if is_main else 0, False)
             if state.done:
-                self._live_threads -= 1
+                self._release(self.contexts.index(thread), fetch,
+                              not is_main)
                 if is_main:
                     self._end_cycle = thread.last_retire
                     stats.cycles = thread.last_retire
-                else:
-                    stats.threads_completed += 1
                 continue
             self._tie += 1
             heapq.heappush(queue, (max(next_fetch, fetch + 1), self._tie,

@@ -69,6 +69,25 @@ class TestCFG:
         cfg = CFG(prog.function("f"))
         assert "dead" not in cfg.reachable()
 
+    def test_self_qualified_branch_target_is_the_local_label(self):
+        """``main::exit`` names main's own block: a legal target that the
+        CFG must key by its local label."""
+        prog = Program(entry="main")
+        fb = FunctionBuilder(prog.add_function("main"))
+        p = fb.cmp("eq", fb.mov_imm(1), imm=1)
+        fb.br_cond(p, "main::exit")
+        fb.label("body")
+        fb.br("main::entry")
+        fb.label("exit")
+        fb.halt()
+        prog.finalize()
+        cfg = CFG(prog.function("main"))
+        assert cfg.successors("entry") == ["exit", "body"]
+        assert cfg.successors("body") == ["entry"]
+        assert cfg.predecessors("exit") == ["entry"]
+        assert cfg.reachable() == {"entry", "body", "exit", EXIT}
+        assert cfg.reverse_postorder()[0] == "entry"
+
     def test_reverse_postorder_starts_at_entry(self):
         order = diamond().reverse_postorder()
         assert order[0] == "entry"

@@ -162,32 +162,46 @@ class TestVerifier:
             verify_adapted_binary(prog)
 
 
+#: Per model: peak simultaneous speculative threads of the adapted tiny
+#: mcf, and the least speculative-context busy time per simulated cycle.
+CHAIN_PEAK = {"inorder": 3, "ooo": 2}
+CHAIN_BUSY = {"inorder": 2.0, "ooo": 0.9}
+
+
 class TestTracing:
+    """Context tracing on the in-order model; :class:`TestTracingOOO`
+    runs the same tests on the OOO model."""
+
+    MODEL = "inorder"
+
     def test_chaining_fills_speculative_contexts(self, adapted_mcf):
         w, _, result = adapted_mcf
-        stats, trace = trace_run(result.program, w.build_heap())
-        assert trace.max_concurrent_speculative() == 3
+        stats, trace = trace_run(result.program, w.build_heap(),
+                                 model=self.MODEL)
+        assert trace.max_concurrent_speculative() == CHAIN_PEAK[self.MODEL]
         assert trace.thread_count() > 50
-        # The chain keeps the speculative contexts almost fully busy.
+        # The chain keeps the speculative contexts busy.
         busy = trace.speculative_busy_cycles()
-        assert busy > 2 * stats.cycles
+        assert busy > CHAIN_BUSY[self.MODEL] * stats.cycles
 
     def test_baseline_has_single_thread(self, adapted_mcf):
         w, prog, _ = adapted_mcf
-        stats, trace = trace_run(prog, w.build_heap(), spawning=False)
+        stats, trace = trace_run(prog, w.build_heap(), spawning=False,
+                                 model=self.MODEL)
         assert trace.thread_count() == 1
         assert trace.max_concurrent_speculative() == 0
 
     def test_gantt_renders(self, adapted_mcf):
         w, _, result = adapted_mcf
-        _, trace = trace_run(result.program, w.build_heap())
+        _, trace = trace_run(result.program, w.build_heap(), model=self.MODEL)
         chart = trace.render_gantt(width=40)
         assert "main " in chart and "spec1" in chart
         assert "#" in chart and "M" in chart
 
     def test_intervals_well_formed(self, adapted_mcf):
         w, _, result = adapted_mcf
-        stats, trace = trace_run(result.program, w.build_heap())
+        stats, trace = trace_run(result.program, w.build_heap(),
+                                 model=self.MODEL)
         for slot, spans in trace.intervals.items():
             for tid, start, end in spans:
                 assert 0 <= start <= end <= stats.cycles
@@ -195,3 +209,13 @@ class TestTracing:
             ordered = sorted(spans, key=lambda s: s[1])
             for (_, _, end1), (_, start2, _) in zip(ordered, ordered[1:]):
                 assert end1 <= start2
+
+    def test_tracing_leaves_stats_unchanged(self, adapted_mcf):
+        w, _, result = adapted_mcf
+        stats, _ = trace_run(result.program, w.build_heap(), model=self.MODEL)
+        plain = simulate(result.program, w.build_heap(), self.MODEL)
+        assert stats.to_dict() == plain.to_dict()
+
+
+class TestTracingOOO(TestTracing):
+    MODEL = "ooo"

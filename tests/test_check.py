@@ -6,17 +6,30 @@ clean bills for all seven workloads), the cross-model differential oracle
 ``check`` CLI subcommand.
 """
 
+import dataclasses
+import random
+
 import pytest
 
+from repro.analysis.cfg import CFG
+from repro.analysis.dataflow import (
+    block_liveness,
+    instruction_defs,
+    instruction_uses,
+)
 from repro.check.fuzz import FuzzWorkload, run_case, run_fuzz
-from repro.check.lint import lint_program
+from repro.check.lint import is_speculative, lint_program
 from repro.check.oracle import (
     _inserted_instructions,
     count_inserted_triggers,
     run_oracle,
 )
 from repro.isa import FunctionBuilder, Program
+from repro.isa import registers as regs
 from repro.isa.instructions import Instruction
+from repro.isa.program import ProgramError
+from repro.profiling import collect_profile
+from repro.tool import SSPPostPassTool
 from repro.runner.worker import WorkloadArtifacts
 from repro.tool.cli import main
 from repro.workloads import PAPER_ORDER
@@ -127,7 +140,7 @@ class TestLintSynthetic:
         stub = adapted.functions["main"].block(".ssp_stub1")
         # r50 holds the list cursor, live across the trigger.
         stub.instrs.insert(0, Instruction(op="mov", dest="r50", imm=0))
-        assert "regs.stub-clobber" in _rules(lint_program(prog, adapted))
+        assert "cfi.stub-shape" in _rules(lint_program(prog, adapted))
 
     def test_stub_writing_a_dead_register(self):
         prog, uid = _base_program()
@@ -195,6 +208,116 @@ class TestLintWorkloads:
         violations = lint_program(artifacts.program,
                                   result.adapted.program)
         assert violations == [], "\n".join(str(v) for v in violations)
+
+
+def _clobbering_stubs(func):
+    """Stubs that write a register live in the main thread at the
+    resumption point (``chk.c`` + 1) of a trigger using them."""
+    _, live_out = block_liveness(func, CFG(func))
+    found = set()
+    for block in func.blocks:
+        if is_speculative(block.label):
+            continue
+        for index, instr in enumerate(block.instrs):
+            if instr.op != "chk.c" or not func.has_block(instr.target):
+                continue
+            defs = {r for i in func.block(instr.target).instrs
+                    for r in instruction_defs(i)} - {regs.ZERO}
+            live = set(live_out[block.label])
+            for later in reversed(block.instrs[index + 1:]):
+                live -= set(instruction_defs(later))
+                live |= set(instruction_uses(later, func)) - {
+                    regs.ZERO, regs.TRUE_PREDICATE}
+            if defs & live:
+                found.add(instr.target)
+    return found
+
+
+def _stub_mutants(original, adapted, rng, count):
+    """Seeded random edits of the stub blocks: insert, delete, replace or
+    swap instructions, the inserted ones writing registers main code
+    reads."""
+    funcs = [f.name for f in adapted.functions.values()
+             if any(b.label.startswith(".ssp_stub") for b in f.blocks)]
+    for _ in range(count):
+        mutant = adapted.clone()
+        func = mutant.function(rng.choice(funcs))
+        stub = rng.choice([b for b in func.blocks
+                           if b.label.startswith(".ssp_stub")])
+        reads = sorted({r for b in func.blocks if not is_speculative(b.label)
+                        for i in b.instrs for r in i.reads} - {
+                            regs.ZERO, regs.TRUE_PREDICATE}) or ["r60"]
+        reg = rng.choice(reads)
+        pool = [Instruction(op="mov", dest=reg, imm=0),
+                Instruction(op="add", dest=reg, srcs=(reg,), imm=8),
+                Instruction(op="lib.ld", dest=reg, imm=0),
+                Instruction(op="lib.st", srcs=(reg,), imm=1),
+                Instruction(op="nop"), Instruction(op="rfi"),
+                Instruction(op="kill")]
+        instrs = stub.instrs
+        for _ in range(rng.randint(1, 2)):
+            edit = rng.choice(("insert", "delete", "replace", "swap"))
+            at = rng.randrange(len(instrs)) if instrs else 0
+            if edit == "insert" or not instrs:
+                instrs.insert(at, dataclasses.replace(rng.choice(pool)))
+            elif edit == "delete":
+                del instrs[at]
+            elif edit == "replace":
+                instrs[at] = dataclasses.replace(rng.choice(pool))
+            elif at + 1 < len(instrs):
+                instrs[at], instrs[at + 1] = instrs[at + 1], instrs[at]
+        try:
+            mutant.finalize()
+        except ProgramError:
+            continue
+        yield mutant
+
+
+class TestLintMutants:
+    def test_register_writing_stub_breaks_stub_shape(self):
+        """A ``lib.st* ; spawn ; rfi`` stub writes no register, so every
+        stub that clobbers a register live at the resumption point is a
+        ``cfi.stub-shape`` violation: one rule covers both."""
+        rng = random.Random(20020617)
+        clobbering = 0
+        for name in PAPER_ORDER:
+            artifacts = WorkloadArtifacts(name, "tiny")
+            adapted = artifacts.tool_result.adapted.program
+            for mutant in _stub_mutants(artifacts.program, adapted, rng, 30):
+                violations = lint_program(artifacts.program, mutant)
+                for func in mutant.functions.values():
+                    stubs = _clobbering_stubs(func)
+                    clobbering += len(stubs)
+                    flagged = {v.location for v in violations
+                               if v.rule == "cfi.stub-shape"
+                               and v.function == func.name}
+                    assert stubs <= flagged, (name, stubs, violations)
+        assert clobbering >= 10
+
+    @pytest.mark.parametrize("seed", [20020683, 20020694])
+    def test_self_qualified_main_branch(self, seed):
+        """A main-code branch retargeted to ``main::<label>`` is the same
+        binary as one to ``<label>`` and lints the same, but for the
+        changed operand text of an original instruction."""
+        workload = FuzzWorkload(seed)
+        program = workload.build_program()
+        profile = collect_profile(program, workload.build_heap)
+        adapted = SSPPostPassTool().adapt(program, profile).program
+        for label in ("done0", "entry"):
+            verdicts = []
+            for target in (label, f"main::{label}"):
+                mutant = adapted.clone()
+                block = mutant.function("main").block("loop0")
+                index = next(i for i, instr in enumerate(block.instrs)
+                             if instr.op == "br.cond")
+                block.instrs[index] = dataclasses.replace(
+                    block.instrs[index], target=target)
+                mutant.finalize()
+                verdicts.append(sorted(
+                    (v.rule, v.location)
+                    for v in lint_program(program, mutant)))
+            changed = ("trig.main-code-preserved", "loop0")
+            assert sorted(set(verdicts[0]) | {changed}) == verdicts[1]
 
 
 class TestOracle:

@@ -489,6 +489,15 @@ class TestCLIObservability:
         assert saved["delinquent_loads"]
         assert "runner" in json.loads(telemetry.read_text())
 
+    def test_ooo_gantt(self, tmp_path, capsys):
+        gantt = tmp_path / "gantt.txt"
+        assert main(["treeadd.df", "--scale", "tiny", "--no-cache",
+                     "--model", "ooo", "--gantt", str(gantt)]) == 0
+        assert f"gantt chart written to {gantt}" in capsys.readouterr().out
+        rows = {line.split("|")[0].strip(): line
+                for line in gantt.read_text().splitlines()[1:]}
+        assert "M" in rows["main"] and "#" in rows["spec1"]
+
     def test_plain_run_still_prints_effectiveness(self, capsys):
         assert main(["treeadd.df", "--scale", "tiny", "--no-cache"]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""A host-independent guard on the in-order issue loop's cost.
+"""A host-independent guard on the simulator loops' cost.
 
 The profile the post-pass tool consumes is one in-order base run, so the
 cost of that loop is the tool's turnaround.  Wall time is too noisy to
@@ -9,6 +9,10 @@ operation, ``GsharePredictor.predict_and_update`` per conditional branch
 and the decoded ALU/compare callables; a helper call creeping back onto
 the per-instruction or per-cycle path raises the count on every
 interpreter version, without timing anything.
+
+The SSP rows bound both models' loops with speculative threads running,
+where the shared context policy (:mod:`repro.sim.smt`) is called: per
+executed instruction, main and speculative.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import sys
 
 import pytest
 
+from repro.runner.worker import WorkloadArtifacts
+from repro.sim import make_simulator
 from repro.sim.config import inorder_config
 from repro.sim.inorder import InOrderSimulator
 from repro.workloads import make_workload
@@ -25,11 +31,18 @@ from repro.workloads import make_workload
 #: run, as measured (1.97, 1.73, 1.89), plus 10%.
 CALL_BUDGET = {"em3d": 1.97 * 1.1, "vpr": 1.73 * 1.1, "mcf": 1.89 * 1.1}
 
+#: Calls per executed instruction (main + speculative) of the tiny SSP
+#: runs, as measured before the context policy was shared, plus 10%.
+SSP_CALL_BUDGET = {
+    ("inorder", "em3d"): 2.055 * 1.1, ("inorder", "vpr"): 1.822 * 1.1,
+    ("inorder", "mcf"): 2.000 * 1.1,
+    ("ooo", "em3d"): 3.770 * 1.1, ("ooo", "vpr"): 3.581 * 1.1,
+    ("ooo", "mcf"): 3.557 * 1.1,
+}
 
-def calls_per_instruction(name: str) -> float:
-    workload = make_workload(name, "tiny")
-    sim = InOrderSimulator(workload.build_program(), workload.build_heap(),
-                           inorder_config(), spawning=False)
+
+def count_calls(sim):
+    """Run ``sim`` counting Python-level calls: (stats, calls)."""
     calls = 0
 
     def count(frame, event, arg):
@@ -43,6 +56,14 @@ def calls_per_instruction(name: str) -> float:
         stats = sim.run()
     finally:
         sys.setprofile(previous)
+    return stats, calls
+
+
+def calls_per_instruction(name: str) -> float:
+    workload = make_workload(name, "tiny")
+    sim = InOrderSimulator(workload.build_program(), workload.build_heap(),
+                           inorder_config(), spawning=False)
+    stats, calls = count_calls(sim)
     return calls / stats.main_instructions
 
 
@@ -52,3 +73,16 @@ def test_calls_per_issued_instruction(name):
     assert measured <= CALL_BUDGET[name], (
         f"{name}: {measured:.3f} Python calls per issued main-thread "
         f"instruction, budget {CALL_BUDGET[name]:.3f}")
+
+
+@pytest.mark.parametrize("model,name", sorted(SSP_CALL_BUDGET))
+def test_ssp_calls_per_executed_instruction(model, name):
+    artifacts = WorkloadArtifacts(name, "tiny")
+    sim = make_simulator(artifacts.tool_result.program,
+                         artifacts.workload.build_heap(), model)
+    stats, calls = count_calls(sim)
+    assert stats.spawns > 0
+    measured = calls / (stats.main_instructions + stats.spec_instructions)
+    assert measured <= SSP_CALL_BUDGET[model, name], (
+        f"{model} {name}: {measured:.3f} Python calls per executed "
+        f"instruction, budget {SSP_CALL_BUDGET[model, name]:.3f}")

@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.profiling import collect_profile
-from repro.sim import inorder_config, ooo_config, simulate
+from repro.sim import inorder_config, make_config, ooo_config, simulate
 from repro.tool import SSPPostPassTool
 from repro.workloads import make_workload
 
@@ -24,13 +24,17 @@ def treeadd_adapted():
 
 
 class TestDynamicChkThrottle:
+    """The Section 4.4.1 throttle on the in-order model;
+    :class:`TestDynamicChkThrottleOOO` runs the same tests on OOO."""
+
+    MODEL = "inorder"
+
     def test_useless_trigger_suppressed(self, treeadd_adapted):
         w, result = treeadd_adapted
-        pm = inorder_config().with_perfect_memory()
-        plain = simulate(result.program, w.build_heap(), "inorder",
-                         config=pm)
+        pm = make_config(self.MODEL).with_perfect_memory()
+        plain = simulate(result.program, w.build_heap(), self.MODEL, config=pm)
         throttled = simulate(
-            result.program, w.build_heap(), "inorder",
+            result.program, w.build_heap(), self.MODEL,
             config=dataclasses.replace(pm, dynamic_chk_throttle=True))
         # Prefetching cannot help a perfect memory; the monitor notices
         # and later chk.c "return no available context".
@@ -40,16 +44,20 @@ class TestDynamicChkThrottle:
 
     def test_useful_trigger_kept_alive(self, treeadd_adapted):
         w, result = treeadd_adapted
-        plain = simulate(result.program, w.build_heap(), "inorder")
+        plain = simulate(result.program, w.build_heap(), self.MODEL)
         throttled = simulate(
-            result.program, w.build_heap(), "inorder",
-            config=dataclasses.replace(inorder_config(),
+            result.program, w.build_heap(), self.MODEL,
+            config=dataclasses.replace(make_config(self.MODEL),
                                        dynamic_chk_throttle=True))
         assert throttled.chk_fired == plain.chk_fired
         assert throttled.cycles == plain.cycles
 
     def test_throttle_off_by_default(self):
-        assert not inorder_config().dynamic_chk_throttle
+        assert not make_config(self.MODEL).dynamic_chk_throttle
+
+
+class TestDynamicChkThrottleOOO(TestDynamicChkThrottle):
+    MODEL = "ooo"
 
 
 class TestSpawnWaitBounds:
