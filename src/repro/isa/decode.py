@@ -29,6 +29,7 @@ assumes the program is not mutated *between* ``finalize()`` and the run.
 
 from __future__ import annotations
 
+import operator
 import weakref
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -66,25 +67,18 @@ _KIND_OF_OP = {
 for _op in ALU_OPS:
     _KIND_OF_OP[_op] = K_ALU
 
-#: Relation of each ``cmp`` and operation of each ALU opcode.
+#: Relation of each ``cmp`` and operation of each ALU opcode: the C
+#: ``operator`` functions, so an ALU or ``cmp`` step makes no Python-level
+#: call (on ints they are exactly the Python operators).
 _RELATIONS: Dict[str, Callable[[int, int], bool]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
 }
 
 _ALU: Dict[str, Callable[[int, int], int]] = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "shl": lambda a, b: a << b,
-    "shr": lambda a, b: a >> b,
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "and": operator.and_, "or": operator.or_, "xor": operator.xor,
+    "shl": operator.lshift, "shr": operator.rshift,
 }
 
 #: Structural-resource classes, matching the in-order issue logic exactly:

@@ -393,8 +393,9 @@ class InOrderSimulator(SMTSimulator):
                         # Scoreboard: stall on use of a not-yet-ready
                         # register.  The scan is skipped outright while no
                         # write is still pending (``bound`` caps every
-                        # reg_ready value).
-                        if bound > now:
+                        # reg_ready value), and for the first instruction,
+                        # which select has just found ready.
+                        if issued and bound > now:
                             worst = 0
                             for reg in d[8]:              # D_READS
                                 t = ready.get(reg, 0)

@@ -23,7 +23,6 @@ import heapq
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa import registers as regs
-from repro.isa.decode import _ALU, _RELATIONS
 from repro.isa.instructions import Instruction
 from repro.isa.interp import ExecutionError, ThreadState
 from repro.isa.memory import Heap
@@ -32,6 +31,29 @@ from repro.sim.caches import L1
 from repro.sim.inorder import _FAR_FUTURE, HWThread, InOrderSimulator
 from repro.sim.ooo import OOOSimulator, _OOOThread
 from repro.sim.stats import STALL_CATEGORY, SimStats
+
+
+#: The oracle's own statement of each ALU operation and ``cmp`` relation,
+#: independent of the production decode table.
+_ALU = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "and": lambda a, b: a & b,
+    "or": lambda a, b: a | b,
+    "xor": lambda a, b: a ^ b,
+    "shl": lambda a, b: a << b,
+    "shr": lambda a, b: a >> b,
+}
+
+_RELATIONS = {
+    "eq": lambda a, b: a == b,
+    "ne": lambda a, b: a != b,
+    "lt": lambda a, b: a < b,
+    "le": lambda a, b: a <= b,
+    "gt": lambda a, b: a > b,
+    "ge": lambda a, b: a >= b,
+}
 
 
 class ExecResult:
@@ -552,7 +574,28 @@ class ReferenceInOrderSimulator(InOrderSimulator):
 
 
 class ReferenceOOOSimulator(OOOSimulator):
-    """Out-of-order model driven by the Instruction-object loop."""
+    """Out-of-order model driven by the Instruction-object loop.
+
+    Its per-cycle resource calendars (fetch bundles, issue slots, memory
+    ports: cycle -> slots taken), their slot search and their pruning
+    are its own, so the oracle does not lean on the loop it checks.
+    Like the rest of this loop, they are not part of a snapshot.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._ref_fetch: Dict[int, int] = {}
+        self._ref_issue: Dict[int, int] = {}
+        self._ref_port: Dict[int, int] = {}
+        self._ref_pops = 0
+
+    def _ref_prune(self, now: int) -> None:
+        """Drop calendar entries far in the past (memory bound)."""
+        horizon = now - 10_000
+        for pool in (self._ref_fetch, self._ref_issue, self._ref_port):
+            if len(pool) > 200_000:
+                for cycle in [c for c in pool if c < horizon]:
+                    del pool[cycle]
 
     def run(self, checkpoint_every: Optional[int] = None,
             on_checkpoint=None) -> SimStats:
@@ -577,9 +620,9 @@ class ReferenceOOOSimulator(OOOSimulator):
                 while next_checkpoint <= queue[0][0]:
                     next_checkpoint += checkpoint_every
             fetch, _, thread = heapq.heappop(queue)
-            self._pops += 1
-            if self._pops % 50_000 == 0:
-                self._prune_pools(fetch)
+            self._ref_pops += 1
+            if self._ref_pops % 50_000 == 0:
+                self._ref_prune(fetch)
             # Profiling gate: one int compare per pop when off (see
             # inorder.py).  Pops that bail out below go unsampled; the
             # next real fetch group samples instead.
@@ -606,7 +649,7 @@ class ReferenceOOOSimulator(OOOSimulator):
             is_main = state.tid == 0
 
             # One fetch group: a bundle of up to 3 instructions.
-            fetch = self._take_slot(self._fetch_used, fetch,
+            fetch = self._take_slot(self._ref_fetch, fetch,
                                     config.bundles_per_cycle)
             next_fetch = fetch + 1
             if prof is not None:
@@ -763,9 +806,9 @@ class ReferenceOOOSimulator(OOOSimulator):
             oldest = thread.start_ring[0]
             if oldest > ready:
                 ready = oldest
-        start = self._take_slot(self._issue_used, ready, config.issue_width)
+        start = self._take_slot(self._ref_issue, ready, config.issue_width)
         if instr.is_memory and executed and mem_addr is not None:
-            start = self._take_slot(self._port_used, start,
+            start = self._take_slot(self._ref_port, start,
                                     config.memory_ports)
             if instr.op == "ld":
                 completion, level = self.memory.access(

@@ -12,7 +12,13 @@ interpreter version, without timing anything.
 
 The SSP rows bound both models' loops with speculative threads running,
 where the shared context policy (:mod:`repro.sim.smt`) is called: per
-executed instruction, main and speculative.
+executed instruction, main and speculative.  The OOO base rows bound the
+out-of-order loop alone, which carries the Figure 8 OOO column.
+
+Every bound is the count measured on the tiny workload plus 10%.  The
+ALU and ``cmp`` operations are C ``operator`` functions, so they make no
+Python-level call; each model's count is then one ``step_decoded`` per
+instruction plus the memory, predictor and context-policy calls.
 """
 
 from __future__ import annotations
@@ -28,17 +34,22 @@ from repro.sim.inorder import InOrderSimulator
 from repro.workloads import make_workload
 
 #: Calls per issued main-thread instruction of the tiny in-order base
-#: run, as measured (1.97, 1.73, 1.89), plus 10%.
-CALL_BUDGET = {"em3d": 1.97 * 1.1, "vpr": 1.73 * 1.1, "mcf": 1.89 * 1.1}
+#: run, as measured (1.625, 1.246, 1.449), plus 10%.
+CALL_BUDGET = {"em3d": 1.625 * 1.1, "vpr": 1.246 * 1.1, "mcf": 1.449 * 1.1}
 
 #: Calls per executed instruction (main + speculative) of the tiny SSP
-#: runs, as measured before the context policy was shared, plus 10%.
+#: runs, as measured, plus 10%.
 SSP_CALL_BUDGET = {
-    ("inorder", "em3d"): 2.055 * 1.1, ("inorder", "vpr"): 1.822 * 1.1,
-    ("inorder", "mcf"): 2.000 * 1.1,
-    ("ooo", "em3d"): 3.770 * 1.1, ("ooo", "vpr"): 3.581 * 1.1,
-    ("ooo", "mcf"): 3.557 * 1.1,
+    ("inorder", "em3d"): 1.746 * 1.1, ("inorder", "vpr"): 1.355 * 1.1,
+    ("inorder", "mcf"): 1.552 * 1.1,
+    ("ooo", "em3d"): 1.747 * 1.1, ("ooo", "vpr"): 1.396 * 1.1,
+    ("ooo", "mcf"): 1.552 * 1.1,
 }
+
+#: Calls per executed instruction of the tiny OOO base runs, as
+#: measured, plus 10%.
+OOO_BASE_CALL_BUDGET = {"em3d": 1.626 * 1.1, "vpr": 1.247 * 1.1,
+                        "mcf": 1.450 * 1.1}
 
 
 def count_calls(sim):
@@ -86,3 +97,16 @@ def test_ssp_calls_per_executed_instruction(model, name):
     assert measured <= SSP_CALL_BUDGET[model, name], (
         f"{model} {name}: {measured:.3f} Python calls per executed "
         f"instruction, budget {SSP_CALL_BUDGET[model, name]:.3f}")
+
+
+@pytest.mark.parametrize("name", sorted(OOO_BASE_CALL_BUDGET))
+def test_ooo_base_calls_per_executed_instruction(name):
+    workload = make_workload(name, "tiny")
+    sim = make_simulator(workload.build_program(), workload.build_heap(),
+                         "ooo")
+    stats, calls = count_calls(sim)
+    assert stats.spec_instructions == 0
+    measured = calls / stats.main_instructions
+    assert measured <= OOO_BASE_CALL_BUDGET[name], (
+        f"ooo {name}: {measured:.3f} Python calls per executed "
+        f"instruction, budget {OOO_BASE_CALL_BUDGET[name]:.3f}")

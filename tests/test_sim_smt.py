@@ -36,6 +36,27 @@ def test_resume_from_every_checkpoint(treeadd, model):
         assert resumed.run().to_dict() == whole
 
 
+def test_ooo_checkpoint_sees_the_loop_state():
+    """The OOO loop keeps its tie counter and end cycle in locals; each
+    checkpoint must see them current: every queued tie already issued,
+    and the end cycle set exactly once the main thread is done.  On tiny
+    health, speculative threads still fetch after the main thread's halt
+    retired, so some checkpoints fall after it."""
+    health = WorkloadArtifacts("health", "tiny")
+    sim = make_simulator(health.tool_result.program,
+                         health.workload.build_heap(), "ooo")
+    after_main = []
+
+    def check(s):
+        snap = s.snapshot()
+        assert snap["_tie"] >= max(tie for _, tie, _ in snap["_queue"])
+        assert (snap["_end_cycle"] is not None) == s.main_done
+        after_main.append(s.main_done)
+
+    sim.run(checkpoint_every=1, on_checkpoint=check)
+    assert any(after_main) and not all(after_main)
+
+
 @pytest.mark.parametrize("model", ["inorder", "ooo"])
 def test_spawn_takes_the_lowest_free_context(treeadd, model):
     sim = make_simulator(treeadd.tool_result.program,
