@@ -28,7 +28,7 @@ pull in the simulator, the tool and the runner, and a subpackage is an
 attribute of ``repro`` only once something has imported it.
 """
 
-import importlib
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -48,14 +48,4 @@ _EXPORTS = {
 }
 
 __all__ = [*_EXPORTS, "PAPER", "__version__"]
-
-
-def __getattr__(name: str):
-    """Import a re-exported name's subpackage on first access (PEP 562)."""
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute "
-                             f"{name!r}")
-    value = getattr(importlib.import_module(module, __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _EXPORTS, globals())

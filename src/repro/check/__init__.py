@@ -21,7 +21,7 @@ linter and the proof, and the fuzzer imports the tool, so importing this
 package must not import the fuzzer.
 """
 
-import importlib
+from .._lazy import lazy_exports
 
 #: Re-exported name -> the submodule that defines it.
 _EXPORTS = {
@@ -33,14 +33,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    """Import a re-exported name's submodule on first access."""
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute "
-                             f"{name!r}")
-    value = getattr(importlib.import_module(module, __name__), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -64,7 +64,7 @@ from ..isa.instructions import (
     OP_STORE,
     Instruction,
 )
-from ..isa.interp import LIB_SLOTS
+from ..isa.registers import LIB_SLOTS
 from ..isa.memory import Heap
 from ..isa.program import Program
 from ..profiling.profile import ProgramProfile

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..isa.instructions import Instruction
-from ..isa.interp import LIB_SLOTS
+from ..isa.registers import LIB_SLOTS
 
 
 class LiveInLayout:

@@ -1,38 +1,27 @@
-"""Itanium-like ISA: instructions, programs, builder, memory, semantics."""
+"""Itanium-like ISA: instructions, programs, builder, memory, semantics.
 
-from .instructions import (
-    Instruction,
-    alu,
-    cmp,
-    load,
-    mov,
-    nop,
-    prefetch,
-    store,
-)
-from .program import BasicBlock, Function, Program, ProgramError
-from .builder import FunctionBuilder, build_function
-from .memory import Heap, HEAP_BASE, WORD
-from .asm import (
-    AsmError,
-    load_program,
-    parse_assembly,
-    round_trip,
-    save_program,
-)
-from .interp import (
-    ExecutionError,
-    FunctionalInterpreter,
-    ThreadState,
-    spawn_thread,
-)
+The names below resolve on first use (PEP 562), so a module that needs
+one constant (``repro.isa.registers``) does not load the assembler and
+the builder.
+"""
 
-__all__ = [
-    "Instruction", "alu", "cmp", "load", "mov", "nop", "prefetch", "store",
-    "BasicBlock", "Function", "Program", "ProgramError",
-    "FunctionBuilder", "build_function",
-    "Heap", "HEAP_BASE", "WORD",
-    "ExecutionError", "FunctionalInterpreter", "ThreadState", "spawn_thread",
-    "AsmError", "load_program", "parse_assembly", "round_trip",
-    "save_program",
-]
+from .._lazy import lazy_exports
+
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    "Instruction": ".instructions", "alu": ".instructions",
+    "cmp": ".instructions", "load": ".instructions", "mov": ".instructions",
+    "nop": ".instructions", "prefetch": ".instructions",
+    "store": ".instructions",
+    "BasicBlock": ".program", "Function": ".program", "Program": ".program",
+    "ProgramError": ".program",
+    "FunctionBuilder": ".builder", "build_function": ".builder",
+    "Heap": ".memory", "HEAP_BASE": ".memory", "WORD": ".memory",
+    "ExecutionError": ".interp", "FunctionalInterpreter": ".interp",
+    "ThreadState": ".interp", "spawn_thread": ".interp",
+    "AsmError": ".asm", "load_program": ".asm", "parse_assembly": ".asm",
+    "round_trip": ".asm", "save_program": ".asm",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -21,20 +21,16 @@ the correctness constraints").
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .memory import Heap
 from .program import Program
 from . import registers as regs
+from .registers import LIB_SLOTS
 
 
 class ExecutionError(Exception):
     """Raised for run-time errors in the *main* thread (bad address, etc.)."""
-
-
-#: Number of live-in buffer slots per spawn site (the RSE backing-store
-#: region is small; Table 2 shows slices need < 8 live-ins).
-LIB_SLOTS = 16
 
 
 class ThreadState:
@@ -43,7 +39,8 @@ class ThreadState:
     __slots__ = ("tid", "pc", "regs", "preds", "call_stack", "rfi_stack",
                  "lib_out", "lib_in", "speculative", "halted", "killed")
 
-    def __init__(self, tid: int, pc: int, speculative: bool = False):
+    def __init__(self, tid: int, pc: int, speculative: bool = False,
+                 lib_in: Optional[List[int]] = None):
         self.tid = tid
         self.pc = pc
         self.regs: Dict[str, int] = {regs.ZERO: 0}
@@ -54,7 +51,8 @@ class ThreadState:
         # Staging buffer this thread writes live-ins into before a spawn.
         self.lib_out: List[int] = [0] * LIB_SLOTS
         # Snapshot of the parent's lib_out taken at spawn time.
-        self.lib_in: List[int] = [0] * LIB_SLOTS
+        self.lib_in: List[int] = (lib_in if lib_in is not None
+                                  else [0] * LIB_SLOTS)
         self.speculative = speculative
         self.halted = False
         self.killed = False
@@ -76,9 +74,7 @@ def spawn_thread(parent: ThreadState, tid: int, target_pc: int) -> ThreadState:
     possibility of inter-thread hazards where a register may be overwritten
     before a child thread has read it".
     """
-    child = ThreadState(tid, target_pc, speculative=True)
-    child.lib_in = list(parent.lib_out)
-    return child
+    return ThreadState(tid, target_pc, True, list(parent.lib_out))
 
 
 class FunctionalInterpreter:

@@ -10,6 +10,7 @@ defines (Itanium ``ld8``/``st8``).
 from __future__ import annotations
 
 import hashlib
+from array import array
 from typing import Dict, List, Tuple
 
 
@@ -130,3 +131,38 @@ class Heap:
         way Itanium's non-faulting ``lfetch`` does.
         """
         return addr % WORD == 0 and HEAP_BASE <= addr < self.size
+
+
+class HeapImage:
+    """A heap's contents held compactly: :meth:`thaw` gives a fresh,
+    independent :class:`Heap` equal to the one it was taken from.
+
+    The words live in two arrays of indices and values, in the heap's
+    insertion order, 32-bit where every entry fits (the seven kernels'
+    do) and 64-bit otherwise: 8 to 16 bytes a word, against about 100
+    for a dict of Python ints.
+    """
+
+    __slots__ = ("size", "brk", "keys", "values")
+
+    def __init__(self, heap: Heap):
+        words = heap._words
+        self.size = heap.size
+        self.brk = heap._brk
+        self.keys = _compact(words)
+        self.values = _compact(words.values())
+
+    def thaw(self) -> Heap:
+        """A fresh heap equal to the one imaged."""
+        heap = Heap(self.size)
+        heap._words = dict(zip(self.keys, self.values))
+        heap._brk = self.brk
+        return heap
+
+
+def _compact(ints) -> array:
+    """``ints`` as 32-bit integers when every one fits, else 64-bit."""
+    try:
+        return array("i", ints)
+    except OverflowError:
+        return array("q", ints)

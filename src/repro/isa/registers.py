@@ -31,6 +31,10 @@ FIRST_ARG = 32
 MAX_ARGS = 8
 FIRST_TEMP = 40
 
+#: Number of live-in buffer slots per spawn site (the RSE backing-store
+#: region is small; Table 2 shows slices need < 8 live-ins).
+LIB_SLOTS = 16
+
 
 def arg_register(index: int) -> str:
     """Return the register carrying positional argument ``index``."""

@@ -16,53 +16,32 @@ Zero-overhead-when-disabled instrumentation for the whole reproduction:
   counter vocabulary shared by the metrics document, the runner
   telemetry, the fleet document and the trace's ``meta`` line;
 * a metrics-document collector and the ``repro report`` renderer.
+
+The names below resolve on first use (PEP 562): the guard imports the
+tracer, and a command that records nothing must not load the exporters,
+the profiler and the fleet view.
 """
 
-from .tracer import (
-    Counter,
-    Histogram,
-    NullTracer,
-    NULL_TRACER,
-    Span,
-    Tracer,
-    ensure_tracer,
-)
-from .export import (
-    SIM_PID,
-    TOOL_PID,
-    chrome_trace_events,
-    jsonl_records,
-    profiler_counter_events,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .metrics import (
-    collect_metrics,
-    delinquent_rows,
-    slice_rows,
-)
-from .profiler import (
-    CycleProfiler,
-    DEFAULT_INTERVAL,
-    profile_run,
-    render_profile,
-)
-from .fleet import (
-    collect_fleet,
-    fleet_summary_lines,
-    render_fleet,
-)
-from .record import COUNTERS, SCHEMA
-from .report import render_report
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter", "Histogram", "NullTracer", "NULL_TRACER", "Span", "Tracer",
-    "ensure_tracer",
-    "SIM_PID", "TOOL_PID", "chrome_trace_events",
-    "jsonl_records", "profiler_counter_events", "write_chrome_trace",
-    "write_jsonl",
-    "collect_metrics", "delinquent_rows", "slice_rows",
-    "CycleProfiler", "DEFAULT_INTERVAL", "profile_run", "render_profile",
-    "collect_fleet", "fleet_summary_lines", "render_fleet",
-    "COUNTERS", "SCHEMA", "render_report",
-]
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    "Counter": ".tracer", "Histogram": ".tracer", "NullTracer": ".tracer",
+    "NULL_TRACER": ".tracer", "Span": ".tracer", "Tracer": ".tracer",
+    "ensure_tracer": ".tracer",
+    "SIM_PID": ".export", "TOOL_PID": ".export",
+    "chrome_trace_events": ".export", "jsonl_records": ".export",
+    "profiler_counter_events": ".export", "write_chrome_trace": ".export",
+    "write_jsonl": ".export",
+    "collect_metrics": ".metrics", "delinquent_rows": ".metrics",
+    "slice_rows": ".metrics",
+    "CycleProfiler": ".profiler", "DEFAULT_INTERVAL": ".profiler",
+    "profile_run": ".profiler", "render_profile": ".profiler",
+    "collect_fleet": ".fleet", "fleet_summary_lines": ".fleet",
+    "render_fleet": ".fleet",
+    "COUNTERS": ".record", "SCHEMA": ".record",
+    "render_report": ".report",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS, globals())

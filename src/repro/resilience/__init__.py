@@ -18,27 +18,25 @@ package keeps them alive through the failures long runs actually hit:
 
 Retries, the watchdog and poison quarantine belong to the one execution
 engine, the :mod:`repro.service` queue and its workers.
+
+The names below resolve on first use (PEP 562): a client that needs only
+:class:`ResilienceConfig` or the ladder does not load the checkpoint
+store.
 """
 
-from .checkpoint import CHECKPOINT_FORMAT, CheckpointStore
-from .heartbeat import Heartbeat, heartbeat_age, read_heartbeat
-from .ladder import (
-    LADDER,
-    STEP_BASIC,
-    STEP_FULL,
-    STEP_TOP1,
-    STEP_UNADAPTED,
-    degrade_spec,
-    ladder_applies,
-    ladder_steps,
-    next_step,
-)
-from .config import ResilienceConfig
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CHECKPOINT_FORMAT", "CheckpointStore",
-    "Heartbeat", "heartbeat_age", "read_heartbeat",
-    "LADDER", "STEP_BASIC", "STEP_FULL", "STEP_TOP1", "STEP_UNADAPTED",
-    "degrade_spec", "ladder_applies", "ladder_steps", "next_step",
-    "ResilienceConfig",
-]
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    "CHECKPOINT_FORMAT": ".checkpoint", "CheckpointStore": ".checkpoint",
+    "Heartbeat": ".heartbeat", "heartbeat_age": ".heartbeat",
+    "read_heartbeat": ".heartbeat",
+    "LADDER": ".ladder", "STEP_BASIC": ".ladder", "STEP_FULL": ".ladder",
+    "STEP_TOP1": ".ladder", "STEP_UNADAPTED": ".ladder",
+    "degrade_spec": ".ladder", "ladder_applies": ".ladder",
+    "ladder_steps": ".ladder", "next_step": ".ladder",
+    "ResilienceConfig": ".config",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS, globals())

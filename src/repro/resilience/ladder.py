@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..runner.spec import RunSpec
-from ..tool.postpass import DEGRADATION_PRESETS
+from ..tool.options import DEGRADATION_PRESETS
 
 STEP_FULL = "full"
 STEP_BASIC = "basic"
@@ -30,7 +30,7 @@ STEP_UNADAPTED = "unadapted"
 
 #: Rungs in descending capability order.  The tool-adapted middle rungs
 #: take their ToolOptions overrides from
-#: :data:`repro.tool.postpass.DEGRADATION_PRESETS`.
+#: :data:`repro.tool.options.DEGRADATION_PRESETS`.
 LADDER = (STEP_FULL, STEP_BASIC, STEP_TOP1, STEP_UNADAPTED)
 
 

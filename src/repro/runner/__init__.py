@@ -10,27 +10,28 @@ memoises every result on disk in a
 :class:`~repro.runner.cache.ResultCache` keyed by spec content hash and a
 source-tree salt.  Experiments, the CLI and the benchmark harness all
 route their simulations through here.
+
+The names below resolve on first use (PEP 562).  :mod:`repro.runner.worker`,
+the execution layer, pulls in the simulators, the tool, profiling and
+codegen; only code that executes a task imports it, so a client that
+submits, polls or fetches never does.
 """
 
-from .spec import RunSpec, VARIANTS, freeze_options, freeze_overrides
-from .cache import ResultCache, code_version
-from .telemetry import RunnerTelemetry
-from .executor import Runner, RunnerError, RunResult
-from .worker import (
-    WorkerTask,
-    WorkloadArtifacts,
-    artifacts_for,
-    clear_artifact_cache,
-    config_for,
-    execute_spec,
-    execute_task,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RunSpec", "VARIANTS", "freeze_options", "freeze_overrides",
-    "ResultCache", "code_version",
-    "RunnerTelemetry",
-    "Runner", "RunnerError", "RunResult",
-    "WorkerTask", "WorkloadArtifacts", "artifacts_for",
-    "clear_artifact_cache", "config_for", "execute_spec", "execute_task",
-]
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    "RunSpec": ".spec", "VARIANTS": ".spec", "freeze_options": ".spec",
+    "freeze_overrides": ".spec",
+    "ResultCache": ".cache", "code_version": ".cache",
+    "RunnerTelemetry": ".telemetry",
+    "Runner": ".executor", "RunnerError": ".executor",
+    "RunResult": ".executor",
+    "WorkerTask": ".worker", "WorkloadArtifacts": ".worker",
+    "artifacts_for": ".worker", "clear_artifact_cache": ".worker",
+    "config_for": ".worker", "execute_spec": ".worker",
+    "execute_task": ".worker",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS, globals())

@@ -40,7 +40,6 @@ from ..sim.stats import SimStats
 from .cache import ResultCache
 from .spec import RunSpec
 from .telemetry import RunnerTelemetry
-from .worker import execute_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..resilience.config import ResilienceConfig
@@ -120,7 +119,7 @@ class Runner:
     def __init__(self, jobs: int = 1,
                  cache=_DEFAULT_CACHE,
                  retries: int = 1,
-                 task_fn: Callable[[RunSpec], Dict] = execute_spec,
+                 task_fn: Optional[Callable[[RunSpec], Dict]] = None,
                  resilience: Optional["ResilienceConfig"] = None,
                  service=_DEFAULT_SERVICE):
         """
@@ -132,7 +131,9 @@ class Runner:
             retries: extra attempts after a failed one (on a private
                 root; a service root's queue sets its own).
             task_fn: the unit of work (overridable for tests): a
-                callable ``spec -> payload``.
+                callable ``spec -> payload``; None is
+                :func:`~repro.runner.worker.execute_task`, which only a
+                cache miss imports.
             resilience: budgets, checkpoints and the watchdog timeout.
                 Workers are then always forked, and the parent kills a
                 worker whose heartbeat goes silent; budget and OOM

@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from ..sim.config import PRESETS
+
 #: Simulation variants a spec may name.  ``base`` and the two ``perfect_*``
 #: ablations run the original binary without spawning; ``ssp`` runs the
 #: tool-adapted binary and ``hand`` the hand-adapted one (Section 4.5).
@@ -68,7 +70,7 @@ class RunSpec:
     #: Spawning override; None derives it from the variant (only the
     #: adapted ``ssp``/``hand`` binaries spawn speculative threads).
     spawning: Optional[bool] = None
-    #: Frozen :class:`~repro.tool.postpass.ToolOptions` field/value pairs
+    #: Frozen :class:`~repro.tool.options.ToolOptions` field/value pairs
     #: (build with :func:`freeze_options`); () means the tool defaults.
     tool_options: Tuple[Tuple[str, Any], ...] = ()
     #: :class:`~repro.sim.config.MachineConfig` field replacements applied
@@ -77,10 +79,9 @@ class RunSpec:
     max_cycles: int = 200_000_000
 
     def __post_init__(self) -> None:
-        from ..sim.machine import MODELS
-        if self.model not in MODELS:
+        if self.model not in PRESETS:
             raise ValueError(f"unknown model {self.model!r}; expected one "
-                             f"of {tuple(MODELS)}")
+                             f"of {tuple(PRESETS)}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected "
                              f"one of {VARIANTS}")

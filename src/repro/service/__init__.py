@@ -17,30 +17,25 @@ behind a queue worked by many processes on many hosts sharing the root:
   :class:`~repro.runner.executor.Runner` cache miss goes through (on
   ``REPRO_SERVICE_ROOT`` when it is configured, else on a private
   per-call root).
+
+The names below resolve on first use (PEP 562), and no module of this
+package imports the execution layer (:mod:`repro.runner.worker`) at load
+time: ``submit``, ``status``, ``fetch`` and ``top`` never load the
+simulators.  Only executing a job does.
 """
 
-from .client import (
-    DEFAULT_SERVICE_ROOT,
-    ENV_SERVICE_ROOT,
-    ServiceClient,
-    ServiceConfig,
-    batch_id_for,
-)
-from .queue import (
-    DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_POISON_THRESHOLD,
-    DEFAULT_VISIBILITY_TIMEOUT,
-    JobQueue,
-    Lease,
-    default_worker_id,
-)
-from .worker import ServiceWorker
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SERVICE_ROOT", "ENV_SERVICE_ROOT",
-    "JobQueue", "Lease", "default_worker_id",
-    "DEFAULT_VISIBILITY_TIMEOUT", "DEFAULT_MAX_ATTEMPTS",
-    "DEFAULT_POISON_THRESHOLD",
-    "ServiceWorker",
-    "ServiceClient", "ServiceConfig", "batch_id_for",
-]
+#: Re-exported name -> the submodule that defines it.
+_EXPORTS = {
+    "DEFAULT_SERVICE_ROOT": ".client", "ENV_SERVICE_ROOT": ".client",
+    "ServiceClient": ".client", "ServiceConfig": ".client",
+    "batch_id_for": ".client",
+    "DEFAULT_MAX_ATTEMPTS": ".queue", "DEFAULT_POISON_THRESHOLD": ".queue",
+    "DEFAULT_VISIBILITY_TIMEOUT": ".queue", "JobQueue": ".queue",
+    "Lease": ".queue", "default_worker_id": ".queue",
+    "ServiceWorker": ".worker",
+}
+
+__all__ = sorted(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS, globals())

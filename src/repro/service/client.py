@@ -27,7 +27,8 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..resilience.config import ResilienceConfig
 from ..resilience.ladder import STEP_FULL
@@ -35,15 +36,16 @@ from ..runner.cache import ResultCache
 from ..runner.executor import RunResult
 from ..runner.spec import RunSpec
 from ..runner.telemetry import RunnerTelemetry
-from ..runner.worker import execute_spec
 from ..sim.stats import SimStats
-from .local import LocalWorkers
 from .queue import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_POISON_THRESHOLD,
     DEFAULT_VISIBILITY_TIMEOUT,
     JobQueue,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .local import LocalWorkers
 
 #: Environment variable naming the service root.
 ENV_SERVICE_ROOT = "REPRO_SERVICE_ROOT"
@@ -350,7 +352,7 @@ class ServiceClient:
                 state.get("queued", 0))
 
     def wait(self, batch_id: str, timeout: Optional[float] = None,
-             task_fn: Callable[..., Dict] = execute_spec) -> Dict:
+             task_fn: Optional[Callable[..., Dict]] = None) -> Dict:
         """Block until the batch completes (or the timeout lapses).
 
         With ``config.inline_worker`` the waiting client claims and
@@ -360,6 +362,7 @@ class ServiceClient:
         (with ``status["poisoned"] > 0``) rather than hanging.  Idle
         polls back off exponentially (:meth:`_poll_delay`).
         """
+        from .local import LocalWorkers
         workers = (LocalWorkers(self.queue, self.backend, task_fn,
                                 checkpoint_root=self.checkpoint_root)
                    if self.config.inline_worker else None)
@@ -412,7 +415,7 @@ class ServiceClient:
 
     def run_batch(self, specs: Sequence[RunSpec],
                   telemetry: Optional[RunnerTelemetry] = None,
-                  task_fn: Callable[..., Dict] = execute_spec,
+                  task_fn: Optional[Callable[..., Dict]] = None,
                   timeout: Optional[float] = None, jobs: int = 1,
                   resilience: Optional[ResilienceConfig] = None
                   ) -> List[RunResult]:
@@ -428,6 +431,7 @@ class ServiceClient:
         carries ``metrics["resilience"]``: its ladder rung and
         watchdog kills.
         """
+        from .local import LocalWorkers
         unique: Dict[str, RunSpec] = {}
         for spec in specs:
             unique.setdefault(spec.content_hash(), spec)

@@ -81,7 +81,7 @@ class LocalWorkers:
     """A client's own workers for one batch."""
 
     def __init__(self, queue: JobQueue, backend: ResultCache,
-                 task_fn: Callable, jobs: int = 1,
+                 task_fn: Optional[Callable], jobs: int = 1,
                  resilience: Optional[ResilienceConfig] = None,
                  checkpoint_root: Optional[Path] = None):
         self.queue = queue
@@ -144,6 +144,9 @@ class LocalWorkers:
                     deadline: Optional[float]) -> bool:
         """Fork ``jobs`` workers and tend them until all have exited;
         False when not even the first one could be started."""
+        # Import the execution layer here, once, before the first fork:
+        # each child would otherwise pay for it again.
+        from ..runner import worker  # noqa: F401
         # A child flushes the stdio buffers it inherited when it exits:
         # empty them first so nothing is printed twice.
         sys.stdout.flush()

@@ -58,7 +58,6 @@ from ..resilience.config import ResilienceConfig
 from ..resilience.ladder import degrade_spec, ladder_steps
 from ..runner.cache import ResultCache
 from ..runner.spec import RunSpec
-from ..runner.worker import WorkerTask, execute_spec, execute_task
 from .queue import JobQueue, Lease, default_worker_id
 
 #: Exit status of a ``worker.crash`` chaos death (``os._exit`` — no
@@ -87,18 +86,17 @@ class ServiceWorker:
     """One queue consumer bound to a shared backend."""
 
     def __init__(self, queue: JobQueue, backend: ResultCache,
-                 task_fn: Callable[..., Dict] = execute_spec,
+                 task_fn: Optional[Callable[..., Dict]] = None,
                  worker_id: Optional[str] = None,
                  resilience: Optional[ResilienceConfig] = None):
         """
         Args:
             queue: the shared job queue.
             backend: the shared result store (the dedupe authority).
-            task_fn: spec -> payload unit of work.  The default
-                ``execute_spec`` is upgraded to a heartbeating
-                ``execute_task`` automatically; a custom ``task_fn``
-                (tests, alternative executors) is called as
-                ``task_fn(spec)`` after one lease beat.
+            task_fn: spec -> payload unit of work.  The default (None,
+                or ``execute_spec``) is a heartbeating ``execute_task``;
+                a custom ``task_fn`` (tests, alternative executors) is
+                called as ``task_fn(spec)`` after one lease beat.
             worker_id: stable tag for lease/done records; defaults to
                 ``<hostname>-<pid>``.
             resilience: per-job discipline (checkpoint cadence, resume,
@@ -224,7 +222,10 @@ class ServiceWorker:
                  lease: Lease) -> Tuple[Dict, RunSpec, List[str]]:
         """One execution: (payload, executed spec, the failure kind
         behind each ladder descent)."""
-        if self.task_fn is not execute_spec:
+        # The execution layer: imported by the first job this worker
+        # executes (a forked one inherits it from its parent).
+        from ..runner.worker import WorkerTask, execute_spec, execute_task
+        if self.task_fn is not None and self.task_fn is not execute_spec:
             lease.beat(stage="execute")
             return self.task_fn(spec), spec, []
         cfg = self.resilience

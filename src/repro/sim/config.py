@@ -140,6 +140,12 @@ def ooo_config() -> MachineConfig:
                          chk_flush_penalty=16)
 
 
+#: Model name -> its Table 1 preset.  The names a run spec may give:
+#: :data:`repro.sim.machine.MODELS` pairs each with its simulator, and a
+#: spec is validated here without loading the simulators.
+PRESETS = {"inorder": inorder_config, "ooo": ooo_config}
+
+
 def table1_rows():
     """The Table 1 parameter listing, as (parameter, value) rows."""
     cfg = inorder_config()

@@ -12,20 +12,19 @@ from typing import Optional
 
 from ..isa.memory import Heap
 from ..isa.program import Program
-from .config import MachineConfig, inorder_config, ooo_config
+from .config import PRESETS, MachineConfig
 from .inorder import InOrderSimulator
 from .ooo import OOOSimulator
 from .smt import DEFAULT_MAX_CYCLES
 from .stats import SimStats
 
-#: model name -> (default-config factory, simulator class).  The single
-#: source of truth for model validation: both :func:`make_config` and
-#: :func:`simulate` resolve names here, so a bad model raises immediately
-#: even when the caller supplies a custom ``config``.
-MODELS = {
-    "inorder": (inorder_config, InOrderSimulator),
-    "ooo": (ooo_config, OOOSimulator),
-}
+#: model name -> (default-config factory, simulator class), one entry
+#: per :data:`~repro.sim.config.PRESETS` name.  Both :func:`make_config`
+#: and :func:`simulate` resolve names here, so a bad model raises
+#: immediately even when the caller supplies a custom ``config``.
+_SIMULATORS = {"inorder": InOrderSimulator, "ooo": OOOSimulator}
+MODELS = {name: (preset, _SIMULATORS[name])
+          for name, preset in PRESETS.items()}
 
 
 def _lookup(model: str):

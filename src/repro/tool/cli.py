@@ -62,6 +62,12 @@ degraded down the ladder, which is recorded in telemetry and
 ``RunResult.metrics["resilience"]`` rather than the exit code — still
 exits 0/3/4 per the guard semantics above; only a spec whose attempts
 ran out (or that was quarantined) surfaces as failure (1).
+
+Import weight: this module loads only the standard library and
+:mod:`repro.guard` (with the tracer it needs); each handler imports the
+layers it reaches.  ``service submit|status|fetch|top`` therefore never
+load the simulators, the tool or the execution layer
+(:mod:`repro.runner.worker`), and ``--list`` loads only the workloads.
 """
 
 from __future__ import annotations
@@ -71,29 +77,13 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..guard import faultinject
 from ..guard.faultinject import FaultInjector, FaultSpec, describe_sites
-from ..obs import (
-    NULL_TRACER,
-    Tracer,
-    chrome_trace_events,
-    collect_metrics,
-    jsonl_records,
-    render_report,
-    write_chrome_trace,
-    write_jsonl,
-)
-from ..obs.record import render_counters
-from ..runner import (
-    ResultCache,
-    Runner,
-    RunSpec,
-    WorkloadArtifacts,
-    artifacts_for,
-)
-from ..workloads import PAPER_ORDER, workload_names
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..runner import Runner, RunSpec, WorkloadArtifacts
 
 #: Exit codes.  0/1/2 keep their conventional meanings; 3 and 4 let
 #: scripts distinguish a run that *succeeded but degraded* (some loads
@@ -121,6 +111,7 @@ def _guard_exit_code(guard, base: int) -> int:
 
 
 def _make_runner(args) -> Runner:
+    from ..runner import Runner
     resilience = None
     if (getattr(args, "deadline", None) is not None
             or getattr(args, "checkpoint_every", None) is not None
@@ -148,6 +139,7 @@ def _observed_artifacts(spec: RunSpec, tracer) -> WorkloadArtifacts:
     profile/adaptation for this spec, in which case no spans would be
     recorded; an observed run pays the rebuild to get a complete trace.
     """
+    from ..runner.worker import WorkloadArtifacts
     artifacts = WorkloadArtifacts(spec.workload, spec.scale,
                                   spec.tool_options_dict())
     artifacts.tracer = tracer
@@ -180,6 +172,7 @@ def _simulate(artifacts: WorkloadArtifacts, ssp_spec: RunSpec,
     runner.  Everything else, and the OOO baseline, goes through
     ``runner``.
     """
+    from ..runner import RunSpec
     model = ssp_spec.model
     base_spec = RunSpec.create(ssp_spec.workload, scale=ssp_spec.scale,
                                model=model, variant="base")
@@ -220,6 +213,7 @@ def _run_record(artifacts: WorkloadArtifacts, spec: RunSpec, tracer,
                 resilience_meta=None, profiler=None, fleet=None) -> dict:
     """The run record of one workload run: the document of both
     ``--metrics-json`` and ``report WORKLOAD``."""
+    from ..obs import collect_metrics
     return collect_metrics(
         spec.workload, spec.scale, spec.model, profile=artifacts.profile,
         tool_result=artifacts.tool_result, stats=stats,
@@ -235,6 +229,10 @@ def _adapt_and_report(name: str, scale: str, model: str,
                       gantt: Optional[str] = None,
                       profile_out: Optional[str] = None,
                       profile_interval: Optional[int] = None) -> int:
+    from ..obs import (NULL_TRACER, Tracer, chrome_trace_events,
+                       jsonl_records, write_chrome_trace, write_jsonl)
+    from ..runner import RunSpec
+    from ..runner.worker import artifacts_for
     observing = bool(trace or metrics_json or gantt)
     profiler = None
     if profile_out:
@@ -344,6 +342,7 @@ def _cache_command(argv: List[str]) -> int:
                         help="with clear: only remove generations from "
                              "older source-tree versions")
     args = parser.parse_args(argv)
+    from ..runner import ResultCache
     cache = ResultCache()
     if args.action == "stats":
         info = cache.stats()
@@ -396,6 +395,8 @@ def _service_config(args):
 
 
 def _service_specs(args) -> List[RunSpec]:
+    from ..runner import RunSpec
+    from ..workloads import PAPER_ORDER
     names = args.workloads or list(PAPER_ORDER)
     variants = args.variant or ["ssp"]
     return [RunSpec.create(name, scale=args.scale, model=args.model,
@@ -664,6 +665,7 @@ def _service_command(argv: List[str]) -> int:
         finally:
             if injector is not None:
                 faultinject.uninstall()
+        from ..obs.record import render_counters
         print(f"worker {worker.worker_id}: {processed} job(s) — "
               + render_counters(worker.counters,
                                 always=("executed", "deduped", "failures")))
@@ -760,6 +762,7 @@ def _report_command(argv: List[str]) -> int:
                              "backend)")
     args = parser.parse_args(argv)
 
+    from ..obs import Tracer, render_report
     if args.from_file:
         with open(args.from_file, "r", encoding="utf-8") as fh:
             metrics = json.load(fh)
@@ -769,6 +772,7 @@ def _report_command(argv: List[str]) -> int:
         parser.print_usage()
         return 2
 
+    from ..runner import Runner, RunSpec
     tracer = Tracer()
     spec = RunSpec.create(args.workload, scale=args.scale,
                           model=args.model, variant="ssp")
@@ -815,6 +819,8 @@ def _check_command(argv: List[str]) -> int:
     args = parser.parse_args(argv)
 
     from ..check import lint_program, run_fuzz, run_oracle
+    from ..runner.worker import WorkloadArtifacts
+    from ..workloads import PAPER_ORDER
 
     names = args.workloads or list(PAPER_ORDER)
     failures = 0
@@ -940,6 +946,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list:
+        from ..workloads import PAPER_ORDER, workload_names
         for name in workload_names():
             marker = "*" if name in PAPER_ORDER else " "
             print(f" {marker} {name}")

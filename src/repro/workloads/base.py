@@ -3,9 +3,11 @@
 A :class:`Workload` packages one benchmark kernel: the IR program and a
 deterministic heap initialiser.  Programs embed absolute data addresses
 (as a loader-relocated binary would), so the heap layout must be bit-for-
-bit reproducible — every ``build_heap()`` call replays the same seeded
-allocation sequence, letting callers run the same program object many
-times on fresh data.
+bit reproducible.  A workload lays its heap out from the seed once and
+keeps it as a compact image; every ``build_heap()`` returns a fresh copy,
+letting callers run the same program object many times on fresh data.
+That two workloads of one name, scale and seed lay out equal heaps is
+checked by ``tests/test_workloads.py``.
 
 Workloads sprinkle ``nop`` instructions near loop preheaders the way an
 Itanium code generator leaves scheduling nops; the post-pass tool replaces
@@ -18,7 +20,7 @@ import random
 from typing import Dict, Optional, Type
 
 from ..isa.instructions import numbered_after
-from ..isa.memory import Heap
+from ..isa.memory import Heap, HeapImage
 from ..isa.program import Program
 
 #: Scale presets: "tiny" for unit tests, "small" for quick integration
@@ -43,6 +45,7 @@ class Workload:
         self.seed = seed
         self._program: Optional[Program] = None
         self._layout: Optional[dict] = None
+        self._image: Optional[HeapImage] = None
 
     # -- subclass API ---------------------------------------------------------------
 
@@ -66,15 +69,13 @@ class Workload:
     # -- public API ------------------------------------------------------------------
 
     def build_heap(self) -> Heap:
-        """A fresh heap with the canonical deterministic layout."""
+        """A fresh heap with the canonical deterministic layout: laid out
+        from the seed on the first call, copied from its image after."""
+        if self._image is not None:
+            return self._image.thaw()
         heap = Heap(self.heap_bytes())
-        layout = self._build_layout(heap, random.Random(self.seed))
-        if self._layout is None:
-            self._layout = layout
-        elif layout != self._layout:
-            raise RuntimeError(
-                f"{self.name}: non-deterministic heap layout — programs "
-                "embed addresses, so layouts must replay exactly")
+        self._layout = self._build_layout(heap, random.Random(self.seed))
+        self._image = HeapImage(heap)
         return heap
 
     def build_program(self) -> Program:

@@ -26,6 +26,13 @@ DENY = ("networkx", "repro.runner", "repro.service", "repro.resilience",
         "repro.sim", "repro.codegen", "repro.profiling",
         "repro.tool")
 
+#: Modules that ``import repro.tool.cli`` and the service client's
+#: commands must leave unloaded: the simulators, codegen, the tool, the
+#: profiler, the proof and the execution layer.
+CLIENT_DENY = ("networkx", "repro.sim.inorder", "repro.sim.ooo",
+               "repro.sim.smt", "repro.codegen", "repro.tool.postpass",
+               "repro.profiling", "repro.check", "repro.runner.worker")
+
 #: Prepended to every script: makes ``import networkx`` fail the way it
 #: does where the package is not installed.
 BLOCK_NETWORKX = "import sys\nsys.modules['networkx'] = None\n"
@@ -61,11 +68,67 @@ class TestImportGate:
         assert _denied(_loaded_after("import repro", tmp_path)) == []
 
     def test_cli_import_loads_no_networkx(self, tmp_path):
-        """Every CLI command needs its layers, so the CLI imports them;
-        none of them needs networkx."""
+        """Each CLI handler imports its own layers, so importing the CLI
+        loads neither networkx nor any layer a command may not reach."""
         loaded = _loaded_after("import repro.tool.cli", tmp_path)
-        assert "repro.runner" in loaded
-        assert _denied(loaded, ("networkx",)) == []
+        assert _denied(loaded, CLIENT_DENY) == []
+
+    @pytest.mark.parametrize("action", ("submit", "status", "fetch", "top"))
+    def test_service_client_loads_no_simulator(self, tmp_path, action):
+        """``service submit|status|fetch|top`` on a root: the handler
+        runs, and the module set stays inside the client's layers."""
+        root = tmp_path / "root"
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from repro.tool.cli import main\n"
+            "root = sys.argv[1]\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = main(['service', 'submit', 'mcf', '--scale', "
+            "'tiny', '--root', root])\n"
+            "assert code == 0, code\n"
+            "batch = out.getvalue().split()[1].rstrip(':')\n"
+            "argv = {'submit': ['submit', 'em3d', '--scale', 'tiny'],\n"
+            "        'status': ['status', batch],\n"
+            "        'fetch': ['fetch', batch],\n"
+            "        'top': ['top', '--json']}[sys.argv[2]]\n"
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = main(['service', *argv, '--root', root])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n")
+        proc = _python(script, str(root), action, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        # The batch is queued, not run: status and fetch report it
+        # unfinished (exit 1); submit and top succeed.
+        assert code == (1 if action in ("status", "fetch") else 0)
+        assert "repro.service.client" in loaded
+        assert _denied(loaded, CLIENT_DENY) == []
+
+    def test_local_workers_import_the_execution_layer_before_forking(
+            self, tmp_path):
+        """Forked workers inherit the execution layer from the parent,
+        which imports it before its first fork."""
+        script = (
+            "import json, sys\n"
+            "from pathlib import Path\n"
+            "from repro.service import ServiceConfig\n"
+            "from repro.service.local import LocalWorkers\n"
+            "seen = []\n"
+            "def fork(self, live):\n"
+            "    seen.append('repro.runner.worker' in sys.modules)\n"
+            "    return False\n"
+            "LocalWorkers._fork = fork\n"
+            "config = ServiceConfig(root=Path(sys.argv[1]))\n"
+            "queue = config.make_queue().ensure()\n"
+            "workers = LocalWorkers(queue, config.make_backend(), None, "
+            "jobs=2)\n"
+            "seen.append('repro.runner.worker' in sys.modules)\n"
+            "workers.work([], None)\n"
+            "print(json.dumps(seen))\n")
+        proc = _python(script, str(tmp_path / "root"), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, True]
 
     def test_first_use_loads_the_layer(self, tmp_path):
         loaded = _loaded_after("import repro\nrepro.simulate", tmp_path)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.isa import HEAP_BASE, Heap
-from repro.isa.memory import MemoryError_
+from repro.isa.memory import HeapImage, MemoryError_
 
 
 class TestAlloc:
@@ -94,3 +94,25 @@ class TestProperties:
             for start, length in regions:
                 assert addr >= start + length or addr + size <= start
             regions.append((addr, size))
+
+    @given(st.lists(st.tuples(st.integers(0, 499),
+                              st.integers(-2**63, 2**63 - 1)),
+                    max_size=60),
+           st.integers(1, 256))
+    def test_image_thaws_an_equal_independent_heap(self, writes, extra):
+        """An image keeps every stored word (zeros and 64-bit values
+        too) in the heap's order, and each thaw is a fresh copy."""
+        heap = Heap(1 << 16)
+        base = heap.alloc(500 * 8)
+        for slot, value in writes:
+            heap.store(base + slot * 8, value)
+        heap.alloc(extra)
+        image = HeapImage(heap)
+        copy = image.thaw()
+        assert list(copy._words.items()) == list(heap._words.items())
+        assert (copy.size, copy.brk) == (heap.size, heap.brk)
+        copy.store(base, 1)
+        copy.alloc(8)
+        again = image.thaw()
+        assert list(again._words.items()) == list(heap._words.items())
+        assert again.brk == heap.brk

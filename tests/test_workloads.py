@@ -3,9 +3,11 @@
 import pytest
 
 from repro.isa import FunctionalInterpreter
+from repro.isa.memory import HEAP_BASE
 from repro.sim import simulate
 from repro.workloads import (
     PAPER_ORDER,
+    SCALES,
     Workload,
     make_workload,
     workload_names,
@@ -45,6 +47,25 @@ class TestDeterminism:
         # Spot-check a spread of words.
         for addr in range(0x1000, min(h1.brk, 0x1000 + 4096), 64):
             assert h1.load(addr) == h2.load(addr)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("name", PAPER_ORDER)
+    def test_fresh_workloads_lay_out_one_heap(self, name, scale):
+        """Programs embed heap addresses, so two fresh workloads must lay
+        out equal heaps; and since a workload keeps its first heap as an
+        image, each ``build_heap`` must return an independent copy."""
+        a = make_workload(name, scale)
+        b = make_workload(name, scale)
+        heap = a.build_heap()
+        digest, brk = heap.digest(), heap.brk
+        assert b.build_heap().digest() == digest
+        assert a.layout == b.layout
+        for copy in range(2):
+            heap.store(HEAP_BASE, heap.load(HEAP_BASE) + 1)
+            heap.store(heap.brk - 8, -1)
+            heap.alloc(64)
+            heap = a.build_heap()
+            assert (heap.digest(), heap.brk) == (digest, brk), copy
 
     def test_program_cached(self):
         w = make_workload("mcf", "tiny")
