@@ -174,11 +174,31 @@ class DependenceGraph:
         Loop-carried edges are excluded (heights are per-iteration).  When
         ``within`` is given, only nodes in that set participate.
         """
-        cache_key = uid if within is None else None
-        if cache_key is not None and cache_key in self._height_cache:
-            return self._height_cache[cache_key]
-        # Iterative DFS with memoisation local to the `within` filter.
+        return self._height(uid, within,
+                            self._height_cache if within is None else {})
+
+    def heights(self, uids: Iterable[int],
+                within: Optional[Set[int]] = None) -> Dict[int, int]:
+        """``height(u, within)`` of every node in ``uids``.
+
+        One memo serves them all: a node's height depends only on the
+        graph and ``within``, so each node is walked once, not once per
+        node above it.
+        """
         memo: Dict[int, int] = self._height_cache if within is None else {}
+        return {u: self._height(u, within, memo) for u in uids}
+
+    def max_height(self, uids: Iterable[int],
+                   within: Optional[Set[int]] = None) -> int:
+        """``height(region_or_slice)`` = max node height (Section 3.2.1.2.2)."""
+        return max(self.heights(uids, within).values(), default=0)
+
+    def _height(self, uid: int, within: Optional[Set[int]],
+                memo: Dict[int, int]) -> int:
+        """``height(uid, within)`` by iterative DFS, memoised in ``memo``
+        (which must hold only heights under the same ``within``)."""
+        if uid in memo:
+            return memo[uid]
         stack = [(uid, False)]
         while stack:
             node, expanded = stack.pop()
@@ -205,11 +225,6 @@ class DependenceGraph:
                     if edge.dst not in memo:
                         stack.append((edge.dst, False))
         return memo.get(uid, self.latency(uid))
-
-    def max_height(self, uids: Iterable[int],
-                   within: Optional[Set[int]] = None) -> int:
-        """``height(region_or_slice)`` = max node height (Section 3.2.1.2.2)."""
-        return max((self.height(u, within) for u in uids), default=0)
 
     def available_ilp(self, uids: Set[int]) -> float:
         """Sum of latencies / critical path (Cooper's available-ILP metric,

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import time
 from pathlib import Path
 from typing import Dict, Optional
 
 #: Cached once: the host tag lets a reader decide whether the writer's
 #: pid is probeable (same host) or opaque (over a shared filesystem).
-_HOSTNAME = socket.gethostname()
+_HOSTNAME = os.uname().nodename
 
 
 class Heartbeat:

@@ -224,13 +224,16 @@ class ResultCache:
         }
         if metrics:
             entry["metrics"] = metrics
+        # ``json.dumps`` takes the C encoder; ``json.dump`` to a file
+        # always runs the pure-Python one.  Unserialisable metrics raise
+        # here, before any file exists.
+        blob = json.dumps(entry, sort_keys=True)
         if faultinject.fires("backend.put.partial"):
             # Chaos: a torn write lands half an entry at the *final*
             # path (the failure the tmp+fsync+rename discipline exists
             # to prevent).  The next read quarantines it as a miss and
             # the result is re-simulated — detectable, recoverable,
             # never silently served.
-            blob = json.dumps(entry, sort_keys=True)
             with self._entry_lock(path):
                 path.write_text(blob[:max(1, len(blob) // 2)],
                                 encoding="utf-8")
@@ -239,14 +242,14 @@ class ResultCache:
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True)
+                fh.write(blob)
                 fh.flush()
                 os.fsync(fh.fileno())
             with self._entry_lock(path):
                 os.replace(tmp, path)
         except BaseException:
-            # Unserialisable metrics, ENOSPC, an interrupt: the temp
-            # file is this writer's own, so it never outlives the put.
+            # ENOSPC, an interrupt: the temp file is this writer's own,
+            # so it never outlives the put.
             with contextlib.suppress(OSError):
                 tmp.unlink()
             raise

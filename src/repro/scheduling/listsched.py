@@ -48,7 +48,7 @@ def list_schedule(dg: DependenceGraph, nodes: Sequence[Instruction],
 
     # Priority: max cumulative latency to the leaves (node height within
     # the set), tie broken by lower original address.
-    heights = {uid: dg.height(uid, within=node_uids) for uid in node_uids}
+    heights = dg.heights(node_uids, within=node_uids)
 
     ready = [uid for uid in node_uids if pending[uid] == 0]
     order: List[Instruction] = []

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,7 +62,7 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: far died or wedged mid-job; stop feeding it workers).
 DEFAULT_POISON_THRESHOLD = 3
 
-_HOSTNAME = socket.gethostname()
+_HOSTNAME = os.uname().nodename
 
 
 def default_worker_id() -> str:

@@ -201,6 +201,12 @@ class InOrderSimulator(SMTSimulator):
         models time only.  Everything constant over a run is bound to a
         local once, and the rare per-cycle events (checkpoint, cycle
         limit, profiler sample) share one ``next_event`` compare.
+
+        While no speculative context is live, the main thread stays in
+        the issue body cycle after cycle (a stretch), selecting and
+        accounting for itself, with its instruction counts in locals
+        written back when the stretch ends: at a spawn, a halt or kill,
+        or before the next event or cycle-budget deadline.
         """
         if not self._started:
             self._begin()
@@ -369,13 +375,15 @@ class InOrderSimulator(SMTSimulator):
                     bound = thread.ready_bound
                     levels = thread.reg_level
                     rfi_stack = state.rfi_stack
-                    issued = 0
                     # Main-thread instructions issued inside a recovery
                     # stub (rfi stack non-empty: between a fired chk.c and
                     # its rfi).  They are adaptation overhead, counted
                     # separately so the retired-instruction oracle can
                     # compare models net of fired triggers.
                     n_stub = 0
+                    # Instructions issued in the stretch's earlier cycles
+                    # (see below).
+                    n_issued = 0
                     # Runaway-slice containment: a speculative context
                     # stops at its instruction budget; the while's else
                     # arm kills it once it stopped there short of the
@@ -385,191 +393,266 @@ class InOrderSimulator(SMTSimulator):
                         spec_base = thread.spec_issued
                         if spec_budget - spec_base < budget:
                             stop = spec_budget - spec_base
+                    # The stretch ends before the next event or
+                    # cycle-budget deadline.  A sampled iteration has
+                    # already put ``next_event`` at or below ``now``, so
+                    # it never continues.
+                    if not have_spec:
+                        limit = next_event
+                        if deadlines and deadlines[0] < limit:
+                            limit = deadlines[0]
 
-                    while issued < stop:
-                        pc = state.pc
-                        d = dcode[pc]
+                    # One pass per cycle; more than one only in a stretch,
+                    # the main thread alone issuing cycle after cycle.
+                    while True:
+                        issued = 0
+                        while issued < stop:
+                            pc = state.pc
+                            d = dcode[pc]
 
-                        # Scoreboard: stall on use of a not-yet-ready
-                        # register.  The scan is skipped outright while no
-                        # write is still pending (``bound`` caps every
-                        # reg_ready value), and for the first instruction,
-                        # which select has just found ready.
-                        if issued and bound > now:
-                            worst = 0
-                            for reg in d[8]:              # D_READS
-                                t = ready.get(reg, 0)
-                                if t > worst:
-                                    worst = t
-                            if worst > now:
-                                thread.wake = worst
-                                break
+                            # Scoreboard: stall on use of a not-yet-ready
+                            # register.  The scan is skipped outright while no
+                            # write is still pending (``bound`` caps every
+                            # reg_ready value), and for the first instruction,
+                            # which select has just found ready.
+                            if issued and bound > now:
+                                worst = 0
+                                for reg in d[8]:              # D_READS
+                                    t = ready.get(reg, 0)
+                                    if t > worst:
+                                        worst = t
+                                if worst > now:
+                                    thread.wake = worst
+                                    break
 
-                        # Structural hazards: shared function units.
-                        rescls = d[10]                    # D_RES
-                        if rescls == RES_INT:
-                            if res_int == 0:
-                                thread.wake = now + 1
-                                break
-                            res_int -= 1
-                        elif rescls == RES_MEM:
-                            if res_mem == 0:
-                                thread.wake = now + 1
-                                break
-                            res_mem -= 1
-                        else:
-                            if res_br == 0:
-                                thread.wake = now + 1
-                                break
-                            res_br -= 1
+                            # Structural hazards: shared function units.
+                            rescls = d[10]                    # D_RES
+                            if rescls == RES_INT:
+                                if res_int == 0:
+                                    thread.wake = now + 1
+                                    break
+                                res_int -= 1
+                            elif rescls == RES_MEM:
+                                if res_mem == 0:
+                                    thread.wake = now + 1
+                                    break
+                                res_mem -= 1
+                            else:
+                                if res_br == 0:
+                                    thread.wake = now + 1
+                                    break
+                                res_br -= 1
 
-                        kind = d[0]                       # D_KIND
-                        chk_fires = False
-                        if kind > K_LFETCH:
-                            if kind == K_SPAWN:
-                                # A chaining spawn in a speculative thread
-                                # *waits* for a free context (the
-                                # lightweight exception fires "when a free
-                                # hardware context is available", Section
-                                # 2.1) — this keeps a chain alive as a
-                                # self-throttling pipeline.  The main
-                                # thread never blocks: its chk.c simply
-                                # does not fire.
-                                if not is_main and None not in contexts:
-                                    if thread.spawn_parked_pc == pc:
-                                        # Second attempt with no context:
-                                        # give up — the request is ignored
-                                        # (Section 2.1) and the thread runs
-                                        # on, which also rules out
-                                        # all-contexts-parked deadlock.
-                                        thread.spawn_parked_pc = None
-                                    else:
-                                        stats.spawn_waits += 1
-                                        thread.spawn_parked_pc = pc
-                                        thread.wake = \
-                                            now + self.SPAWN_WAIT_LIMIT
-                                        self._context_waiters.append(thread)
-                                        break
-                            elif kind == K_CHK:
-                                chk_fires = self._chk_gate(d[13])  # D_UID
-                            elif kind == K_CALLI and is_main:
-                                # The target, read before the call;
-                                # recorded below only if the call executes.
-                                call_fid = state.regs.get(d[3], 0)
+                            kind = d[0]                       # D_KIND
+                            chk_fires = False
+                            if kind > K_LFETCH:
+                                if kind == K_SPAWN:
+                                    # A chaining spawn in a speculative thread
+                                    # *waits* for a free context (the
+                                    # lightweight exception fires "when a free
+                                    # hardware context is available", Section
+                                    # 2.1) — this keeps a chain alive as a
+                                    # self-throttling pipeline.  The main
+                                    # thread never blocks: its chk.c simply
+                                    # does not fire.
+                                    if not is_main and None not in contexts:
+                                        if thread.spawn_parked_pc == pc:
+                                            # Second attempt with no
+                                            # context: give up — the
+                                            # request is ignored (Section
+                                            # 2.1) and the thread runs on,
+                                            # which also rules out
+                                            # all-contexts-parked deadlock.
+                                            thread.spawn_parked_pc = None
+                                        else:
+                                            stats.spawn_waits += 1
+                                            thread.spawn_parked_pc = pc
+                                            thread.wake = \
+                                                now + self.SPAWN_WAIT_LIMIT
+                                            self._context_waiters.append(
+                                                thread)
+                                            break
+                                elif kind == K_CHK:
+                                    chk_fires = self._chk_gate(d[13])  # D_UID
+                                elif kind == K_CALLI and is_main:
+                                    # The target, read before the call;
+                                    # recorded below only if the call executes.
+                                    call_fid = state.regs.get(d[3], 0)
 
-                        counts[pc] += 1
-                        # Inside a recovery stub, read before the step (a
-                        # fired chk.c pushes the rfi stack, rfi pops it).
-                        if rfi_stack:
-                            n_stub += 1
+                            counts[pc] += 1
+                            # Inside a recovery stub, read before the step (a
+                            # fired chk.c pushes the rfi stack, rfi pops it).
+                            if rfi_stack:
+                                n_stub += 1
 
-                        # The architectural step.  A squashed instruction
-                        # (false qualifying predicate) still consumed its
-                        # slot and unit and counts as issued; what it
-                        # costs is decided below.
-                        r = step_decoded(program, heap, state, d, chk_fires)
-                        issued += 1
+                            # The architectural step.  A squashed instruction
+                            # (false qualifying predicate) still consumed its
+                            # slot and unit and counts as issued; what it
+                            # costs is decided below.
+                            r = step_decoded(program, heap, state, d,
+                                             chk_fires)
+                            issued += 1
 
-                        # Timing only from here on, from the step's result
-                        # tuple.
-                        if kind <= K_CMP or kind == K_LIBLD:
-                            if r[3]:                      # R_EXECUTED
-                                dest = d[2]               # D_DEST
-                                t = now + d[9]            # D_LAT
+                            # Timing only from here on, from the step's result
+                            # tuple.
+                            if kind <= K_CMP or kind == K_LIBLD:
+                                if r[3]:                      # R_EXECUTED
+                                    dest = d[2]               # D_DEST
+                                    t = now + d[9]            # D_LAT
+                                    ready[dest] = t
+                                    if t > bound:
+                                        bound = t
+                                    levels[dest] = None
+                                continue
+
+                            if kind == K_LD:
+                                dest = d[2]
+                                addr = r[0]                   # R_MEM
+                                if addr is None:
+                                    # Squashed, or a deferred speculative
+                                    # fault: the register is written without a
+                                    # memory access.
+                                    t = now + 1
+                                    level = None
+                                else:
+                                    t, level = access(addr, now, d[13],
+                                                      is_main)
+                                    if is_main and level != L1:
+                                        heappush(main_misses, t)
                                 ready[dest] = t
                                 if t > bound:
                                     bound = t
-                                levels[dest] = None
-                            continue
-
-                        if kind == K_LD:
-                            dest = d[2]
-                            addr = r[0]                   # R_MEM
-                            if addr is None:
-                                # Squashed, or a deferred speculative
-                                # fault: the register is written without a
-                                # memory access.
-                                t = now + 1
-                                level = None
-                            else:
-                                t, level = access(addr, now, d[13], is_main)
-                                if is_main and level != L1:
-                                    heappush(main_misses, t)
-                            ready[dest] = t
-                            if t > bound:
-                                bound = t
-                            levels[dest] = level
-                            continue
-
-                        if kind == K_BRC:
-                            # An executed br.cond is always taken: its
-                            # predicate is both the qualifying predicate
-                            # and the branch condition.  A squashed one
-                            # still trains the predictor, not taken.
-                            taken = bool(r[1])            # R_TAKEN
-                            penalty = predict(pc, state.tid, taken)
-                            if penalty < 0:
-                                stats.mispredicts += 1
-                                thread.stall_until = thread.wake = \
-                                    now + 1 + mispredict_penalty
-                                break
-                            if not taken:
+                                levels[dest] = level
                                 continue
-                            if penalty > 0:
-                                thread.stall_until = thread.wake = \
-                                    now + 1 + penalty
-                            break  # a taken branch ends the fetch group
 
-                        if kind == K_ST:
-                            if r[0] is not None:
-                                access(r[0], now, d[13], is_main, False, True)
-                            continue
+                            if kind == K_BRC:
+                                # An executed br.cond is always taken: its
+                                # predicate is both the qualifying predicate
+                                # and the branch condition.  A squashed one
+                                # still trains the predictor, not taken.
+                                taken = bool(r[1])            # R_TAKEN
+                                penalty = predict(pc, state.tid, taken)
+                                if penalty < 0:
+                                    stats.mispredicts += 1
+                                    thread.stall_until = thread.wake = \
+                                        now + 1 + mispredict_penalty
+                                    break
+                                if not taken:
+                                    continue
+                                if penalty > 0:
+                                    thread.stall_until = thread.wake = \
+                                        now + 1 + penalty
+                                break  # a taken branch ends the fetch group
 
-                        if kind == K_LFETCH:
-                            if r[0] is None:
-                                # Squashed, or outside the heap:
-                                # non-faulting, dropped.
-                                memory.prefetches_dropped += 1
-                            else:
-                                access(r[0], now, d[13], is_main, True)
-                            continue
+                            if kind == K_ST:
+                                if r[0] is not None:
+                                    access(r[0], now, d[13], is_main,
+                                           False, True)
+                                continue
 
-                        if kind <= K_RET:
-                            if kind == K_CALLI and is_main and r[3]:
-                                self._note_indirect(d[13], call_fid)
-                            break  # br, br.call(.ind), br.ret end the group
+                            if kind == K_LFETCH:
+                                if r[0] is None:
+                                    # Squashed, or outside the heap:
+                                    # non-faulting, dropped.
+                                    memory.prefetches_dropped += 1
+                                else:
+                                    access(r[0], now, d[13], is_main, True)
+                                continue
 
-                        if kind == K_CHK:
-                            if r[4]:                      # R_CHK
-                                # Lightweight exception: pipeline flush,
-                                # resume in the stub.
-                                stats.chk_fired += 1
-                                if trace is not None:
-                                    trace.note(now, "chk_fired", uid=d[13])
-                                thread.stall_until = thread.wake = \
-                                    now + chk_flush_penalty
+                            if kind <= K_RET:
+                                if kind == K_CALLI and is_main and r[3]:
+                                    self._note_indirect(d[13], call_fid)
+                                # br, br.call(.ind), br.ret end the group
                                 break
-                            stats.chk_ignored += 1
-                            continue
 
-                        if kind == K_SPAWN:
-                            if r[2] is not None:          # R_SPAWN
-                                start = now + spawn_latency
-                                if self._spawn(state, r[2], now,
-                                               start) is not None:
-                                    have_spec = True
-                                    if cycle_budget:
-                                        heappush(deadlines,
-                                                 start + cycle_budget)
-                            continue
+                            if kind == K_CHK:
+                                if r[4]:                      # R_CHK
+                                    # Lightweight exception: pipeline flush,
+                                    # resume in the stub.
+                                    stats.chk_fired += 1
+                                    if trace is not None:
+                                        trace.note(now, "chk_fired", uid=d[13])
+                                    thread.stall_until = thread.wake = \
+                                        now + chk_flush_penalty
+                                    break
+                                stats.chk_ignored += 1
+                                continue
 
-                        if kind == K_KILL or kind == K_HALT:
+                            if kind == K_SPAWN:
+                                if r[2] is not None:          # R_SPAWN
+                                    start = now + spawn_latency
+                                    if self._spawn(state, r[2], now,
+                                                   start) is not None:
+                                        have_spec = True
+                                        if cycle_budget:
+                                            heappush(deadlines,
+                                                     start + cycle_budget)
+                                continue
+
+                            if kind == K_KILL or kind == K_HALT:
+                                break
+                            # rfi, lib.st and nop do not end the fetch group.
+                        else:
+                            if issued < budget:
+                                state.killed = True
+                                stats.budget_kills += 1
+
+                        # The stretch: while the main thread is the only
+                        # live context, it goes on to its next cycle here
+                        # instead of through reap, select and set-up —
+                        # what the loop would do for it, in the same
+                        # order.  It ends at a spawn, a halt or kill, or
+                        # the limit; this cycle is then left to the
+                        # accounting below.  The ``wake = now + 1`` bump
+                        # below is only needed on exit: between cycles
+                        # nothing reads ``thread.wake`` where it matters.
+                        if have_spec or state.halted or state.killed:
                             break
-                        # rfi, lib.st and nop do not end the fetch group.
-                    else:
-                        if issued < budget:
-                            state.killed = True
-                            stats.budget_kills += 1
+                        nxt = now + 1
+                        if nxt >= limit:
+                            break
+                        # Select at ``nxt``, with one scan for the
+                        # latest-ready source register: it also names a
+                        # stall cycle's category and its wake-up.
+                        wake = thread.stall_until
+                        if thread.wake > wake:
+                            wake = thread.wake
+                        worst = 0
+                        if bound > nxt:
+                            for reg in dreads[state.pc]:
+                                t = ready.get(reg, 0)
+                                if t > worst:
+                                    worst, worst_reg = t, reg
+                            if worst > wake:
+                                wake = worst
+                        if wake > nxt and wake >= limit:
+                            break
+                        # Figure 10 accounting for this issuing cycle.
+                        while main_misses and main_misses[0] <= now:
+                            heappop(main_misses)
+                        breakdown["CacheExec" if main_misses else "Exec"] += 1
+                        rr = rr % n_spec + 1
+                        if wake > nxt:
+                            # A stall cycle: charged with the cycles it
+                            # skips, as the loop below charges it.  Its
+                            # pops keep the miss heap, which snapshots
+                            # pickle, laid out as the loop leaves it.
+                            while main_misses and main_misses[0] <= nxt:
+                                heappop(main_misses)
+                            if worst > nxt and thread.stall_until <= nxt:
+                                level = levels.get(worst_reg)
+                                category = "Exec" if level == L1 \
+                                    else STALL_CATEGORY.get(level, "Other")
+                            else:
+                                category = "Other"
+                            breakdown[category] += wake - nxt
+                            rr = rr % n_spec + 1
+                            nxt = wake
+                        now = nxt
+                        n_issued += issued
+                        res_int = int_units
+                        res_mem = memory_ports
+                        res_br = branch_units
 
                     thread.ready_bound = bound
                     if issued:
@@ -578,7 +661,7 @@ class InOrderSimulator(SMTSimulator):
                             thread.wake = now + 1
                         if is_main:
                             issued_main = issued
-                            stats.main_instructions += issued
+                            stats.main_instructions += n_issued + issued
                             if n_stub:
                                 stats.main_stub_instructions += n_stub
                         else:

@@ -105,6 +105,23 @@ class TestImportGate:
         assert "repro.service.client" in loaded
         assert _denied(loaded, CLIENT_DENY) == []
 
+    def test_service_status_on_a_missing_root_loads_no_socket(self, tmp_path):
+        """The queue and heartbeat modules take the host name from
+        ``os.uname``, so the light client never loads ``socket``."""
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from repro.tool.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = main(['service', 'status', 'none', '--root', "
+            "sys.argv[1]])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n")
+        proc = _python(script, str(tmp_path / "missing"), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout)
+        assert code == 1
+        assert "repro.service.queue" in loaded
+        assert _denied(loaded, CLIENT_DENY + ("socket",)) == []
+
     def test_local_workers_import_the_execution_layer_before_forking(
             self, tmp_path):
         """Forked workers inherit the execution layer from the parent,

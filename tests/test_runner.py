@@ -150,6 +150,16 @@ class TestResultCache:
         assert entry["stats"] == EMPTY_STATS
         assert entry["wall_time"] == 1.5
 
+    def test_entry_text_is_the_sorted_json_of_the_entry(self, tmp_path):
+        cache = ResultCache(root=tmp_path)
+        path = cache.put(fake_spec(), EMPTY_STATS, wall_time=1.5,
+                         metrics={"b": 1, "a": [0.1, None]})
+        text = path.read_text(encoding="utf-8")
+        entry = json.loads(text)
+        assert entry["metrics"] == {"a": [0.1, None], "b": 1}
+        assert text == json.dumps(entry, sort_keys=True)
+        assert not [p for p in path.parent.iterdir() if ".tmp." in p.name]
+
     def test_salt_partitions_generations(self, tmp_path):
         spec = fake_spec()
         ResultCache(root=tmp_path, salt="old").put(spec, EMPTY_STATS)

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import SSPPostPassTool, collect_profile
 from repro.analysis import CFG, CallGraph, DependenceGraph, RegionGraph
 from repro.scheduling import (
     BASIC,
@@ -21,6 +22,7 @@ from repro.scheduling import (
     slice_sccs,
 )
 from repro.slicing import ContextSensitiveSlicer, restrict_to_region
+from repro.workloads import PAPER_ORDER, make_workload
 
 from helpers import mcf_like_workload
 
@@ -147,6 +149,32 @@ class TestSlackFormulas:
     def test_reduced_miss_cycles_saturates_at_trip_count(self):
         full = reduced_miss_cycles(1000.0, 10, 100.0)
         assert full <= 10 * 100.0
+
+    @pytest.mark.parametrize("name", PAPER_ORDER)
+    def test_max_height_shares_one_memo_exactly(self, name, monkeypatch):
+        """``max_height`` walks each node once under one memo; on every
+        region and slice the tool measures, it equals the maximum of
+        fresh per-node ``height`` calls, and ``heights`` equals them
+        node by node."""
+        calls = []
+        shared = DependenceGraph.max_height
+
+        def record(dg, uids, within=None):
+            uids = list(uids)
+            calls.append((dg, uids, within))
+            return shared(dg, uids, within)
+
+        monkeypatch.setattr(DependenceGraph, "max_height", record)
+        workload = make_workload(name, "tiny")
+        program = workload.build_program()
+        SSPPostPassTool().adapt(
+            program, collect_profile(program, workload.build_heap))
+        assert calls
+        for dg, uids, within in calls:
+            fresh = {u: dg.height(u, within) for u in uids}
+            assert dg.heights(uids, within) == fresh
+            assert shared(dg, uids, within) == max(fresh.values(),
+                                                   default=0)
 
 
 class TestChainingScheduler:

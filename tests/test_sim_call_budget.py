@@ -19,6 +19,12 @@ Every bound is the count measured on the tiny workload plus 10%.  The
 ALU and ``cmp`` operations are C ``operator`` functions, so they make no
 Python-level call; each model's count is then one ``step_decoded`` per
 instruction plus the memory, predictor and context-policy calls.
+
+The opcode rows bound the in-order loop's own work, which a call count
+cannot see: bytecodes executed in ``InOrderSimulator.run`` itself per
+issued main-thread instruction of the tiny base run.  Bytecode differs
+between interpreter versions, so these rows are pinned on 3.11 and 3.12
+only.
 """
 
 from __future__ import annotations
@@ -50,6 +56,13 @@ SSP_CALL_BUDGET = {
 #: measured, plus 10%.
 OOO_BASE_CALL_BUDGET = {"em3d": 1.626 * 1.1, "vpr": 1.247 * 1.1,
                         "mcf": 1.450 * 1.1}
+
+
+#: Bytecodes executed in ``InOrderSimulator.run`` per issued main-thread
+#: instruction of the tiny in-order base run, as measured on 3.11 (250.9,
+#: 204.9, 236.8), plus 10%.
+OPCODE_BUDGET = {"em3d": 250.9 * 1.1, "vpr": 204.9 * 1.1,
+                 "mcf": 236.8 * 1.1}
 
 
 def count_calls(sim):
@@ -110,3 +123,53 @@ def test_ooo_base_calls_per_executed_instruction(name):
     assert measured <= OOO_BASE_CALL_BUDGET[name], (
         f"ooo {name}: {measured:.3f} Python calls per executed "
         f"instruction, budget {OOO_BASE_CALL_BUDGET[name]:.3f}")
+
+
+def count_run_opcodes(sim):
+    """Run ``sim`` counting the bytecodes its ``run`` frame executes:
+    (stats, opcodes)."""
+    code = InOrderSimulator.run.__code__
+    opcodes = 0
+
+    def count(frame, event, arg):
+        nonlocal opcodes
+        if event == "opcode":
+            opcodes += 1
+        return count
+
+    def calls(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        stats = sim.run()
+    finally:
+        sys.settrace(previous)
+    return stats, opcodes
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 11), (3, 12)),
+                    reason="bytecode counts are pinned on 3.11 and 3.12")
+@pytest.mark.parametrize("name", sorted(OPCODE_BUDGET))
+def test_run_loop_opcodes_per_issued_instruction(name):
+    workload = make_workload(name, "tiny")
+    # On 3.12 the first traced run in a process has been seen to report
+    # no opcode events at all; a zero count measures nothing, so it is
+    # taken again once and must then be non-zero.
+    for _ in range(2):
+        sim = InOrderSimulator(workload.build_program(),
+                               workload.build_heap(), inorder_config(),
+                               spawning=False)
+        stats, opcodes = count_run_opcodes(sim)
+        if opcodes:
+            break
+    assert opcodes > 0, "no opcode events were traced"
+    measured = opcodes / stats.main_instructions
+    assert measured <= OPCODE_BUDGET[name], (
+        f"{name}: {measured:.1f} run-loop bytecodes per issued main-thread "
+        f"instruction, budget {OPCODE_BUDGET[name]:.1f}")

@@ -57,6 +57,33 @@ def test_ooo_checkpoint_sees_the_loop_state():
     assert any(after_main) and not all(after_main)
 
 
+@pytest.mark.parametrize("every", [1, 89])
+@pytest.mark.parametrize("variant", ["base", "ssp"])
+@pytest.mark.parametrize("name", ["health", "mcf", "treeadd.df"])
+def test_inorder_checkpoint_sees_the_loop_state(name, variant, every):
+    """The in-order main thread issues alone cycle after cycle with its
+    instruction and Figure 10 counts in locals; each checkpoint must see
+    them written back: the breakdown covers every cycle so far, and the
+    main-thread instruction count matches the per-pc issue counts.  A
+    checkpoint every cycle bounds each stretch to one cycle; one every
+    89 cycles lets stretches run between checkpoints."""
+    artifacts = WorkloadArtifacts(name, "tiny")
+    program = (artifacts.tool_result.program if variant == "ssp"
+               else artifacts.workload.build_program())
+    sim = make_simulator(program, artifacts.workload.build_heap(),
+                         "inorder", spawning=variant == "ssp")
+    seen = []
+
+    def check(s):
+        assert sum(s.stats.cycle_breakdown.values()) == s.cycle
+        assert sum(s._issue_counts) == s.stats.main_instructions
+        seen.append(s.cycle)
+
+    stats = sim.run(checkpoint_every=every, on_checkpoint=check)
+    assert len(seen) > 100
+    assert (stats.spawns > 0) == (variant == "ssp")
+
+
 @pytest.mark.parametrize("model", ["inorder", "ooo"])
 def test_spawn_takes_the_lowest_free_context(treeadd, model):
     sim = make_simulator(treeadd.tool_result.program,
