@@ -19,7 +19,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from ..isa.program import Program
 from ..profiling.profile import ProgramProfile
 from ..runner import Runner, RunSpec, artifacts_for
-from ..runner.spec import VARIANTS  # noqa: F401  (historical re-export)
 from ..sim.stats import SimStats
 from ..tool.postpass import ToolOptions, ToolResult
 from ..workloads import PAPER_ORDER, make_workload

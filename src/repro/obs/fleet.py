@@ -3,7 +3,7 @@
 A running batch service (``repro.service``) scatters its own telemetry
 across the service root: per-worker summary JSONs under
 ``<root>/workers/``, lease heartbeats and pending jobs under
-``<root>/queue/``, and the shared backend's ``CacheCounters``.
+``<root>/queue/``, and the shared backend's occupancy.
 :func:`collect_fleet` folds all of it into a single JSON-safe fleet
 document — per-worker throughput, queue depth and oldest lease age,
 dedupe and hit rates — and :func:`render_fleet` renders it as the
@@ -147,18 +147,11 @@ def collect_fleet(root=None, config=None,
     faults = _fold_faults(workers)
 
     backend = config.make_backend()
-    probe = backend.counters_snapshot()
-    hits = probe.get("hits", 0)
-    misses = probe.get("misses", 0)
     store = backend.stats()
     backend_doc: Dict[str, Any] = {
-        "kind": probe.get("kind"),
+        "kind": backend.kind,
         "entries": store.get("entries", 0),
         "bytes": store.get("bytes", 0),
-        # NOTE: counters are per-process; for a one-shot `service top`
-        # they reflect this probe, while the per-worker rows carry each
-        # worker's own lifetime counters.
-        "hit_rate": hits / (hits + misses) if (hits + misses) else None,
     }
 
     doc: Dict[str, Any] = {
@@ -219,12 +212,9 @@ def fleet_summary_lines(doc: Dict[str, Any]) -> List[str]:
                  f"{row.get('recovered', 0)}"
                  for site, row in sorted(faults.items())]
         lines.append("faults (injected/recovered): " + "  ".join(parts))
-    parts = [f"kind={backend.get('kind', '?')}"]
-    parts.append(f"entries={backend.get('entries', 0)}")
-    parts.append(f"bytes={backend.get('bytes', 0)}")
-    if backend.get("hit_rate") is not None:
-        parts.append(f"hit rate={100 * backend['hit_rate']:.0f}%")
-    lines.append("backend: " + "  ".join(parts))
+    lines.append(f"backend: kind={backend.get('kind', '?')}  "
+                 f"entries={backend.get('entries', 0)}  "
+                 f"bytes={backend.get('bytes', 0)}")
     return lines
 
 

@@ -112,6 +112,15 @@ class RunResult:
     def ok(self) -> bool:
         return self.stats is not None
 
+    @classmethod
+    def from_entry(cls, spec: RunSpec, entry: Dict, cached: bool = True,
+                   attempts: int = 0) -> "RunResult":
+        """The result a cache entry of ``spec`` holds."""
+        return cls(spec, stats=SimStats.from_dict(entry["stats"]),
+                   cached=cached, wall_time=entry.get("wall_time", 0.0),
+                   attempts=attempts, stats_dict=entry["stats"],
+                   metrics=entry.get("metrics") or {})
+
 
 class Runner:
     """Executes run specs: cache lookups, then the queue engine."""
@@ -219,15 +228,13 @@ class Runner:
         entry = self.cache.get(spec)
         if entry is None:
             return None
-        wall = entry.get("wall_time", 0.0)
+        result = RunResult.from_entry(spec, entry)
         self.telemetry.counters["cache_hits"] += 1
         self.telemetry.records.append({"spec": digest, "label": spec.label(),
-                                       "cached": True, "wall_time": wall,
+                                       "cached": True,
+                                       "wall_time": result.wall_time,
                                        "attempts": 0})
-        return RunResult(spec, stats=SimStats.from_dict(entry["stats"]),
-                         cached=True, wall_time=wall,
-                         stats_dict=entry["stats"],
-                         metrics=entry.get("metrics") or {})
+        return result
 
     # -- execution -------------------------------------------------------------------
 

@@ -6,8 +6,9 @@ from the same client or another one — is idempotent and lands on the
 same manifest.  ``submit`` enqueues only the specs the shared backend
 does not already hold; ``status`` folds queue state and backend
 occupancy into per-batch progress; ``fetch`` materialises
-:class:`~repro.runner.executor.RunResult` objects from the backend once
-the batch is complete.
+:class:`~repro.runner.executor.RunResult` objects once the batch is
+complete.  A client keeps every result it holds in one map, so it reads
+each result from the backend at most once.
 
 :meth:`ServiceClient.run_batch` is the one execution engine: every
 :class:`~repro.runner.executor.Runner` cache miss goes through it, on
@@ -36,7 +37,6 @@ from ..runner.cache import ResultCache
 from ..runner.executor import RunResult
 from ..runner.spec import RunSpec
 from ..runner.telemetry import RunnerTelemetry
-from ..sim.stats import SimStats
 from .queue import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_POISON_THRESHOLD,
@@ -129,6 +129,11 @@ class ServiceClient:
         #: A :class:`~repro.runner.executor.Runner` on a private root
         #: turns it off: it has just missed every spec it submits.
         self.submit_checks_backend = True
+        #: hash -> cache entry of every result this client holds: the
+        #: hits :meth:`submit` read, what its own workers executed and
+        #: what the wait loop read.  :meth:`fetch` reads the backend
+        #: only for what this map lacks.
+        self.entries: Dict[str, Dict] = {}
 
     # -- submit ----------------------------------------------------------------------
 
@@ -148,10 +153,14 @@ class ServiceClient:
         enqueued = 0
         cached = 0
         for digest, spec in unique.items():
-            if self.submit_checks_backend \
-                    and self.backend.get(spec) is not None:
+            entry = (self.backend.get(spec) if self.submit_checks_backend
+                     else None)
+            if entry is not None:
+                self.entries[digest] = entry
                 cached += 1
                 continue
+            # Whatever this client held, the backend has lost it since.
+            self.entries.pop(digest, None)
             _, new = self.queue.submit(spec)
             enqueued += int(new)
         manifest = {
@@ -192,47 +201,18 @@ class ServiceClient:
         them, reported as failures with their quarantine diagnostic).
         ``lost`` flags a done record whose backend entry did not
         survive (torn put, eviction) — the wait loop resubmits those.
+        Every entry is read afresh, and :attr:`entries` is neither
+        consulted nor filled: an observer re-polls this to find entries
+        torn after some client read them.
         """
-        return self._status(self.load_batch(batch_id))
+        return self._status(self.load_batch(batch_id), self._fresh_state)
 
     def _status(self, manifest: Dict,
-                seen_done: Optional[Dict[str, Dict]] = None) -> Dict:
-        """:meth:`status` of a loaded batch.  The wait loop passes
-        ``seen_done``, hash -> entry of the results it already holds:
-        those are not read again, and the backend is read only for jobs
-        the queue no longer holds as queued or running (each entry read
-        is kept there), so draining a batch costs one backend read per
-        job, not one per job per poll."""
-        states: Dict[str, str] = {}
-        for spec in self._batch_specs(manifest):
-            digest = spec.content_hash()
-            state = None
-            if seen_done is not None:
-                if digest in seen_done:
-                    states[digest] = "done"
-                    continue
-                state = self.queue.state_of(digest)
-                if state in ("queued", "running"):
-                    states[digest] = state
-                    continue
-            entry = self.backend.get(spec)
-            if entry is not None:
-                state = "done"
-            else:
-                if state is None:
-                    state = self.queue.state_of(digest)
-                if state == "done":
-                    entry = self._locate_done(spec)
-                    if entry is None:
-                        # The queue says finished but no result survives
-                        # anywhere (not even under a degraded hash): the
-                        # write was torn or the entry evicted.
-                        # at-least-once covers this too — resubmission,
-                        # not a hang.
-                        state = "lost"
-            if entry is not None and seen_done is not None:
-                seen_done[digest] = entry
-            states[digest] = state
+                state_of: Callable[[RunSpec], str]) -> Dict:
+        """The progress of a loaded batch, each job's state from
+        ``state_of``."""
+        states = {spec.content_hash(): state_of(spec)
+                  for spec in self._batch_specs(manifest)}
         counts = {state: 0 for state in
                   ("done", "failed", "poisoned", "running", "queued",
                    "lost", "missing")}
@@ -248,20 +228,46 @@ class ServiceClient:
             "states": states,
         }
 
-    def _locate_done(self, spec: RunSpec) -> Optional[Dict]:
-        """The surviving backend entry behind an ok done record — under
-        the spec's own hash, or the executed (degraded) spec's hash the
-        record redirects to.  None = the result is lost."""
-        record = self.queue.read_done(spec.content_hash())
-        if record is None or not record.get("ok"):
-            return None
+    def _fresh_state(self, spec: RunSpec) -> str:
+        """One job's state read afresh: its entry, then the queue."""
+        if self.backend.get(spec) is not None:
+            return "done"
+        digest = spec.content_hash()
+        state = self.queue.state_of(digest)
+        if state == "done" \
+                and self._locate_done(self.queue.read_done(digest)) is None:
+            return "lost"
+        return state
+
+    def _held_state(self, spec: RunSpec) -> str:
+        """One job's state in the wait loop: done when :attr:`entries`
+        holds its result.  Otherwise the backend is read only once the
+        queue no longer holds the job as queued or running, and the
+        entry read is kept, so draining a batch costs one backend read
+        per job, not one per job per poll."""
+        digest = spec.content_hash()
+        if digest in self.entries:
+            return "done"
+        state = self.queue.state_of(digest)
+        if state in ("queued", "running"):
+            return state
         entry = self.backend.get(spec)
-        if entry is not None:
-            return entry
-        executed_key = record.get("executed_spec")
-        if record.get("executed_hash") and executed_key:
-            return self.backend.get(RunSpec.from_key(executed_key))
-        return None
+        if entry is None and state == "done":
+            entry = self._locate_done(self.queue.read_done(digest))
+        if entry is None:
+            return "lost" if state == "done" else state
+        self.entries[digest] = entry
+        return "done"
+
+    def _locate_done(self, record: Optional[Dict]) -> Optional[Dict]:
+        """The entry an ok done ``record`` redirects to when its result
+        is not under the spec's own hash: the executed (degraded) spec's.
+        None = the result is lost — the queue says finished but no entry
+        survives (a torn write, an eviction), and at-least-once covers
+        this too: resubmission, not a hang."""
+        if not (record and record.get("ok") and record.get("executed_spec")):
+            return None
+        return self.backend.get(RunSpec.from_key(record["executed_spec"]))
 
     # -- fetch -----------------------------------------------------------------------
 
@@ -271,29 +277,23 @@ class ServiceClient:
         Raises :class:`RuntimeError` while work is still outstanding —
         poll :meth:`status` or use :meth:`wait` first.
         """
-        manifest = self.load_batch(batch_id)
-        results: List[RunResult] = []
-        outstanding: List[str] = []
-        for spec in self._batch_specs(manifest):
-            result = self._result_for(spec)[0]
-            if result is None:
-                outstanding.append(spec.label())
-            else:
-                results.append(result)
+        specs = self._batch_specs(self.load_batch(batch_id))
+        results = [self._result_for(spec)[0] for spec in specs]
+        outstanding = [spec.label() for spec, result in zip(specs, results)
+                       if result is None]
         if outstanding:
             raise RuntimeError(
                 f"batch {batch_id} has {len(outstanding)} unfinished "
                 f"job(s): {', '.join(outstanding[:5])}")
         return results
 
-    def _result_for(self, spec: RunSpec, entry: Optional[Dict] = None,
-                    local_ids=frozenset()
+    def _result_for(self, spec: RunSpec, local_ids=frozenset()
                     ) -> Tuple[Optional[RunResult], Optional[Dict]]:
         """A terminal RunResult for one spec (None while in flight),
         and the job's done record.
 
-        ``entry`` is the spec's result when the caller already holds
-        it.  A done record may redirect to a *degraded* spec (the ladder
+        The backend is read only when :attr:`entries` lacks the result.
+        A done record may redirect to a *degraded* spec (the ladder
         ran on a worker): the result then comes from the degraded hash,
         honestly labelled through its metrics' ``resilience`` rung.  A
         result that one of ``local_ids`` executed is ``cached=False``
@@ -302,16 +302,14 @@ class ServiceClient:
         """
         digest = spec.content_hash()
         record = self.queue.read_done(digest)
+        entry = self.entries.get(digest)
         if entry is None:
-            entry = self.backend.get(spec) or self._locate_done(spec)
+            entry = self.backend.get(spec) or self._locate_done(record)
         if entry is not None:
             mine = _executed_by(record, local_ids)
-            return RunResult(
-                spec, stats=SimStats.from_dict(entry["stats"]),
-                cached=not mine, wall_time=entry.get("wall_time", 0.0),
-                attempts=record["attempts"] if mine else 0,
-                stats_dict=entry["stats"],
-                metrics=entry.get("metrics") or {}), record
+            return RunResult.from_entry(
+                spec, entry, cached=not mine,
+                attempts=record["attempts"] if mine else 0), record
         if record is not None and not record.get("ok"):
             return RunResult(spec, attempts=record.get("attempts", 1),
                              error=record.get("error", "failed")), record
@@ -362,19 +360,28 @@ class ServiceClient:
         (with ``status["poisoned"] > 0``) rather than hanging.  Idle
         polls back off exponentially (:meth:`_poll_delay`).
         """
+        return self._drive(batch_id, self._workers(task_fn), timeout)
+
+    def _workers(self, task_fn: Optional[Callable[..., Dict]],
+                 jobs: int = 1,
+                 resilience: Optional[ResilienceConfig] = None
+                 ) -> Optional[LocalWorkers]:
+        """This client's own workers (None without
+        ``config.inline_worker``): each result they execute lands in
+        :attr:`entries`."""
+        if not self.config.inline_worker:
+            return None
         from .local import LocalWorkers
-        workers = (LocalWorkers(self.queue, self.backend, task_fn,
-                                checkpoint_root=self.checkpoint_root)
-                   if self.config.inline_worker else None)
-        return self._drive(batch_id, workers, timeout, {})
+        workers = LocalWorkers(self.queue, self.backend, task_fn, jobs,
+                               resilience, self.checkpoint_root)
+        workers.results = self.entries
+        return workers
 
     def _drive(self, batch_id: str, workers: Optional[LocalWorkers],
-               timeout: Optional[float],
-               seen_done: Dict[str, Dict]) -> Dict:
+               timeout: Optional[float]) -> Dict:
         """The :meth:`wait` loop: run ``workers`` (if any) on the
-        batch's own jobs until the queue starves them, read the status,
-        heal lost jobs, back off while idle.  ``seen_done`` maps the
-        hashes already known done to their entries."""
+        batch's own jobs until the queue starves them, read the status
+        over :attr:`entries`, heal lost jobs, back off while idle."""
         manifest = self.load_batch(batch_id)
         specs = self._batch_specs(manifest)
         deadline = (time.monotonic() + timeout
@@ -384,7 +391,7 @@ class ServiceClient:
         while True:
             if workers is not None:
                 workers.work(specs, deadline)
-            state = self._status(manifest, seen_done)
+            state = self._status(manifest, self._held_state)
             if state["complete"]:
                 return state
             self._heal_missing(state, manifest)
@@ -431,24 +438,17 @@ class ServiceClient:
         carries ``metrics["resilience"]``: its ladder rung and
         watchdog kills.
         """
-        from .local import LocalWorkers
         unique: Dict[str, RunSpec] = {}
         for spec in specs:
             unique.setdefault(spec.content_hash(), spec)
         batch_id = self.submit(list(unique.values()))
-        workers = None
-        seen_done: Dict[str, Dict] = {}
-        if self.config.inline_worker:
-            workers = LocalWorkers(self.queue, self.backend, task_fn,
-                                   jobs, resilience, self.checkpoint_root)
-            seen_done = workers.results
-        self._drive(batch_id, workers, timeout, seen_done)
+        workers = self._workers(task_fn, jobs, resilience)
+        self._drive(batch_id, workers, timeout)
         local_ids = workers.ids if workers else frozenset()
         kills = workers.kills if workers else {}
         results: List[RunResult] = []
         for digest, spec in unique.items():
-            result, record = self._result_for(spec, seen_done.get(digest),
-                                              local_ids)
+            result, record = self._result_for(spec, local_ids)
             if resilience is not None:
                 meta = dict(result.metrics.get("resilience") or {})
                 meta.setdefault("ladder_step", (record or {}).get(

@@ -91,7 +91,8 @@ class LocalWorkers:
         self.resilience = resilience
         self.checkpoint_root = checkpoint_root
         self.forking = resilience is not None or self.jobs > 1
-        #: hash -> cache entry of each job a local worker executed.
+        #: hash -> cache entry of each job a local worker executed (a
+        #: client points it at its own result map).
         self.results: Dict[str, Dict] = {}
         #: Worker ids of every local worker (done records name them).
         self.ids: Set[str] = set()

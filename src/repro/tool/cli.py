@@ -110,17 +110,51 @@ def _guard_exit_code(guard, base: int) -> int:
     return base
 
 
+def _add_inject_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--inject", action="append", default=None,
+                        metavar="SITE[:PROB[:TIMES]]",
+                        help="arm the fault-injection harness at SITE "
+                             "(repeatable; '--inject list' prints the "
+                             "site registry)")
+    parser.add_argument("--inject-seed", type=int, default=0, metavar="N",
+                        help="seed for the deterministic fault injector "
+                             "(default: 0)")
+
+
+def _install_injector(args):
+    """Arm the ``--inject`` plan: the installed injector (None without
+    one), or the exit code when the flag asked for the site list or
+    does not parse."""
+    if not args.inject:
+        return None
+    if "list" in args.inject:
+        for line in describe_sites():
+            print(line)
+        return EXIT_OK
+    try:
+        specs = [FaultSpec.parse(text) for text in args.inject]
+    except ValueError as exc:
+        print(f"--inject: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return faultinject.install(FaultInjector(specs, seed=args.inject_seed))
+
+
+def _resilience_config(args):
+    """The ResilienceConfig the resilience flags ask for; None when
+    none is given."""
+    options = {"deadline": args.deadline,
+               "checkpoint_every": args.checkpoint_every,
+               "resume": getattr(args, "resume", False),
+               "rss_budget_mb": getattr(args, "rss_budget", None)}
+    if all(value is None or value is False for value in options.values()):
+        return None
+    from ..resilience import ResilienceConfig
+    return ResilienceConfig(**options)
+
+
 def _make_runner(args) -> Runner:
     from ..runner import Runner
-    resilience = None
-    if (getattr(args, "deadline", None) is not None
-            or getattr(args, "checkpoint_every", None) is not None
-            or getattr(args, "resume", False)):
-        from ..resilience import ResilienceConfig
-        resilience = ResilienceConfig(
-            deadline=args.deadline,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume)
+    resilience = _resilience_config(args)
     if args.no_cache:
         # Also force standalone mode: service dedupe flows through the
         # shared backend, which --no-cache explicitly opts out of.
@@ -529,20 +563,12 @@ def _service_command(argv: List[str]) -> int:
                           metavar="MB",
                           help="per-job RSS budget; an OOM blowout also "
                                "walks the degradation ladder")
-    p_worker.add_argument("--inject", action="append", default=None,
-                          metavar="SITE[:PROB[:TIMES]]",
-                          help="arm the fault-injection harness in this "
-                               "worker (repeatable; service sites: "
-                               "worker.crash, backend.put.partial, ...)")
-    p_worker.add_argument("--inject-seed", type=int, default=0,
-                          metavar="N",
-                          help="seed for the deterministic fault "
-                               "injector (default: 0)")
+    _add_inject_options(p_worker)
     _add_service_root_options(p_worker)
 
     p_top = sub.add_parser(
         "top", help="fleet-wide telemetry: per-worker throughput, queue "
-                    "depth and lease ages, backend hit rates")
+                    "depth and lease ages, hit rates")
     p_top.add_argument("--watch", type=float, default=None, metavar="SECS",
                        help="refresh the screen every SECS seconds until "
                             "interrupted (default: render once)")
@@ -633,32 +659,13 @@ def _service_command(argv: List[str]) -> int:
         return EXIT_OK if not failures else EXIT_FAILURE
 
     if args.action == "worker":
-        injector = None
-        if args.inject:
-            if "list" in args.inject:
-                for line in describe_sites():
-                    print(line)
-                return EXIT_OK
-            try:
-                specs = [FaultSpec.parse(text) for text in args.inject]
-            except ValueError as exc:
-                print(f"--inject: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            injector = faultinject.install(
-                FaultInjector(specs, seed=args.inject_seed))
-        resilience = None
-        if (args.checkpoint_every is not None
-                or args.deadline is not None
-                or args.rss_budget is not None):
-            from ..resilience import ResilienceConfig
-            resilience = ResilienceConfig(
-                deadline=args.deadline,
-                checkpoint_every=args.checkpoint_every,
-                rss_budget_mb=args.rss_budget)
+        injector = _install_injector(args)
+        if isinstance(injector, int):
+            return injector
         try:
             worker = ServiceWorker(config.make_queue(),
                                    config.make_backend(),
-                                   resilience=resilience)
+                                   resilience=_resilience_config(args))
             processed = worker.drain(max_jobs=args.max_jobs,
                                      idle_exit=args.idle_exit)
             summary_path = worker.write_summary()
@@ -935,14 +942,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--resume", action="store_true",
                         help="resume killed runs from their last good "
                              "checkpoint instead of starting fresh")
-    parser.add_argument("--inject", action="append", default=None,
-                        metavar="SITE[:PROB[:TIMES]]",
-                        help="arm the fault-injection harness at SITE "
-                             "(repeatable; '--inject list' prints the "
-                             "site registry)")
-    parser.add_argument("--inject-seed", type=int, default=0, metavar="N",
-                        help="seed for the deterministic fault injector "
-                             "(default: 0)")
+    _add_inject_options(parser)
     args = parser.parse_args(argv)
 
     if args.list:
@@ -951,19 +951,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             marker = "*" if name in PAPER_ORDER else " "
             print(f" {marker} {name}")
         return EXIT_OK
-    injector = None
-    if args.inject:
-        if "list" in args.inject:
-            for line in describe_sites():
-                print(line)
-            return EXIT_OK
-        try:
-            specs = [FaultSpec.parse(text) for text in args.inject]
-        except ValueError as exc:
-            print(f"--inject: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        injector = faultinject.install(
-            FaultInjector(specs, seed=args.inject_seed))
+    injector = _install_injector(args)
+    if isinstance(injector, int):
+        return injector
     try:
         runner = _make_runner(args)
         if args.experiments:

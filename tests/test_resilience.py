@@ -206,7 +206,8 @@ def test_sigkilled_run_resumes_to_identical_stats(tmp_path):
                REPRO_CHECKPOINT_DIR=str(ckpt_root))
 
     golden = _run_victim(script, "plain", env)
-    assert golden["resumed"] is None
+    assert golden["resumed"] is None, \
+        f"an uncheckpointed run resumed from cycle {golden['resumed']}"
 
     # Kill the checkpointing run as soon as its first checkpoint lands.
     proc = subprocess.Popen([sys.executable, str(script), "checkpoint"],
@@ -227,9 +228,18 @@ def test_sigkilled_run_resumes_to_identical_stats(tmp_path):
     assert proc.returncode == -signal.SIGKILL
     assert list(ckpt_root.rglob("*.ckpt")), "checkpoint lost by the kill"
 
+    checkpoints = sorted(str(path.relative_to(ckpt_root))
+                         for path in ckpt_root.rglob("*.ckpt"))
     resumed = _run_victim(script, "resume", env)
-    assert resumed["resumed"] is not None and resumed["resumed"] > 0
-    assert resumed["stats"] == golden["stats"]
+    assert resumed["resumed"] is not None and resumed["resumed"] > 0, \
+        f"resumed from cycle {resumed['resumed']!r}; checkpoints " \
+        f"before the resume: {checkpoints}"
+    differing = sorted(
+        key for key in set(golden["stats"]) | set(resumed["stats"])
+        if golden["stats"].get(key) != resumed["stats"].get(key))
+    assert resumed["stats"] == golden["stats"], \
+        f"resumed from cycle {resumed['resumed']}: stats differ " \
+        f"at {differing}"
     # A completed run retires its checkpoints.
     assert not list(ckpt_root.rglob("*.ckpt"))
 

@@ -62,6 +62,16 @@ def make_client(tmp_path, **overrides):
     return ServiceClient(config=ServiceConfig(**options))
 
 
+def count_gets(monkeypatch):
+    """The specs of every ``ResultCache.get`` from now on, in order."""
+    gets = []
+    real_get = ResultCache.get
+    monkeypatch.setattr(
+        ResultCache, "get",
+        lambda self, spec: gets.append(spec) or real_get(self, spec))
+    return gets
+
+
 class TestBatchId:
     def test_content_addressed(self):
         hashes = [spec_n(i).content_hash() for i in range(3)]
@@ -165,31 +175,62 @@ class TestRunBatch:
         record = client.queue.read_done(marker_spec.content_hash())
         assert record["attempts"] == 2
 
-    def test_wait_reads_each_result_once(self, tmp_path, monkeypatch):
-        """Draining a batch reads each spec's entry once in the poll loop
-        (plus the inline worker's dedupe lookup), not once per poll —
-        the tiny matrix's 28 unique specs, each submitted twice."""
-        specs = [RunSpec.create(kernel, scale="tiny", model=model,
-                                variant=variant)
-                 for kernel in ("mcf", "em3d", "health", "mst", "vpr",
-                                "treeadd.df", "treeadd.bf")
-                 for model in ("inorder", "ooo")
-                 for variant in ("base", "ssp")]
+    def test_client_heals_a_result_lost_since_it_read_it(self, tmp_path):
+        """A result this client holds but the backend has lost since is
+        executed and stored again, as it would be on a fresh client."""
         client = make_client(tmp_path)
-        batch_id = client.submit(specs * 2)
-        gets = []
-        real_get = ResultCache.get
-        monkeypatch.setattr(
-            ResultCache, "get",
-            lambda self, spec: gets.append(spec) or real_get(self, spec))
+        spec = spec_n(0)
+        client.run_batch([spec], task_fn=fake_task, timeout=30)
+        client.backend.evict(max_bytes=0)
+        assert client.backend.get(spec) is None
+        _CALLS.clear()
+        results = client.run_batch([spec], task_fn=fake_task, timeout=30)
+        assert results[0].ok and not results[0].cached
+        assert _CALLS == [spec.content_hash()]
+        assert client.backend.get(spec) is not None
+
+    def test_wait_reads_each_result_once(self, tmp_path, monkeypatch):
+        """Draining a batch reads each spec's entry once — the inline
+        worker's dedupe lookup; the poll loop reads the results the
+        worker hands over from the client's map — the tiny matrix's 28
+        unique specs, each submitted twice."""
+        client = make_client(tmp_path)
+        batch_id = client.submit(_tiny_matrix() * 2)
+        gets = count_gets(monkeypatch)
         state = client.wait(batch_id, task_fn=fake_task, timeout=30)
         assert state["complete"] and state["done"] == 28
-        assert len(gets) <= 2 * 28
+        assert len(gets) == 28
         # The one-shot status still reads every entry.
         gets.clear()
         assert client.status(batch_id) == state
         assert len(gets) == 28
 
+    def test_submit_wait_fetch_reads_each_result_at_most_twice(
+            self, tmp_path, monkeypatch):
+        """One client's cold submit, wait and fetch of the tiny matrix
+        (28 unique specs, each submitted twice) read each entry at most
+        twice — submit's miss and the inline worker's dedupe lookup —
+        and fetch reads none.  A second client's warm pass reads each
+        entry once, at submit."""
+        specs = _tiny_matrix() * 2
+        gets = count_gets(monkeypatch)
+        client = make_client(tmp_path)
+        batch_id = client.submit(specs)
+        client.wait(batch_id, task_fn=fake_task, timeout=30)
+        before_fetch = len(gets)
+        results = client.fetch(batch_id)
+        assert len(results) == 28 and all(r.ok for r in results)
+        assert before_fetch <= 2 * 28
+        assert len(gets) == before_fetch
+        gets.clear()
+        warm = make_client(tmp_path)
+        warm_id = warm.submit(specs)
+        warm.wait(warm_id, task_fn=fake_task, timeout=30)
+        again = warm.fetch(warm_id)
+        assert [r.stats_dict for r in again] \
+            == [r.stats_dict for r in results]
+        assert all(r.cached for r in again)
+        assert len(gets) == 28
 
     def test_wait_reads_queue_state_once_per_round(self, tmp_path,
                                                    monkeypatch):

@@ -33,7 +33,7 @@ from repro.resilience import (
     STEP_UNADAPTED,
     ResilienceConfig,
 )
-from repro.runner import Runner, RunSpec
+from repro.runner import ResultCache, Runner, RunSpec
 from repro.service import ServiceClient, ServiceConfig, ServiceWorker
 from repro.sim.caches import MemorySystem
 from repro.sim.config import MachineConfig
@@ -440,6 +440,28 @@ class TestServiceLadder:
         assert all("oom" in reason for reason
                    in result.metrics["resilience"]["reasons"])
 
+    def test_degraded_fetch_reads_each_hash_once(self, tmp_path,
+                                                 monkeypatch):
+        """Fetching a degraded job reads its requested hash once (a
+        miss) and the executed hash its done record redirects to once."""
+        client = make_client(tmp_path, inline_worker=False)
+        spec = RunSpec.create("treeadd.df", scale="tiny", variant="ssp")
+        batch_id = client.submit([spec])
+        worker = ServiceWorker(client.queue, client.backend,
+                               resilience=ResilienceConfig())
+        with injecting("worker.oom:1:3"):
+            assert worker.step() == spec.content_hash()
+        record = client.queue.read_done(spec.content_hash())
+        gets = []
+        real_get = ResultCache.get
+        monkeypatch.setattr(
+            ResultCache, "get",
+            lambda self, s: gets.append(s.content_hash())
+            or real_get(self, s))
+        assert client.fetch(batch_id)[0].ok
+        assert sorted(gets) == sorted([spec.content_hash(),
+                                       record["executed_hash"]])
+
 
 # ---------------------------------------------------------------------------
 # SIGKILL mid-job -> lease steal -> resume from checkpoint (satellite d)
@@ -482,9 +504,14 @@ class TestSigkillMidJobResume:
         # (its own interpreter, like every run in this test).
         golden_client = make_client(tmp_path / "golden")
         golden_client.submit([self.SPEC])
-        _run_service_worker(script, golden_client.root, "golden-w", env)
+        golden = _run_service_worker(script, golden_client.root,
+                                     "golden-w", env)
         golden_entry = golden_client.backend.get(self.SPEC)
-        assert golden_entry is not None
+        digest = self.SPEC.content_hash()
+        assert golden_entry is not None, (
+            f"no golden entry: worker summary {golden}, done record "
+            f"{golden_client.queue.read_done(digest)}, queue state "
+            f"{golden_client.queue.state_of(digest)!r}")
 
         # Victim: SIGKILL as soon as its first checkpoint lands.
         client = make_client(tmp_path / "chaos",
@@ -521,7 +548,6 @@ class TestSigkillMidJobResume:
         assert summary["resumes"] == 1
         assert summary["executed"] == 1
 
-        digest = self.SPEC.content_hash()
         record = client.queue.read_done(digest)
         assert record["ok"] and record["worker"] == "rescuer"
         assert record["resumed_from_cycle"] > 0
