@@ -2,12 +2,11 @@
 
 The three execution engines — the functional interpreter, the in-order SMT
 pipeline and the out-of-order pipeline — drive one ISA three ways.  All
-three step the same pre-decoded instruction semantics
-(:func:`repro.isa.decode.step_decoded`), so this oracle checks what each
-engine does around the step (speculation, timing, retirement), not the
-step itself; the test suite holds ``step_decoded`` equal to an
-independent statement of the semantics (``execute`` in
-``tests/sim_reference.py``).
+three call the same step closures (:mod:`repro.isa.decode`), so this
+oracle checks what each engine does around the step (speculation,
+timing, retirement), not the step itself; the test suite holds the
+closures equal to an independent statement of the semantics
+(``execute`` in ``tests/sim_reference.py``).
 Speculative precomputation must be architecturally invisible, so all three
 must agree on what an adapted binary *computes*; they are only allowed to
 disagree on how long it takes.  The oracle runs one workload through every

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..guard import faultinject
-from ..isa.decode import D_KIND, K_CHK, R_SPAWN, decode_program, \
-    step_decoded
+from ..isa.decode import D_KIND, D_STEP, K_CHK, K_SPAWN, decode_program
 from ..isa.instructions import OP_CHK_C, OP_SPAWN
 from ..isa.interp import ExecutionError, ThreadState, spawn_thread
 from ..isa.memory import Heap
@@ -79,7 +78,9 @@ class ShadowInterpreter:
         if not program.finalized:
             program.finalize()
         self.program = program
-        self._dcode = decode_program(program)
+        decoded = decode_program(program)
+        self._dcode = decoded.table
+        self._slots = decoded.slots
         self.heap = heap
         self.fire_limit = fire_limit
         self.spec_step_budget = spec_step_budget
@@ -94,8 +95,8 @@ class ShadowInterpreter:
         program = self.program
         dcode = self._dcode
         heap = self.heap
-        state = ThreadState(tid=0,
-                            pc=program.function_entry[program.entry])
+        state = ThreadState(0, program.function_entry[program.entry],
+                            slots=self._slots)
         chk_fires = self._chk_fires
         fire_limit = self.fire_limit
         max_steps = self.max_steps
@@ -106,14 +107,15 @@ class ShadowInterpreter:
                     f"exceeded {max_steps} steps; infinite loop?")
             pc = state.pc
             d = dcode[pc]
+            kind = d[D_KIND]
             fires = False
-            if d[D_KIND] == K_CHK:
+            if kind == K_CHK:
                 fired = chk_fires.get(pc, 0)
                 if fired < fire_limit:
                     chk_fires[pc] = fired + 1
                     fires = True
-            target = step_decoded(program, heap, state, d, fires)[R_SPAWN]
-            if target is not None:
+            target = d[D_STEP](state, heap, fires)
+            if kind == K_SPAWN and target is not None:
                 home = program.function_of_index[state.pc]
                 self._run_speculative(state, target, home)
             steps += 1
@@ -122,7 +124,6 @@ class ShadowInterpreter:
     def _run_speculative(self, parent: ThreadState, target_pc: int,
                          home: str) -> None:
         """Eagerly run one speculative thread (and any chains it spawns)."""
-        program = self.program
         dcode = self._dcode
         heap = self.heap
         budget = self.spec_step_budget
@@ -138,11 +139,11 @@ class ShadowInterpreter:
                     break  # silent containment kill, not an error
                 d = dcode[child.pc]
                 try:
-                    target = step_decoded(program, heap, child, d)[R_SPAWN]
+                    target = d[D_STEP](child, heap, False)
                 except ExecutionError as exc:
                     raise SpeculativeEffectError(str(exc), function=home) \
                         from exc
-                if target is not None:
+                if d[D_KIND] == K_SPAWN and target is not None:
                     chained += 1
                     if chained <= self.max_chained:
                         pending.append(spawn_thread(
@@ -170,11 +171,9 @@ def _architectural_outcome(state: ThreadState) -> Dict[str, Any]:
     read as 0 / False; the live-in staging buffer is excluded — it is
     microarchitectural and legitimately differs once stubs run.
     """
-    return {
-        "regs": {r: v for r, v in state.regs.items() if v != 0},
-        "preds": {p: v for p, v in state.preds.items() if v},
-        "halted": state.halted,
-    }
+    outcome = state.named()
+    outcome["halted"] = state.halted
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -199,6 +198,28 @@ class ReferenceRun:
     #: The binary's ``_decode_version`` when it ran (bumped by every
     #: ``finalize()``), so a re-finalised binary is never trusted.
     decode_version: int
+    #: The ``heap_factory`` the run's heap came from (not compared).
+    heap_factory: Optional[Callable[[], Heap]] = field(default=None,
+                                                       compare=False)
+
+    def starts_from(self, heap_factory: Callable[[], Heap],
+                    heap: Optional[Heap] = None) -> bool:
+        """Whether ``heap_factory`` builds this run's initial heap.
+
+        The recorded factory itself does when it is a workload's
+        ``build_heap``: a workload lays its image out once and every call
+        thaws a copy of it, so no digest is needed.  For any other
+        factory the digest of ``heap``, its fresh heap (built here when
+        not given), is compared.
+        """
+        if heap_factory == self.heap_factory:
+            from ..workloads.base import Workload
+            if getattr(heap_factory, "__func__", None) is \
+                    Workload.build_heap:
+                return True
+        if heap is None:
+            heap = heap_factory()
+        return heap.digest() == self.heap_digest
 
 
 def speculation_free(program: Program) -> bool:
@@ -237,7 +258,7 @@ def differential_check(original: Program, adapted: Program,
     if reference is not None and not (
             original.finalized
             and reference.decode_version == original._decode_version
-            and reference.heap_digest == heap.digest()):
+            and reference.starts_from(heap_factory, heap)):
         reference = None
     if reference is None:
         ref = shadow_of(original, heap)

@@ -1,24 +1,46 @@
-"""The ISA's semantics: pre-decoded tables and the one functional step.
+"""The ISA's semantics: one decode into register slots and step closures.
 
-``repro.isa`` instructions are convenient value objects, but the per-cycle
-issue path pays for that convenience on every tick: ``Instruction.reads``
-builds a tuple per call, ``fixed_latency()`` is a dict probe and opcode
-dispatch is a string-compare chain.  This module decodes a finalised
-:class:`~repro.isa.program.Program` **once** into flat per-instruction
-tuples of plain ints/strings/callables so the simulators' run loops
-(``repro.sim.inorder``, ``repro.sim.ooo``) do zero dict lookups and zero
-``getattr`` per issued instruction.  The post-pass tool's functional runs
-— :class:`~repro.isa.interp.FunctionalInterpreter` and the differential
-verify's :class:`~repro.codegen.verify.ShadowInterpreter` — step the same
-tables.
+``repro.isa`` instructions are convenient value objects, but an engine
+that re-reads them pays on every step: ``Instruction.reads`` builds a
+tuple per call, registers are looked up by name and opcode dispatch is a
+string-compare chain.  This module lifts a finalised
+:class:`~repro.isa.program.Program` **once**, on its first run, into a
+table of flat per-instruction tuples:
 
-:func:`step_decoded` is the only definition of what an opcode does: every
-engine calls it and keeps only its own timing or bookkeeping around it.
-Its results are plain tuples (shared singletons for the common cases).
-The test suite holds it equal to an independent Instruction-object
-statement of the semantics (``execute`` in ``tests/sim_reference.py``),
-through ``tests/test_sim_fastpath.py`` for the simulators and
-``tests/test_isa_decoded_interp.py`` for the interpreters.
+* every register name gets a dense slot (:class:`RegisterSlots`), so a
+  thread's registers, predicates and the timing models' scoreboards are
+  lists indexed by ints;
+* every instruction gets a **step closure**, built by :func:`_step`, the
+  single per-kind factory.  The closure holds its operands' slots, its
+  immediate, its fall-through pc and its branch target in cells, and
+  does exactly what its opcode does to a
+  :class:`~repro.isa.interp.ThreadState`.  A predicated instruction's
+  closure tests the predicate itself; no closure wraps another.
+
+The closures are the only definition of what an opcode does.  Every
+engine calls them and keeps only its own timing or bookkeeping around
+them: both simulators' run loops (``repro.sim.inorder``,
+``repro.sim.ooo``), :class:`~repro.isa.interp.FunctionalInterpreter`,
+the differential verify's :class:`~repro.codegen.verify.ShadowInterpreter`
+and, through those, the cross-model oracle of ``repro.check``.  The test
+suite holds them equal to an independent Instruction-object statement of
+the semantics (``execute`` in ``tests/sim_reference.py``): kind by kind in
+``tests/test_isa_step_closures.py``, and over whole runs through
+``tests/test_sim_fastpath.py`` and ``tests/test_isa_decoded_interp.py``.
+
+A step is called as ``step(state, heap, fire)`` — ``fire`` tells a
+``chk.c`` whether a free hardware context is available (the timing
+model's decision; when false the check behaves like a nop, Section
+3.4.2) — and returns one value whose meaning depends on the kind:
+
+* ``ld``, ``st``, ``lfetch``: the byte address accessed; 0 when the
+  instruction executed without a memory access (a speculative load's
+  deferred fault, a prefetch outside the heap); None when squashed;
+* ``spawn``: the spawned thread's start pc, or None when squashed;
+* ``chk.c``: whether it fired;
+* every other kind: whether it executed (a false qualifying predicate
+  squashes it).  An executed ``br.cond`` is always taken, since its
+  predicate is also its condition.
 
 The decode cache is keyed on ``Program._decode_version``, bumped by every
 ``Program.finalize()`` — the tool's in-place nop→``chk.c`` patching is
@@ -33,28 +55,23 @@ import operator
 import weakref
 from typing import Any, Callable, Dict, List, Tuple
 
-from .instructions import (
-    ALU_OPS,
-    BRANCH_OPS,
-    FIXED_LATENCY,
-    Instruction,
-    MEMORY_OPS,
-)
-from .interp import ExecutionError, ThreadState
-from .memory import HEAP_BASE, Heap
+from .instructions import ALU_OPS, FIXED_LATENCY, Instruction
+from .interp import ExecutionError, RegisterSlots
+from .memory import HEAP_BASE
 from .program import Program
-from . import registers as regs
 
 # ---------------------------------------------------------------------------
 # Decoded-entry layout
 # ---------------------------------------------------------------------------
 
-#: Instruction kinds — small ints replacing opcode string dispatch.  The
-#: branch kinds are contiguous (``K_BR <= kind <= K_RET``) so "is this a
-#: branch" is a range check.
-(K_ALU, K_MOV, K_CMP, K_LD, K_ST, K_LFETCH,
+#: Instruction kinds — small ints replacing opcode string dispatch.  Each
+#: class the engines time alike is contiguous, so "is this one" is a range
+#: check: the fixed-latency register writes (``kind <= K_LIBLD``), the
+#: memory kinds (``K_LD <= kind <= K_LFETCH``) and the branches
+#: (``K_BR <= kind <= K_RET``).
+(K_ALU, K_MOV, K_CMP, K_LIBLD, K_LD, K_ST, K_LFETCH,
  K_BR, K_BRC, K_CALL, K_CALLI, K_RET,
- K_CHK, K_RFI, K_SPAWN, K_LIBST, K_LIBLD, K_KILL, K_HALT, K_NOP) = range(19)
+ K_CHK, K_RFI, K_SPAWN, K_LIBST, K_KILL, K_HALT, K_NOP) = range(19)
 
 _KIND_OF_OP = {
     "mov": K_MOV, "cmp": K_CMP, "ld": K_LD, "st": K_ST, "lfetch": K_LFETCH,
@@ -88,259 +105,442 @@ RES_MEM, RES_BR, RES_INT = range(3)
 
 #: Field indices of one decoded entry.
 (D_KIND,    # int kind constant (K_*)
- D_OP,      # original opcode string (error messages, predictor-free debug)
- D_DEST,    # destination register name or None
- D_SRC0,    # first source register name or None
- D_SRC1,    # second source register name or None
- D_IMM,     # raw immediate (may be None; lib.st/lib.ld slot, ALU/cmp/mov)
- D_IMM0,    # displacement immediate with None folded to 0 (ld/st/lfetch)
- D_PRED,    # qualifying predicate register name or None
- D_READS,   # precomputed Instruction.reads tuple
+ D_STEP,    # the step closure
+ D_DEST,    # scoreboard slot of the destination register, or None
+ D_READS,   # scoreboard slots of every register read (sources, predicate)
  D_LAT,     # fixed latency (FIXED_LATENCY.get(op, 1))
  D_RES,     # structural-resource class (RES_*)
- D_TARGET,  # resolved absolute branch target (br/br.cond/br.call/chk.c/spawn)
- D_FN,      # bound ALU/relation callable for K_ALU/K_CMP, else None
- D_UID) = range(14)
+ D_UID,     # the instruction's uid
+ D_SRC0,    # register slot of the first source (r0's when none)
+ ) = range(8)
 
 DecodedEntry = Tuple[Any, ...]
+
+#: ``r8``'s register slot (see RegisterSlots): what ``br.ret`` carries.
+_RET_SLOT = 1
+
+
+class Decoded:
+    """A program decoded for running: its entry table and the register
+    slots the entries and every :class:`ThreadState` of the run use."""
+
+    __slots__ = ("table", "slots")
+
+    def __init__(self, table: List[DecodedEntry], slots: RegisterSlots):
+        self.table = table
+        self.slots = slots
+
+
+# ---------------------------------------------------------------------------
+# The step factory
+# ---------------------------------------------------------------------------
+
+def _step(program: Program, pc: int, instr: Instruction,
+          slots: RegisterSlots, entries: Tuple[int, ...]) -> Callable:
+    """Build the step closure of ``instr`` at ``pc`` (see the module
+    docstring for its call and its result).
+
+    The kinds most steps are made of (ALU, ``mov``, ``cmp``, ``ld``,
+    ``lfetch``, ``br.cond``) get a separate closure for the predicated
+    and the unpredicated form.  The other kinds test their predicate
+    slot ``p`` first, a test skipped when ``p`` is 0: no predicate, or
+    ``p0``, which is always true.
+    """
+    kind = _KIND_OF_OP[instr.op]
+    nxt = pc + 1
+    # Only for error messages.  The closure must not hold ``program``:
+    # the decode cache's weak key would then never die.
+    code = program.code
+    regs = slots.regs
+    srcs = [regs[s] for s in instr.srcs]
+    a = srcs[0] if srcs else 0         # a missing source reads r0
+    b = srcs[1] if len(srcs) > 1 else None
+    imm = instr.imm
+    off = imm or 0
+    p = slots.preds[instr.pred] if instr.pred is not None else 0
+    target = program.branch_target.get(pc)
+    # The written slot; writes to r0 and p0 land in the sink slot.
+    w = None
+    if instr.dest is not None:
+        if kind == K_CMP:
+            w = slots.preds[instr.dest] or len(slots.preds)
+        else:
+            w = regs[instr.dest] or len(regs)
+
+    if kind == K_LD:
+        if p:
+            def step(state, heap, fire):
+                if not state.preds[p]:
+                    state.pc = nxt
+                    return None
+                rd = state.regs
+                addr = rd[a] + off
+                if not addr & 7 and HEAP_BASE <= addr < heap.size:
+                    rd[w] = heap._words.get(addr >> 3, 0)
+                elif state.speculative:
+                    rd[w] = 0      # deferred exception: NaT-like zero
+                    addr = 0       # no memory access is made
+                else:
+                    raise ExecutionError(
+                        f"bad load address {addr:#x} at pc {pc} "
+                        f"({code[pc]})")
+                state.pc = nxt
+                return addr
+        else:
+            def step(state, heap, fire):
+                rd = state.regs
+                addr = rd[a] + off
+                if not addr & 7 and HEAP_BASE <= addr < heap.size:
+                    rd[w] = heap._words.get(addr >> 3, 0)
+                elif state.speculative:
+                    rd[w] = 0      # deferred exception: NaT-like zero
+                    addr = 0       # no memory access is made
+                else:
+                    raise ExecutionError(
+                        f"bad load address {addr:#x} at pc {pc} "
+                        f"({code[pc]})")
+                state.pc = nxt
+                return addr
+        return step
+
+    if kind == K_ALU:
+        fn = _ALU[instr.op]
+        if b is None:
+            if p:
+                def step(state, heap, fire):
+                    if state.preds[p]:
+                        rd = state.regs
+                        rd[w] = fn(rd[a], imm)
+                        state.pc = nxt
+                        return True
+                    state.pc = nxt
+                    return False
+            else:
+                def step(state, heap, fire):
+                    rd = state.regs
+                    rd[w] = fn(rd[a], imm)
+                    state.pc = nxt
+                    return True
+        elif p:
+            def step(state, heap, fire):
+                if state.preds[p]:
+                    rd = state.regs
+                    rd[w] = fn(rd[a], rd[b])
+                    state.pc = nxt
+                    return True
+                state.pc = nxt
+                return False
+        else:
+            def step(state, heap, fire):
+                rd = state.regs
+                rd[w] = fn(rd[a], rd[b])
+                state.pc = nxt
+                return True
+        return step
+
+    if kind == K_CMP:
+        fn = _RELATIONS[instr.relation]
+        if b is None:
+            if p:
+                def step(state, heap, fire):
+                    preds = state.preds
+                    if preds[p]:
+                        preds[w] = fn(state.regs[a], imm)
+                        state.pc = nxt
+                        return True
+                    state.pc = nxt
+                    return False
+            else:
+                def step(state, heap, fire):
+                    state.preds[w] = fn(state.regs[a], imm)
+                    state.pc = nxt
+                    return True
+        elif p:
+            def step(state, heap, fire):
+                preds = state.preds
+                if preds[p]:
+                    rd = state.regs
+                    preds[w] = fn(rd[a], rd[b])
+                    state.pc = nxt
+                    return True
+                state.pc = nxt
+                return False
+        else:
+            def step(state, heap, fire):
+                rd = state.regs
+                state.preds[w] = fn(rd[a], rd[b])
+                state.pc = nxt
+                return True
+        return step
+
+    if kind == K_MOV:
+        if not srcs:
+            if p:
+                def step(state, heap, fire):
+                    if state.preds[p]:
+                        state.regs[w] = imm
+                        state.pc = nxt
+                        return True
+                    state.pc = nxt
+                    return False
+            else:
+                def step(state, heap, fire):
+                    state.regs[w] = imm
+                    state.pc = nxt
+                    return True
+        elif p:
+            def step(state, heap, fire):
+                if state.preds[p]:
+                    rd = state.regs
+                    rd[w] = rd[a]
+                    state.pc = nxt
+                    return True
+                state.pc = nxt
+                return False
+        else:
+            def step(state, heap, fire):
+                rd = state.regs
+                rd[w] = rd[a]
+                state.pc = nxt
+                return True
+        return step
+
+    if kind == K_BRC:
+        if p:
+            def step(state, heap, fire):
+                if state.preds[p]:
+                    state.pc = target
+                    return True
+                state.pc = nxt
+                return False
+        else:
+            def step(state, heap, fire):
+                state.pc = target
+                return True
+        return step
+
+    if kind == K_LFETCH:
+        if p:
+            def step(state, heap, fire):
+                if not state.preds[p]:
+                    state.pc = nxt
+                    return None
+                addr = state.regs[a] + off
+                if addr & 7 or not HEAP_BASE <= addr < heap.size:
+                    addr = 0       # non-faulting prefetch: dropped
+                state.pc = nxt
+                return addr
+        else:
+            def step(state, heap, fire):
+                addr = state.regs[a] + off
+                if addr & 7 or not HEAP_BASE <= addr < heap.size:
+                    addr = 0       # non-faulting prefetch: dropped
+                state.pc = nxt
+                return addr
+        return step
+
+    # The remaining kinds: one closure each, its predicate test skipped
+    # when ``p`` is 0.
+    if kind == K_ST:
+        v = b if b is not None else 0
+
+        def step(state, heap, fire):
+            if p and not state.preds[p]:
+                state.pc = nxt
+                return None
+            if state.speculative:
+                raise ExecutionError(
+                    "speculative thread attempted a store — the emitter "
+                    f"must never place stores in p-slices ({code[pc]} "
+                    f"at pc {pc})")
+            rd = state.regs
+            addr = rd[a] + off
+            if addr & 7 or not HEAP_BASE <= addr < heap.size:
+                raise ExecutionError(
+                    f"bad store address {addr:#x} at pc {pc} ({code[pc]})")
+            heap._words[addr >> 3] = rd[v]
+            state.pc = nxt
+            return addr
+        return step
+
+    if kind == K_SPAWN:
+        def step(state, heap, fire):
+            state.pc = nxt
+            if p and not state.preds[p]:
+                return None
+            return target
+        return step
+
+    if kind == K_BR:
+        def step(state, heap, fire):
+            if p and not state.preds[p]:
+                state.pc = nxt
+                return False
+            state.pc = target
+            return True
+
+    elif kind == K_CALL:
+        def step(state, heap, fire):
+            if p and not state.preds[p]:
+                state.pc = nxt
+                return False
+            state.call_stack.append((nxt, state.regs[:]))
+            state.pc = target
+            return True
+
+    elif kind == K_CALLI:
+        def step(state, heap, fire):
+            if p and not state.preds[p]:
+                state.pc = nxt
+                return False
+            fid = state.regs[a]
+            if not 0 <= fid < len(entries):
+                if state.speculative:
+                    state.killed = True
+                    return False
+                raise ExecutionError(
+                    f"bad indirect call target {fid} at pc {pc}")
+            state.call_stack.append((nxt, state.regs[:]))
+            state.pc = entries[fid]
+            return True
+
+    elif kind == K_RET:
+        def step(state, heap, fire):
+            if p and not state.preds[p]:
+                state.pc = nxt
+                return False
+            stack = state.call_stack
+            if not stack:
+                state.halted = True
+                return True
+            ret_pc, saved = stack.pop()
+            saved[_RET_SLOT] = state.regs[_RET_SLOT]
+            state.regs = saved
+            state.pc = ret_pc
+            return True
+
+    elif kind == K_CHK:
+        def step(state, heap, fire):
+            if fire and not (p and not state.preds[p]):
+                state.rfi_stack.append(nxt)
+                state.pc = target
+                return True
+            state.pc = nxt
+            return False
+
+    elif kind == K_RFI:
+        def step(state, heap, fire):
+            if p and not state.preds[p]:
+                state.pc = nxt
+                return False
+            stack = state.rfi_stack
+            if not stack:
+                raise ExecutionError(
+                    f"rfi with no pending recovery at pc {pc}")
+            state.pc = stack.pop()
+            return True
+
+    elif kind == K_LIBST:
+        def step(state, heap, fire):
+            if p and not state.preds[p]:
+                state.pc = nxt
+                return False
+            state.lib_out[imm] = state.regs[a]
+            state.pc = nxt
+            return True
+
+    elif kind == K_LIBLD:
+        def step(state, heap, fire):
+            if p and not state.preds[p]:
+                state.pc = nxt
+                return False
+            state.regs[w] = state.lib_in[imm]
+            state.pc = nxt
+            return True
+
+    elif kind == K_KILL:
+        def step(state, heap, fire):
+            if p and not state.preds[p]:
+                state.pc = nxt
+                return False
+            state.killed = True
+            return True
+
+    elif kind == K_HALT:
+        def step(state, heap, fire):
+            if p and not state.preds[p]:
+                state.pc = nxt
+                return False
+            state.halted = True
+            return True
+
+    else:  # K_NOP
+        def step(state, heap, fire):
+            state.pc = nxt
+            return not (p and not state.preds[p])
+    return step
+
 
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
 
-_DECODE_CACHE: "weakref.WeakKeyDictionary[Program, Tuple[int, List[DecodedEntry]]]" = \
+_DECODE_CACHE: "weakref.WeakKeyDictionary[Program, Tuple[int, Decoded]]" = \
     weakref.WeakKeyDictionary()
 
 
-def _decode_one(program: Program, pc: int, instr: Instruction) -> DecodedEntry:
+def _register_slots(code: List[Instruction]) -> RegisterSlots:
+    """Number the registers of ``code`` by role, in order of first use."""
+    reg_names: List[str] = []
+    pred_names: List[str] = []
+    for instr in code:
+        if instr.dest is not None:
+            (pred_names if instr.op == "cmp" else reg_names).append(
+                instr.dest)
+        reg_names.extend(instr.srcs)
+        if instr.pred is not None:
+            pred_names.append(instr.pred)
+    return RegisterSlots(reg_names, pred_names)
+
+
+def _decode_one(program: Program, pc: int, instr: Instruction,
+                slots: RegisterSlots,
+                entries: Tuple[int, ...]) -> DecodedEntry:
     op = instr.op
-    kind = _KIND_OF_OP[op]
-    srcs = instr.srcs
     if instr.is_memory:
         rescls = RES_MEM
     elif instr.is_branch or op in ("chk.c", "spawn"):
         rescls = RES_BR
     else:
         rescls = RES_INT
-    fn = None
-    if kind == K_ALU:
-        fn = _ALU[op]
-    elif kind == K_CMP:
-        fn = _RELATIONS[instr.relation]
+    board = slots.board
     return (
-        kind,
-        op,
-        instr.dest,
-        srcs[0] if srcs else None,
-        srcs[1] if len(srcs) > 1 else None,
-        instr.imm,
-        instr.imm or 0,
-        instr.pred,
-        instr.reads,
+        _KIND_OF_OP[op],
+        _step(program, pc, instr, slots, entries),
+        board[instr.dest] if instr.dest is not None else None,
+        tuple(board[reg] for reg in instr.reads),
         FIXED_LATENCY.get(op, 1),
         rescls,
-        program.branch_target.get(pc),
-        fn,
         instr.uid,
+        slots.regs[instr.srcs[0]] if instr.srcs else 0,
     )
 
 
-def decode_program(program: Program) -> List[DecodedEntry]:
-    """Decode ``program`` into flat issue tuples; cached per finalise."""
+def decode_program(program: Program) -> Decoded:
+    """Decode ``program`` into register slots and step entries; cached
+    per finalise."""
     if not program.finalized:
         program.finalize()
     version = getattr(program, "_decode_version", 0)
     cached = _DECODE_CACHE.get(program)
     if cached is not None and cached[0] == version:
         return cached[1]
-    table = [_decode_one(program, pc, instr)
-             for pc, instr in enumerate(program.code)]
-    _DECODE_CACHE[program] = (version, table)
-    return table
-
-
-# ---------------------------------------------------------------------------
-# Functional step over a decoded entry
-# ---------------------------------------------------------------------------
-
-#: Shared result singletons: (mem_addr, taken, spawn_target, executed,
-#: chk_taken).  Only memory ops and spawn allocate a fresh tuple.
-R_MEM, R_TAKEN, R_SPAWN, R_EXECUTED, R_CHK = range(5)
-_R_PLAIN = (None, None, None, True, False)
-_R_SQUASH = (None, None, None, False, False)
-_R_TAKEN = (None, True, None, True, False)
-_R_NOT_TAKEN = (None, False, None, True, False)
-_R_CHK_TAKEN = (None, True, None, True, True)
-
-_RET_VALUE = regs.RET_VALUE
-_ZERO = regs.ZERO
-_TRUE_PREDICATE = regs.TRUE_PREDICATE
-
-
-def step_decoded(program: Program, heap: Heap, state: ThreadState,
-                 d: DecodedEntry, chk_fires: bool = False) -> Tuple:
-    """Architecturally step one decoded instruction.
-
-    Returns a plain ``(mem_addr, taken, spawn_target, executed,
-    chk_taken)`` tuple.  ``chk_fires`` tells a ``chk.c`` whether a free
-    hardware context is available (the timing model's decision); when
-    false the check behaves like a nop, per Section 3.4.2.  A false
-    qualifying predicate squashes the instruction (``executed`` false,
-    ``mem_addr`` None).
-    """
-    pc = state.pc
-    pred = d[D_PRED]
-    preds = state.preds
-    if pred is not None and not preds.get(pred, False):
-        state.pc = pc + 1
-        return _R_SQUASH
-
-    rd = state.regs
-    kind = d[D_KIND]
-
-    # Kinds are tested in the order of the executed mix (ld, ALU, mov,
-    # cmp, br.cond and lfetch are over 80% of the steps), not in enum
-    # order; every branch returns, so the order changes no result.
-    if kind == K_LD:
-        addr = rd.get(d[D_SRC0], 0) + d[D_IMM0]
-        if not addr & 7 and HEAP_BASE <= addr < heap.size:
-            rd[d[D_DEST]] = heap._words.get(addr >> 3, 0)
-        elif state.speculative:
-            rd[d[D_DEST]] = 0      # deferred exception: NaT-like zero
-            addr = None            # no memory access is made
-        else:
-            raise ExecutionError(
-                f"bad load address {addr:#x} at pc {pc} "
-                f"({program.code[pc]})")
-        state.pc = pc + 1
-        return (addr, None, None, True, False)
-
-    if kind == K_ALU:
-        src1 = d[D_SRC1]
-        b = rd.get(src1, 0) if src1 is not None else d[D_IMM]
-        dest = d[D_DEST]
-        rd[dest] = d[D_FN](rd.get(d[D_SRC0], 0), b)
-        if dest == _ZERO:
-            rd[_ZERO] = 0
-        state.pc = pc + 1
-        return _R_PLAIN
-
-    if kind == K_MOV:
-        src = d[D_SRC0]
-        dest = d[D_DEST]
-        rd[dest] = rd.get(src, 0) if src is not None else d[D_IMM]
-        if dest == _ZERO:
-            rd[_ZERO] = 0
-        state.pc = pc + 1
-        return _R_PLAIN
-
-    if kind == K_CMP:
-        src1 = d[D_SRC1]
-        b = rd.get(src1, 0) if src1 is not None else d[D_IMM]
-        dest = d[D_DEST]
-        preds[dest] = d[D_FN](rd.get(d[D_SRC0], 0), b)
-        if dest == _TRUE_PREDICATE:
-            preds[_TRUE_PREDICATE] = True
-        state.pc = pc + 1
-        return _R_PLAIN
-
-    if kind == K_BRC:
-        # A false qualifying predicate was squashed above, and the
-        # predicate is also the branch condition — an *executed* br.cond
-        # is always taken.
-        state.pc = d[D_TARGET]
-        return _R_TAKEN
-
-    if kind == K_LFETCH:
-        addr = rd.get(d[D_SRC0], 0) + d[D_IMM0]
-        if addr & 7 or not HEAP_BASE <= addr < heap.size:
-            addr = None            # non-faulting prefetch: dropped
-        state.pc = pc + 1
-        return (addr, None, None, True, False)
-
-    if kind == K_ST:
-        if state.speculative:
-            raise ExecutionError(
-                "speculative thread attempted a store — the emitter must "
-                f"never place stores in p-slices ({program.code[pc]} "
-                f"at pc {pc})")
-        addr = rd.get(d[D_SRC0], 0) + d[D_IMM0]
-        if addr & 7 or not HEAP_BASE <= addr < heap.size:
-            raise ExecutionError(
-                f"bad store address {addr:#x} at pc {pc} "
-                f"({program.code[pc]})")
-        heap._words[addr >> 3] = rd.get(d[D_SRC1], 0)
-        state.pc = pc + 1
-        return (addr, None, None, True, False)
-
-    if kind == K_BR:
-        state.pc = d[D_TARGET]
-        return _R_TAKEN
-
-    if kind == K_CALL:
-        state.call_stack.append((pc + 1, dict(rd)))
-        state.pc = d[D_TARGET]
-        return _R_TAKEN
-
-    if kind == K_CALLI:
-        fid = rd.get(d[D_SRC0], 0)
-        if not 0 <= fid < len(program.function_by_id):
-            if state.speculative:
-                state.killed = True
-                return _R_SQUASH
-            raise ExecutionError(
-                f"bad indirect call target {fid} at pc {pc}")
-        state.call_stack.append((pc + 1, dict(rd)))
-        state.pc = program.function_entry[program.function_by_id[fid]]
-        return _R_TAKEN
-
-    if kind == K_RET:
-        if not state.call_stack:
-            state.halted = True
-            return _R_TAKEN
-        ret_pc, saved = state.call_stack.pop()
-        ret_val = rd.get(_RET_VALUE, 0)
-        state.regs = saved
-        saved[_RET_VALUE] = ret_val
-        state.pc = ret_pc
-        return _R_TAKEN
-
-    if kind == K_CHK:
-        if chk_fires:
-            state.rfi_stack.append(pc + 1)
-            state.pc = d[D_TARGET]
-            return _R_CHK_TAKEN
-        state.pc = pc + 1
-        return _R_NOT_TAKEN
-
-    if kind == K_RFI:
-        if not state.rfi_stack:
-            raise ExecutionError(f"rfi with no pending recovery at pc {pc}")
-        state.pc = state.rfi_stack.pop()
-        return _R_TAKEN
-
-    if kind == K_SPAWN:
-        state.pc = pc + 1
-        return (None, None, d[D_TARGET], True, False)
-
-    if kind == K_LIBST:
-        state.lib_out[d[D_IMM]] = rd.get(d[D_SRC0], 0)
-        state.pc = pc + 1
-        return _R_PLAIN
-
-    if kind == K_LIBLD:
-        rd[d[D_DEST]] = state.lib_in[d[D_IMM]]
-        state.pc = pc + 1
-        return _R_PLAIN
-
-    if kind == K_KILL:
-        state.killed = True
-        return _R_PLAIN
-
-    if kind == K_HALT:
-        state.halted = True
-        return _R_PLAIN
-
-    # K_NOP
-    state.pc = pc + 1
-    return _R_PLAIN
+    code = program.code
+    slots = _register_slots(code)
+    # Entry pc of each function id, for br.call.ind.
+    entries = tuple(program.function_entry[name]
+                    for name in program.function_by_id)
+    decoded = Decoded([_decode_one(program, pc, instr, slots, entries)
+                       for pc, instr in enumerate(code)], slots)
+    _DECODE_CACHE[program] = (version, decoded)
+    return decoded

@@ -1,14 +1,17 @@
 """Architectural state of a thread, and the functional interpreter.
 
-A :class:`ThreadState` is one hardware thread context's architectural state.
-What each opcode *does* to it is defined once, by
-:func:`repro.isa.decode.step_decoded` over a pre-decoded table, and every
-engine steps through that: both simulators' run loops, the
-:class:`FunctionalInterpreter` below and the post-pass tool's shadow
-interpreter (``repro.codegen.verify``).  The test suite keeps an
-independent Instruction-object statement of the same semantics
-(``execute`` in ``tests/sim_reference.py``) as the oracle the decoded step
-is held equal to (``tests/test_sim_fastpath.py`` for the simulators,
+A :class:`ThreadState` is one hardware thread context's architectural state:
+its integer and predicate registers are lists indexed by the dense slots a
+program's :class:`RegisterSlots` gives each register name.  What each
+opcode *does* to that state is defined once, by the step closures
+:func:`repro.isa.decode.decode_program` builds, and every engine steps
+through them: both simulators' run loops, the :class:`FunctionalInterpreter`
+below and the post-pass tool's shadow interpreter
+(``repro.codegen.verify``).  The test suite keeps an independent
+Instruction-object statement of the same semantics (``execute`` in
+``tests/sim_reference.py``) as the oracle the closures are held equal to
+(``tests/test_isa_step_closures.py`` kind by kind,
+``tests/test_sim_fastpath.py`` for the simulators and
 ``tests/test_isa_decoded_interp.py`` for the interpreters).
 
 Speculative threads never modify the main thread's architectural state: they
@@ -21,30 +24,66 @@ the correctness constraints").
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .memory import Heap
 from .program import Program
-from . import registers as regs
-from .registers import LIB_SLOTS
+from .registers import LIB_SLOTS, RET_VALUE, TRUE_PREDICATE, ZERO
 
 
 class ExecutionError(Exception):
     """Raised for run-time errors in the *main* thread (bad address, etc.)."""
 
 
+class RegisterSlots:
+    """One program's register names as dense list slots.
+
+    ``regs`` numbers the names used as integer registers and ``preds`` the
+    names used as predicates; they index :attr:`ThreadState.regs` and
+    :attr:`ThreadState.preds`.  ``r0`` is integer slot 0 (always 0), ``p0``
+    predicate slot 0 (always true) and ``r8``, the return value a
+    ``br.ret`` carries, integer slot 1.  Each list has one more slot past
+    the named ones, the sink that writes to ``r0`` and ``p0`` land in, so
+    the hard-wired slot 0 is never written.  ``board`` numbers every name,
+    integer or predicate, for the timing models' scoreboards.
+    """
+
+    __slots__ = ("regs", "preds", "board")
+
+    def __init__(self, reg_names: Iterable[str] = (),
+                 pred_names: Iterable[str] = ()):
+        self.regs: Dict[str, int] = {ZERO: 0, RET_VALUE: 1}
+        for name in reg_names:
+            self.regs.setdefault(name, len(self.regs))
+        self.preds: Dict[str, int] = {TRUE_PREDICATE: 0}
+        for name in pred_names:
+            self.preds.setdefault(name, len(self.preds))
+        self.board: Dict[str, int] = dict(self.regs)
+        for name in self.preds:
+            self.board.setdefault(name, len(self.board))
+
+
+#: The slots of a state built without a program: ``r0``, ``r8``, ``p0``.
+_NO_PROGRAM = RegisterSlots()
+
+
 class ThreadState:
     """Architectural state of one hardware thread context."""
 
     __slots__ = ("tid", "pc", "regs", "preds", "call_stack", "rfi_stack",
-                 "lib_out", "lib_in", "speculative", "halted", "killed")
+                 "lib_out", "lib_in", "speculative", "halted", "killed",
+                 "slots")
 
     def __init__(self, tid: int, pc: int, speculative: bool = False,
-                 lib_in: Optional[List[int]] = None):
+                 lib_in: Optional[List[int]] = None,
+                 slots: RegisterSlots = _NO_PROGRAM):
         self.tid = tid
         self.pc = pc
-        self.regs: Dict[str, int] = {regs.ZERO: 0}
-        self.preds: Dict[str, bool] = {regs.TRUE_PREDICATE: True}
+        #: The program's name -> slot view of ``regs`` and ``preds``.
+        self.slots = slots
+        self.regs: List[int] = [0] * (len(slots.regs) + 1)
+        self.preds: List[bool] = [False] * (len(slots.preds) + 1)
+        self.preds[0] = True
         # Each frame is (return_pc, saved_regs) — a register-stack window.
         self.call_stack: List[tuple] = []
         self.rfi_stack: List[int] = []
@@ -62,7 +101,21 @@ class ThreadState:
         return self.halted or self.killed
 
     def read(self, reg: str) -> int:
-        return self.regs.get(reg, 0)
+        """The value of integer register ``reg`` (0 if the program never
+        names it)."""
+        slot = self.slots.regs.get(reg)
+        return 0 if slot is None else self.regs[slot]
+
+    def named(self) -> Dict[str, Dict]:
+        """The non-zero integer registers and the true predicates, by
+        name."""
+        regs, preds = self.regs, self.preds
+        return {
+            "regs": {r: regs[i] for r, i in self.slots.regs.items()
+                     if regs[i] != 0},
+            "preds": {p: preds[i] for p, i in self.slots.preds.items()
+                      if preds[i]},
+        }
 
 
 def spawn_thread(parent: ThreadState, tid: int, target_pc: int) -> ThreadState:
@@ -74,7 +127,8 @@ def spawn_thread(parent: ThreadState, tid: int, target_pc: int) -> ThreadState:
     possibility of inter-thread hazards where a register may be overwritten
     before a child thread has read it".
     """
-    return ThreadState(tid, target_pc, True, list(parent.lib_out))
+    return ThreadState(tid, target_pc, True, list(parent.lib_out),
+                       parent.slots)
 
 
 class FunctionalInterpreter:
@@ -104,13 +158,14 @@ class FunctionalInterpreter:
     def run(self, count: bool = True) -> ThreadState:
         """Run from the program entry until halt; returns the final state."""
         # Imported here: repro.isa.decode builds on this module.
-        from .decode import D_KIND, D_SRC0, D_UID, K_CALLI, R_EXECUTED, \
-            decode_program, step_decoded
+        from .decode import D_KIND, D_SRC0, D_STEP, D_UID, K_CALLI, \
+            decode_program
         program = self.program
-        dcode = decode_program(program)
+        decoded = decode_program(program)
+        dcode = decoded.table
         heap = self.heap
-        state = ThreadState(tid=0,
-                            pc=program.function_entry[program.entry])
+        state = ThreadState(0, program.function_entry[program.entry],
+                            slots=decoded.slots)
         counts = self.exec_counts
         max_steps = self.max_steps
         steps = 0
@@ -123,13 +178,13 @@ class FunctionalInterpreter:
                 uid = d[D_UID]
                 counts[uid] = counts.get(uid, 0) + 1
             if d[D_KIND] != K_CALLI:
-                step_decoded(program, heap, state, d)
+                d[D_STEP](state, heap, False)
                 steps += 1
                 continue
             # The target is read before the call, recorded only if the
             # call happened (a false predicate squashes it).
-            fid = state.regs.get(d[D_SRC0], 0)
-            executed = step_decoded(program, heap, state, d)[R_EXECUTED]
+            fid = state.regs[d[D_SRC0]]
+            executed = d[D_STEP](state, heap, False)
             steps += 1
             if executed and 0 <= fid < len(program.function_by_id):
                 per_site = self.indirect_targets.setdefault(d[D_UID], {})

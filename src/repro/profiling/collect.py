@@ -55,7 +55,8 @@ def collect_profile(program: Program,
             heap_digest=initial_digest,
             outcome=_architectural_outcome(sim.main_state),
             final_digest=heap.digest(),
-            decode_version=program._decode_version)
+            decode_version=program._decode_version,
+            heap_factory=heap_factory)
     if on_run is not None:
         on_run(sim)
 

@@ -260,13 +260,13 @@ class Runner:
                              else config.make_backend()),
                     config=config)
                 client.checkpoint_root = None
-                # This runner just missed every spec it sends, and no
-                # other client shares the queue: submit need not look
-                # them up again (the worker still dedupes).
-                client.submit_checks_backend = False
             elif client is None:
                 client = self._service_client = ServiceClient(
                     backend=self.cache, config=self.service)
+            # This runner just missed every spec it sends: submit need
+            # not look them up again.  The worker still dedupes, also
+            # what another client of a shared root put since.
+            client.submit_checks_backend = False
             return client.run_batch(specs, telemetry=self.telemetry,
                                     task_fn=self.task_fn, jobs=self.jobs,
                                     resilience=self.resilience)

@@ -126,8 +126,8 @@ class ServiceClient:
         #: batch, and ``--resume`` must outlive it).
         self.checkpoint_root: Optional[Path] = self.root / "checkpoints"
         #: Whether :meth:`submit` skips specs the backend already holds.
-        #: A :class:`~repro.runner.executor.Runner` on a private root
-        #: turns it off: it has just missed every spec it submits.
+        #: A :class:`~repro.runner.executor.Runner` turns it off: it has
+        #: just missed every spec it submits.
         self.submit_checks_backend = True
         #: hash -> cache entry of every result this client holds: the
         #: hits :meth:`submit` read, what its own workers executed and

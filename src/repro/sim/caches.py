@@ -19,7 +19,7 @@ employs cache profile data from the simulator") and the Figure 9/10 data.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop as _heappop, heappush as _heappush
 from typing import Dict, List, Optional, Tuple
 
 from .config import CacheConfig, MachineConfig
@@ -131,11 +131,27 @@ class MemorySystem:
         self.l3 = CacheLevel(config.l3)
         self._line_shift = config.l1.line_bytes.bit_length() - 1
         self._page_shift = config.tlb_page_bytes.bit_length() - 1
+        # The access path's constants, read from the config once.
+        self._tlb_entries = config.tlb_entries
+        self._tlb_penalty = config.tlb_miss_penalty
+        self._fill_entries = config.fill_buffer_entries
+        self._mem_latency = config.memory_latency
+        self._l1_latency = config.l1.latency
+        self._l2_latency = config.l2.latency
+        self._l3_latency = config.l3.latency
+        self._l1_ways = config.l1.ways
+        self._l2_ways = config.l2.ways
+        self._l3_ways = config.l3.ways
+        self._l1_mask = self.l1.num_sets - 1
+        self._l2_mask = self.l2.num_sets - 1
+        self._l3_mask = self.l3.num_sets - 1
+        #: Whether any load is served by perfect memory (Figure 2).
+        self._perfect = bool(config.perfect_memory
+                             or config.perfect_load_uids)
         # TLB: page number -> None, MRU-ordered by dict insertion (oldest
         # first).  A dict keeps the hit path O(1); the list MRU it
         # replaces cost an O(n) scan + remove per access.
         self._tlb: Dict[int, None] = {}
-        self._tlb_entries = config.tlb_entries
         # line -> (fill completion cycle, origin level)
         self._in_transit: Dict[int, Tuple[int, str]] = {}
         # Outstanding fill completion cycles (fill buffer occupancy).
@@ -154,6 +170,13 @@ class MemorySystem:
         self.prefetch_stats: Dict[int, PrefetchStats] = {}
         self.prefetch_sources: Dict[int, int] = {}
         self._prefetched_lines: Dict[int, int] = {}
+        self._bind_sets()
+
+    def _bind_sets(self) -> None:
+        """Bind each level's set table for the access path."""
+        self._l1_sets = self.l1._sets
+        self._l2_sets = self.l2._sets
+        self._l3_sets = self.l3._sets
 
     # -- the access path --------------------------------------------------------
 
@@ -171,28 +194,36 @@ class MemorySystem:
 
         This is the simulators' hottest shared code, so the TLB, cache
         probes, inserts, fill-buffer drain and statistics are one
-        straight-line body instead of helper calls.
+        straight-line body instead of helper calls, over constants and
+        set tables bound at construction.  A main-thread demand load, the
+        common access, passes the prefetch, store and perfect-memory
+        cases on one test each.
         """
-        cfg = self.config
-        # An explicit lfetch — or a speculative thread's copy of a
-        # delinquent load (mapped by the emitter) — acts as a prefetch for
-        # its source load and is attributed as such.  Issue accounting
-        # happens before the perfect-memory shortcut so the Figure 2
-        # ablations report the same issue counts as the real hierarchy,
-        # and the global counter agrees with the per-static totals.
-        prefetching = is_prefetch or (not is_main and not is_store
-                                      and uid in self.prefetch_sources)
-        if prefetching:
-            self.prefetches_issued += 1
-            pstats = self.prefetch_stats.get(uid)
-            if pstats is None:
-                pstats = self.prefetch_stats[uid] = PrefetchStats()
-            pstats.issued += 1
+        demand = is_main and not (is_prefetch or is_store)
+        prefetching = False
+        if not demand:
+            # An explicit lfetch — or a speculative thread's copy of a
+            # delinquent load (mapped by the emitter) — acts as a
+            # prefetch for its source load and is attributed as such.
+            # Issue accounting happens before the perfect-memory shortcut
+            # so the Figure 2 ablations report the same issue counts as
+            # the real hierarchy, and the global counter agrees with the
+            # per-static totals.
+            prefetching = is_prefetch or (
+                not is_main and not is_store
+                and uid in self.prefetch_sources)
+            if prefetching:
+                self.prefetches_issued += 1
+                pstats = self.prefetch_stats.get(uid)
+                if pstats is None:
+                    pstats = self.prefetch_stats[uid] = PrefetchStats()
+                pstats.issued += 1
 
         line = addr >> self._line_shift
         partial = False
-        if cfg.perfect_memory or uid in cfg.perfect_load_uids:
-            if not cfg.perfect_memory:
+        if self._perfect and (self.config.perfect_memory
+                              or uid in self.config.perfect_load_uids):
+            if not self.config.perfect_memory:
                 # "Delinquent loads always hit in the L1 cache" (Figure 2):
                 # the line is materialised instantly, so sibling loads of
                 # the same line hit too — otherwise their misses would
@@ -201,82 +232,82 @@ class MemorySystem:
                 self.l2.insert(line)
                 self.l3.insert(line)
                 self._in_transit.pop(line, None)
-            ready, level = now + cfg.l1.latency, L1
+            ready, level = now + self._l1_latency, L1
         else:
-            # TLB probe (same MRU touch as the caches).
+            # TLB probe (same MRU touch as the caches).  Misses are rare:
+            # a hit is one delete and one insert.
             page = addr >> self._page_shift
             tlb = self._tlb
-            if page in tlb:
+            start = now
+            try:
                 del tlb[page]
-                tlb[page] = None
-                start = now
-            else:
+            except KeyError:
+                self.tlb_misses += 1
+                start = now + self._tlb_penalty
                 tlb[page] = None
                 if len(tlb) > self._tlb_entries:
                     del tlb[next(iter(tlb))]
-                self.tlb_misses += 1
-                start = now + cfg.tlb_miss_penalty
+            else:
+                tlb[page] = None
 
-            transit = self._in_transit.get(line)
+            in_transit = self._in_transit
+            transit = in_transit.get(line)
             if transit is not None and transit[0] > start:
                 # Partial miss: the line is already on its way to L1.
                 ready, level = transit
                 partial = True
             else:
                 if transit is not None:
-                    del self._in_transit[line]
+                    del in_transit[line]
                 # L1 probe; every insert below goes into a set the probe
                 # just showed does not hold the line.
-                l1 = self.l1
-                idx1 = line & (l1.num_sets - 1)
-                s1 = l1._sets.get(idx1)
+                idx1 = line & self._l1_mask
+                s1 = self._l1_sets.get(idx1)
                 if s1 is not None and line in s1:
                     del s1[line]
                     s1[line] = None
-                    ready, level = start + l1.latency, L1
+                    ready, level = start + self._l1_latency, L1
                 else:
                     # L1 miss: the fill occupies one of the fill-buffer
                     # entries; drain the finished fills, and wait for
                     # the earliest one when all are busy.
                     fills = self._fills
                     while fills and fills[0] <= start:
-                        heapq.heappop(fills)
-                    if len(fills) >= cfg.fill_buffer_entries:
-                        start = heapq.heappop(fills)
-                    l2 = self.l2
-                    idx2 = line & (l2.num_sets - 1)
-                    s2 = l2._sets.get(idx2)
+                        _heappop(fills)
+                    if len(fills) >= self._fill_entries:
+                        start = _heappop(fills)
+                    idx2 = line & self._l2_mask
+                    s2 = self._l2_sets.get(idx2)
                     if s2 is not None and line in s2:
                         del s2[line]
                         s2[line] = None
-                        ready, level = start + l2.latency, L2
+                        ready, level = start + self._l2_latency, L2
                     else:
-                        l3 = self.l3
-                        idx3 = line & (l3.num_sets - 1)
-                        s3 = l3._sets.get(idx3)
+                        idx3 = line & self._l3_mask
+                        s3 = self._l3_sets.get(idx3)
                         if s3 is not None and line in s3:
                             del s3[line]
                             s3[line] = None
-                            ready, level = start + l3.latency, L3
+                            ready, level = start + self._l3_latency, L3
                         else:
-                            ready, level = start + cfg.memory_latency, MEM
+                            ready, level = start + self._mem_latency, MEM
                             if s3 is None:
-                                s3 = l3._sets[idx3] = {}
+                                s3 = self._l3_sets[idx3] = {}
                             s3[line] = None
-                            if len(s3) > l3.ways:
+                            if len(s3) > self._l3_ways:
                                 del s3[next(iter(s3))]
                         if s2 is None:
-                            s2 = l2._sets[idx2] = {}
+                            s2 = self._l2_sets[idx2] = {}
                         s2[line] = None
-                        if len(s2) > l2.ways:
+                        if len(s2) > self._l2_ways:
                             del s2[next(iter(s2))]
                     if s1 is None:
-                        s1 = l1._sets[idx1] = {}
+                        s1 = self._l1_sets[idx1] = {}
                     s1[line] = None
-                    if len(s1) > l1.ways:
+                    if len(s1) > self._l1_ways:
                         del s1[next(iter(s1))]
-                    self._in_transit[line] = (ready, level)
-                    heapq.heappush(fills, ready)
+                    in_transit[line] = (ready, level)
+                    _heappush(fills, ready)
                     if prefetching:
                         # Credit this line's next main-thread consumption
                         # to the prefetch that started the fill.
@@ -289,7 +320,7 @@ class MemorySystem:
                     # discard a pending timely-prefetch credit, deflating
                     # coverage for store-then-load patterns.
 
-        if not is_main or is_prefetch or is_store:
+        if not demand:
             return ready, level
         stats = self.load_stats.get(uid)
         if stats is None:
@@ -302,7 +333,7 @@ class MemorySystem:
             stats.hits[level] += 1
             self.level_counts[level] += 1
         if level != L1:
-            beyond_l1 = (ready - now) - cfg.l1.latency
+            beyond_l1 = (ready - now) - self._l1_latency
             if beyond_l1 > 0:
                 stats.miss_cycles += beyond_l1
         if self._prefetched_lines:
@@ -336,6 +367,7 @@ class MemorySystem:
         self.l1.flush()
         self.l2.flush()
         self.l3.flush()
+        self._bind_sets()
         self._tlb = {}
         self._in_transit = {}
         self._fills = []

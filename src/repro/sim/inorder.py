@@ -9,8 +9,8 @@ bundle each from two threads, shared function units (4 int, 3 branch,
 contexts with lightweight-exception spawning for SSP.
 
 The simulator is execution-driven: instructions execute architecturally at
-issue (each one a :func:`repro.isa.decode.step_decoded` call over the
-pre-decoded table, the one definition of what an opcode does), so
+issue (each one a call of the instruction's step closure from
+:mod:`repro.isa.decode`, the one definition of what an opcode does), so
 speculative threads compute real addresses and their prefetches warm the
 shared caches that the main thread then hits — the entire SSP effect is
 emergent, not modelled.
@@ -36,7 +36,6 @@ from ..isa.decode import (
     K_BRC,
     K_CALLI,
     K_CHK,
-    K_CMP,
     K_HALT,
     K_KILL,
     K_LD,
@@ -47,7 +46,6 @@ from ..isa.decode import (
     K_ST,
     RES_INT,
     RES_MEM,
-    step_decoded,
 )
 from ..isa.interp import ThreadState
 from ..isa.memory import Heap
@@ -56,6 +54,11 @@ from .caches import L1
 from .config import MachineConfig
 from .smt import _FAR_FUTURE, DEFAULT_MAX_CYCLES, SMTSimulator
 from .stats import STALL_CATEGORY, SimStats
+
+#: The Figure 10 category of a cycle stalled on a register its supplying
+#: level has not delivered yet.  A short L1-hit interlock counts as
+#: execution; a register no load wrote, as "Other".
+_STALL_OF = {**STALL_CATEGORY, L1: "Exec"}
 
 
 class HWThread:
@@ -73,14 +76,15 @@ class HWThread:
         self.spec_issued = 0
         #: Cycle the context was allocated, for the cycle budget.
         self.spawn_cycle = start_cycle
-        #: register name -> cycle its value becomes available.
-        self.reg_ready: Dict[str, int] = {}
+        n = len(state.slots.board)
+        #: scoreboard slot -> cycle its register's value becomes available.
+        self.reg_ready: List[int] = [0] * n
         #: Upper bound on every value in ``reg_ready``: once the clock
         #: passes it, no register can block and the scoreboard scan is
         #: skipped wholesale.
         self.ready_bound = 0
-        #: register name -> cache level that supplied it (loads only).
-        self.reg_level: Dict[str, Optional[str]] = {}
+        #: scoreboard slot -> cache level that supplied it (loads only).
+        self.reg_level: List[Optional[str]] = [None] * n
         #: no fetch/issue before this cycle (flush, startup).
         self.stall_until = start_cycle
         #: earliest cycle this thread may make progress (for time skip).
@@ -196,17 +200,20 @@ class InOrderSimulator(SMTSimulator):
         main thread's Figure 10 category.  Issue is one loop body over
         the candidates.  Each instruction passes the issue checks
         (budget, scoreboard, units, chaining-spawn wait), takes one
-        architectural step through :func:`repro.isa.decode.step_decoded`
-        and is then timed by kind from the step's result tuple: this loop
-        models time only.  Everything constant over a run is bound to a
-        local once, and the rare per-cycle events (checkpoint, cycle
-        limit, profiler sample) share one ``next_event`` compare.
+        architectural step through its decoded step closure
+        (:mod:`repro.isa.decode`) and is then timed by kind from the
+        step's result: this loop models time only.  Scoreboards are lists
+        indexed by the decoded register slots.  Everything constant over
+        a run is bound to a local once, and the rare per-cycle events
+        (checkpoint, cycle limit, profiler sample) share one
+        ``next_event`` compare.
 
         While no speculative context is live, the main thread stays in
         the issue body cycle after cycle (a stretch), selecting and
-        accounting for itself, with its instruction counts in locals
-        written back when the stretch ends: at a spawn, a halt or kill,
-        or before the next event or cycle-budget deadline.
+        accounting for itself, with its instruction and Exec/CacheExec
+        cycle counts in locals written back when the stretch ends: at a
+        spawn, a halt or kill, or before the next event or cycle-budget
+        deadline.
         """
         if not self._started:
             self._begin()
@@ -223,7 +230,6 @@ class InOrderSimulator(SMTSimulator):
         next_event = min(next_checkpoint, max_cycles, prof_next)
         prof = None
 
-        program = self.program
         dcode = self._dcode
         dreads = self._dreads
         heap = self.heap
@@ -233,7 +239,7 @@ class InOrderSimulator(SMTSimulator):
         contexts = self.contexts
         slot_orders = self._slot_orders
         breakdown = stats.cycle_breakdown
-        main_misses = self._main_misses
+        horizon = self._miss_horizon
         main_counts = self._issue_counts
         spec_counts = self._spec_issue_counts
         heappop = heapq.heappop
@@ -268,6 +274,7 @@ class InOrderSimulator(SMTSimulator):
                 if now >= next_checkpoint:
                     self._now = now
                     self._rr = rr
+                    self._miss_horizon = horizon
                     on_checkpoint(self)
                     while next_checkpoint <= now:
                         next_checkpoint += checkpoint_every
@@ -331,7 +338,7 @@ class InOrderSimulator(SMTSimulator):
                         ready = ctx.reg_ready
                         blocked = False
                         for reg in dreads[cs.pc]:
-                            if ready.get(reg, 0) > now:
+                            if ready[reg] > now:
                                 blocked = True
                                 break
                         if blocked:
@@ -347,7 +354,7 @@ class InOrderSimulator(SMTSimulator):
                 else:
                     ready = main.reg_ready
                     for reg in dreads[main_state.pc]:
-                        if ready.get(reg, 0) > now:
+                        if ready[reg] > now:
                             break
                     else:
                         cand0 = main
@@ -381,9 +388,12 @@ class InOrderSimulator(SMTSimulator):
                     # separately so the retired-instruction oracle can
                     # compare models net of fired triggers.
                     n_stub = 0
-                    # Instructions issued in the stretch's earlier cycles
-                    # (see below).
-                    n_issued = 0
+                    # Instructions issued, Exec and CacheExec cycles, and
+                    # stalls skipped, in the stretch's earlier cycles (see
+                    # below).
+                    n_issued = n_exec = n_cache_exec = n_stalls = 0
+                    # Whether the chk.c about to step fires.
+                    chk_fires = False
                     # Runaway-slice containment: a speculative context
                     # stops at its instruction budget; the while's else
                     # arm kills it once it stopped there short of the
@@ -417,8 +427,8 @@ class InOrderSimulator(SMTSimulator):
                             # which select has just found ready.
                             if issued and bound > now:
                                 worst = 0
-                                for reg in d[8]:              # D_READS
-                                    t = ready.get(reg, 0)
+                                for reg in d[3]:              # D_READS
+                                    t = ready[reg]
                                     if t > worst:
                                         worst = t
                                 if worst > now:
@@ -426,7 +436,7 @@ class InOrderSimulator(SMTSimulator):
                                     break
 
                             # Structural hazards: shared function units.
-                            rescls = d[10]                    # D_RES
+                            rescls = d[5]                     # D_RES
                             if rescls == RES_INT:
                                 if res_int == 0:
                                     thread.wake = now + 1
@@ -444,7 +454,6 @@ class InOrderSimulator(SMTSimulator):
                                 res_br -= 1
 
                             kind = d[0]                       # D_KIND
-                            chk_fires = False
                             if kind > K_LFETCH:
                                 if kind == K_SPAWN:
                                     # A chaining spawn in a speculative thread
@@ -473,11 +482,12 @@ class InOrderSimulator(SMTSimulator):
                                                 thread)
                                             break
                                 elif kind == K_CHK:
-                                    chk_fires = self._chk_gate(d[13])  # D_UID
+                                    # Reset right after its step.
+                                    chk_fires = self._chk_gate(d[6])  # D_UID
                                 elif kind == K_CALLI and is_main:
                                     # The target, read before the call;
                                     # recorded below only if the call executes.
-                                    call_fid = state.regs.get(d[3], 0)
+                                    call_fid = state.regs[d[7]]  # D_SRC0
 
                             counts[pc] += 1
                             # Inside a recovery stub, read before the step (a
@@ -489,16 +499,15 @@ class InOrderSimulator(SMTSimulator):
                             # (false qualifying predicate) still consumed its
                             # slot and unit and counts as issued; what it
                             # costs is decided below.
-                            r = step_decoded(program, heap, state, d,
-                                             chk_fires)
+                            r = d[1](state, heap, chk_fires)  # D_STEP
                             issued += 1
 
                             # Timing only from here on, from the step's result
-                            # tuple.
-                            if kind <= K_CMP or kind == K_LIBLD:
-                                if r[3]:                      # R_EXECUTED
+                            # (its meaning per kind: repro.isa.decode).
+                            if kind <= K_LIBLD:
+                                if r:                         # executed
                                     dest = d[2]               # D_DEST
-                                    t = now + d[9]            # D_LAT
+                                    t = now + d[4]            # D_LAT
                                     ready[dest] = t
                                     if t > bound:
                                         bound = t
@@ -507,18 +516,17 @@ class InOrderSimulator(SMTSimulator):
 
                             if kind == K_LD:
                                 dest = d[2]
-                                addr = r[0]                   # R_MEM
-                                if addr is None:
+                                if r:
+                                    t, level = access(r, now, d[6], is_main)
+                                    if is_main and level != L1 \
+                                            and t > horizon:
+                                        horizon = t
+                                else:
                                     # Squashed, or a deferred speculative
                                     # fault: the register is written without a
                                     # memory access.
                                     t = now + 1
                                     level = None
-                                else:
-                                    t, level = access(addr, now, d[13],
-                                                      is_main)
-                                    if is_main and level != L1:
-                                        heappush(main_misses, t)
                                 ready[dest] = t
                                 if t > bound:
                                     bound = t
@@ -530,14 +538,13 @@ class InOrderSimulator(SMTSimulator):
                                 # predicate is both the qualifying predicate
                                 # and the branch condition.  A squashed one
                                 # still trains the predictor, not taken.
-                                taken = bool(r[1])            # R_TAKEN
-                                penalty = predict(pc, state.tid, taken)
+                                penalty = predict(pc, state.tid, r)
                                 if penalty < 0:
                                     stats.mispredicts += 1
                                     thread.stall_until = thread.wake = \
                                         now + 1 + mispredict_penalty
                                     break
-                                if not taken:
+                                if not r:
                                     continue
                                 if penalty > 0:
                                     thread.stall_until = thread.wake = \
@@ -545,33 +552,33 @@ class InOrderSimulator(SMTSimulator):
                                 break  # a taken branch ends the fetch group
 
                             if kind == K_ST:
-                                if r[0] is not None:
-                                    access(r[0], now, d[13], is_main,
-                                           False, True)
+                                if r:
+                                    access(r, now, d[6], is_main, False, True)
                                 continue
 
                             if kind == K_LFETCH:
-                                if r[0] is None:
+                                if r:
+                                    access(r, now, d[6], is_main, True)
+                                else:
                                     # Squashed, or outside the heap:
                                     # non-faulting, dropped.
                                     memory.prefetches_dropped += 1
-                                else:
-                                    access(r[0], now, d[13], is_main, True)
                                 continue
 
                             if kind <= K_RET:
-                                if kind == K_CALLI and is_main and r[3]:
-                                    self._note_indirect(d[13], call_fid)
+                                if kind == K_CALLI and is_main and r:
+                                    self._note_indirect(d[6], call_fid)
                                 # br, br.call(.ind), br.ret end the group
                                 break
 
                             if kind == K_CHK:
-                                if r[4]:                      # R_CHK
+                                chk_fires = False
+                                if r:                         # fired
                                     # Lightweight exception: pipeline flush,
                                     # resume in the stub.
                                     stats.chk_fired += 1
                                     if trace is not None:
-                                        trace.note(now, "chk_fired", uid=d[13])
+                                        trace.note(now, "chk_fired", uid=d[6])
                                     thread.stall_until = thread.wake = \
                                         now + chk_flush_penalty
                                     break
@@ -579,9 +586,9 @@ class InOrderSimulator(SMTSimulator):
                                 continue
 
                             if kind == K_SPAWN:
-                                if r[2] is not None:          # R_SPAWN
+                                if r is not None:             # the target
                                     start = now + spawn_latency
-                                    if self._spawn(state, r[2], now,
+                                    if self._spawn(state, r, now,
                                                    start) is not None:
                                         have_spec = True
                                         if cycle_budget:
@@ -620,7 +627,7 @@ class InOrderSimulator(SMTSimulator):
                         worst = 0
                         if bound > nxt:
                             for reg in dreads[state.pc]:
-                                t = ready.get(reg, 0)
+                                t = ready[reg]
                                 if t > worst:
                                     worst, worst_reg = t, reg
                             if worst > wake:
@@ -628,25 +635,20 @@ class InOrderSimulator(SMTSimulator):
                         if wake > nxt and wake >= limit:
                             break
                         # Figure 10 accounting for this issuing cycle.
-                        while main_misses and main_misses[0] <= now:
-                            heappop(main_misses)
-                        breakdown["CacheExec" if main_misses else "Exec"] += 1
-                        rr = rr % n_spec + 1
+                        if horizon > now:
+                            n_cache_exec += 1
+                        else:
+                            n_exec += 1
                         if wake > nxt:
                             # A stall cycle: charged with the cycles it
-                            # skips, as the loop below charges it.  Its
-                            # pops keep the miss heap, which snapshots
-                            # pickle, laid out as the loop leaves it.
-                            while main_misses and main_misses[0] <= nxt:
-                                heappop(main_misses)
+                            # skips, as the loop below charges it.
                             if worst > nxt and thread.stall_until <= nxt:
-                                level = levels.get(worst_reg)
-                                category = "Exec" if level == L1 \
-                                    else STALL_CATEGORY.get(level, "Other")
+                                category = _STALL_OF.get(levels[worst_reg],
+                                                         "Other")
                             else:
                                 category = "Other"
                             breakdown[category] += wake - nxt
-                            rr = rr % n_spec + 1
+                            n_stalls += 1
                             nxt = wake
                         now = nxt
                         n_issued += issued
@@ -655,6 +657,13 @@ class InOrderSimulator(SMTSimulator):
                         res_br = branch_units
 
                     thread.ready_bound = bound
+                    if n_exec or n_cache_exec:
+                        # The round-robin pointer moves once a cycle,
+                        # and once more for a skipped stall.
+                        rr = (rr + n_exec + n_cache_exec + n_stalls - 1) \
+                            % n_spec + 1
+                        breakdown["Exec"] += n_exec
+                        breakdown["CacheExec"] += n_cache_exec
                     if issued:
                         if thread.wake <= now \
                                 and not (state.halted or state.killed):
@@ -673,10 +682,8 @@ class InOrderSimulator(SMTSimulator):
                 t_prof = prof.lap("issue", t_prof)
 
             # Figure 10 accounting for this cycle.
-            while main_misses and main_misses[0] <= now:
-                heappop(main_misses)
             if issued_main:
-                category = "CacheExec" if main_misses else "Exec"
+                category = "CacheExec" if horizon > now else "Exec"
             elif main_state.halted or main_state.killed \
                     or main.stall_until > now or main.ready_bound <= now:
                 # Done, a flush/redirect bubble, or fetch slots lost to
@@ -688,14 +695,12 @@ class InOrderSimulator(SMTSimulator):
                 ready = main.reg_ready
                 worst, worst_reg = 0, None
                 for reg in dreads[main_state.pc]:
-                    t = ready.get(reg, 0)
+                    t = ready[reg]
                     if t > worst:
                         worst, worst_reg = t, reg
                 if worst > now:
-                    level = main.reg_level.get(worst_reg)
-                    # A short L1-hit interlock counts as execution.
-                    category = "Exec" if level == L1 \
-                        else STALL_CATEGORY.get(level, "Other")
+                    category = _STALL_OF.get(main.reg_level[worst_reg],
+                                             "Other")
                 else:
                     category = "Other"
             breakdown[category] += 1
@@ -729,7 +734,7 @@ class InOrderSimulator(SMTSimulator):
                     ready = ctx.reg_ready
                     worst = 0
                     for reg in dreads[cs.pc]:
-                        t = ready.get(reg, 0)
+                        t = ready[reg]
                         if t > worst:
                             worst = t
                     if worst > now and worst > w:
@@ -745,6 +750,7 @@ class InOrderSimulator(SMTSimulator):
 
         self._rr = rr
         self._now = now
+        self._miss_horizon = horizon
         stats.cycles = now
         stats.mispredicts = self.predictor.mispredicts
         return stats

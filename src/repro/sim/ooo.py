@@ -51,7 +51,6 @@ from ..isa.decode import (
     K_RET,
     K_SPAWN,
     K_ST,
-    step_decoded,
 )
 from ..isa.interp import ThreadState
 from ..isa.memory import Heap
@@ -78,9 +77,11 @@ class _OOOThread:
         self.spec_issued = 0
         #: Cycle the context was allocated, for the cycle budget.
         self.spawn_cycle = start_cycle
-        #: register -> completion cycle of its producer.
-        self.reg_complete: Dict[str, int] = {}
-        self.reg_level: Dict[str, Optional[str]] = {}
+        n = len(state.slots.board)
+        #: scoreboard slot -> completion cycle of its register's producer.
+        self.reg_complete: List[int] = [0] * n
+        #: scoreboard slot -> cache level that supplied it (loads only).
+        self.reg_level: List[Optional[str]] = [None] * n
         # The rings' maxlen goes in positionally: deque() parses a keyword
         # several times slower, and a context is built per spawn.
         #: retirement times of the last ROB instructions.
@@ -158,10 +159,12 @@ class OOOSimulator(SMTSimulator):
         simulator resumes instead of restarting.
 
         Instructions come from the pre-decoded issue table: flat tuple
-        access instead of attribute/dict lookups, timing and retirement
-        inline, and a no-sift pop when only one thread is live.  The run
-        state (``_tie``, ``_end_cycle``) lives in locals, written back
-        before every checkpoint and on exit.  A popped thread runs fetch
+        access instead of attribute/dict lookups, one call of the
+        instruction's step closure, scoreboards indexed by register slot,
+        timing and retirement inline, and a no-sift pop when only one
+        thread is live.  The run state (``_tie``, ``_end_cycle``,
+        ``_miss_horizon``) lives in locals, written back before every
+        checkpoint and on exit.  A popped thread runs fetch
         group after fetch group while it stays strictly the earliest and
         no event is due — exactly what pushing and popping it again would
         do — with its retirement state and the instruction counters in
@@ -169,14 +172,13 @@ class OOOSimulator(SMTSimulator):
         (checkpoint, calendar pruning, profiler sample) share one
         ``next_event`` compare.
         """
-        program = self.program
         config = self.config
         dcode = self._dcode
         stats = self.stats
         if not self._started:
             self._begin()
         queue = self._queue
-        main_misses = self._main_misses
+        horizon = self._miss_horizon
         heap = self.heap
         memory = self.memory
         access = memory.access
@@ -226,6 +228,7 @@ class OOOSimulator(SMTSimulator):
                     self._tie = tie
                     self._end_cycle = (None if end_cycle == _FAR_FUTURE
                                        else end_cycle)
+                    self._miss_horizon = horizon
                     on_checkpoint(self)
                     while next_checkpoint <= now:
                         next_checkpoint += checkpoint_every
@@ -313,7 +316,7 @@ class OOOSimulator(SMTSimulator):
                         # The gate counts a fire, so it is not asked
                         # for an instruction the budget stops.
                         chk_fires = (kind == K_CHK and retired != stop
-                                     and self._chk_gate(d[13]))
+                                     and self._chk_gate(d[6]))  # D_UID
                     if retired == stop:
                         state.killed = True
                         stats.budget_kills += 1
@@ -326,15 +329,15 @@ class OOOSimulator(SMTSimulator):
                         n_stub += 1
                     if prof is not None:
                         t_prof = prof.lap("schedule", t_prof)
-                    result = step_decoded(program, heap, state, d, chk_fires)
+                    r = d[1](state, heap, chk_fires)  # D_STEP
                     if prof is not None:
                         t_prof = prof.lap("interp", t_prof)
 
                     # Timing: operands ready, then an RS entry, then the
                     # first cycle with a free issue slot (and memory port).
                     start = fetch + 1
-                    for reg in d[8]:                  # D_READS
-                        t = reg_complete.get(reg, 0)
+                    for reg in d[3]:                  # D_READS
+                        t = reg_complete[reg]
                         if t > start:
                             start = t
                     if retired >= rs_size and start_ring[0] > start:
@@ -345,37 +348,47 @@ class OOOSimulator(SMTSimulator):
                         used = issue_used.get(start, 0)
                     issue_used[start] = used + 1
                     dest = d[2]                       # D_DEST
-                    mem_addr = result[0]
-                    if mem_addr is not None:
-                        # An executed ld/st/lfetch inside the heap.
-                        used = port_used.get(start, 0)
-                        while used >= memory_ports:
-                            start += 1
+                    # What the step returned, per kind: repro.isa.decode.
+                    if K_LD <= kind <= K_LFETCH:
+                        if r:
+                            # An executed ld/st/lfetch inside the heap.
                             used = port_used.get(start, 0)
-                        port_used[start] = used + 1
-                        if kind == K_LD:
-                            completion, level = access(
-                                mem_addr, start, d[13], is_main)
-                            reg_complete[dest] = completion
-                            reg_level[dest] = level
-                            if is_main and level != L1:
-                                heappush(main_misses, completion)
-                        else:
-                            access(mem_addr, start, d[13], is_main,
-                                   kind == K_LFETCH, kind == K_ST)
+                            while used >= memory_ports:
+                                start += 1
+                                used = port_used.get(start, 0)
+                            port_used[start] = used + 1
+                            if kind == K_LD:
+                                completion, level = access(
+                                    r, start, d[6], is_main)
+                                reg_complete[dest] = completion
+                                reg_level[dest] = level
+                                if is_main and level != L1 \
+                                        and completion > horizon:
+                                    horizon = completion
+                            else:
+                                access(r, start, d[6], is_main,
+                                       kind == K_LFETCH, kind == K_ST)
+                                completion = start + 1
+                        elif r is None:               # squashed
                             completion = start + 1
-                    elif result[3]:                   # R_EXECUTED
-                        completion = start + d[9]     # D_LAT
-                        if dest is not None:
-                            reg_complete[dest] = completion
-                            if kind != K_LD:
-                                reg_level[dest] = None
-                        elif kind == K_LFETCH:
-                            memory.prefetches_dropped += 1
+                            if kind == K_LFETCH:
+                                memory.prefetches_dropped += 1
+                        else:
+                            # Executed without an access: a deferred
+                            # speculative fault or a dropped prefetch.
+                            completion = start + d[4]  # D_LAT
+                            if kind == K_LD:
+                                reg_complete[dest] = completion
+                            else:
+                                memory.prefetches_dropped += 1
+                    elif dest is not None and r:      # an executed write
+                        completion = start + d[4]
+                        reg_complete[dest] = completion
+                        reg_level[dest] = None
                     else:
+                        # Squashed, or no destination: every such kind
+                        # takes one cycle.
                         completion = start + 1
-                        if kind == K_LFETCH:
-                            memory.prefetches_dropped += 1
                     start_ring.append(start)
 
                     # In-order retirement, bounded by retire bandwidth:
@@ -395,10 +408,7 @@ class OOOSimulator(SMTSimulator):
                     if is_main:
                         gap = retire - last_retire
                         if gap > 0:
-                            while (main_misses
-                                   and main_misses[0] <= last_retire):
-                                heappop(main_misses)
-                            if main_misses:
+                            if horizon > last_retire:
                                 n_cache_exec += 1
                             else:
                                 n_exec += 1
@@ -407,14 +417,14 @@ class OOOSimulator(SMTSimulator):
                                 # supplied a load, else its latest-arriving
                                 # source.
                                 if kind == K_LD:
-                                    level = reg_level.get(dest)
+                                    level = reg_level[dest]
                                 else:
                                     level, worst = None, -1
-                                    for reg in d[8]:
-                                        t = reg_complete.get(reg, 0)
+                                    for reg in d[3]:
+                                        t = reg_complete[reg]
                                         if t > worst:
                                             worst = t
-                                            level = reg_level.get(reg)
+                                            level = reg_level[reg]
                                 cause = STALL_CATEGORY.get(level)
                                 if cause is None:
                                     cause = ("Other" if K_BR <= kind <= K_RET
@@ -429,31 +439,31 @@ class OOOSimulator(SMTSimulator):
                     if kind <= K_LFETCH:
                         continue
                     if kind == K_BRC:
-                        penalty = predict(pc, tid, bool(result[1]))
+                        penalty = predict(pc, tid, r)
                         if penalty < 0:
                             stats.mispredicts += 1
                             # Resolved at execute; refill afterwards.
                             next_fetch = completion + mispredict_penalty
                             break
-                        if result[1]:
+                        if r:
                             next_fetch = fetch + 1 + penalty
                             break
                     elif kind <= K_RET:
                         break
                     elif kind == K_CHK:
-                        if result[4]:
+                        if r:
                             stats.chk_fired += 1
                             if trace is not None:
-                                trace.note(now, "chk_fired", uid=d[13])
+                                trace.note(now, "chk_fired", uid=d[6])
                             # Spawning happens at retirement with an
                             # exception-like flush (Section 4.4.1).
                             next_fetch = retire + chk_flush_penalty
                             break
                         stats.chk_ignored += 1
                     elif kind == K_SPAWN:
-                        if result[2] is not None:
+                        if r is not None:
                             thread.spawn_retries = 0
-                            child = self._spawn(state, result[2], now,
+                            child = self._spawn(state, r, now,
                                                 retire + spawn_startup_latency)
                             if child is not None:
                                 tie += 1
@@ -495,6 +505,7 @@ class OOOSimulator(SMTSimulator):
                 prof = None
         self._tie = tie
         self._end_cycle = None if end_cycle == _FAR_FUTURE else end_cycle
+        self._miss_horizon = horizon
 
         stats.mispredicts = self.predictor.mispredicts
         return stats

@@ -53,7 +53,7 @@ class SMTSimulator:
     #: crosses the checkpoint file.  Each model appends its own fields.
     _SNAPSHOT_FIELDS = (
         "heap", "memory", "predictor", "stats", "main_state", "contexts",
-        "_main_misses", "_next_tid", "_chk_fires", "_chk_partials_at_first",
+        "_miss_horizon", "_next_tid", "_chk_fires", "_chk_partials_at_first",
         "_chk_suppressed", "_started",
     )
 
@@ -63,7 +63,9 @@ class SMTSimulator:
         if not program.finalized:
             program.finalize()
         self.program = program
-        self._dcode = decode_program(program)
+        decoded = decode_program(program)
+        self._dcode = decoded.table
+        self._slots = decoded.slots
         self.heap = heap
         self.config = config
         self.spawning = spawning
@@ -78,9 +80,12 @@ class SMTSimulator:
         self.contexts: List[Optional[object]] = (
             [None] * config.hardware_contexts)
         self._next_tid = 0
-        # Outstanding main-thread misses (heap of completion cycles), for
-        # the Figure 10 Cache+Exec category.
-        self._main_misses: List[int] = []
+        # Latest completion cycle of a main-thread miss, for the Figure 10
+        # Cache+Exec category: a cycle overlaps an outstanding miss while
+        # it is below this horizon.  Both models ask only at a clock that
+        # never goes back (the in-order cycle, OOO's main-thread retire),
+        # so one int answers what a heap of completions would.
+        self._miss_horizon = 0
         # Dynamic chk.c throttling (Section 4.4.1 future work): per-trigger
         # fire counts, the partial-hit baseline at first fire, and the set
         # of suppressed triggers.
@@ -114,7 +119,7 @@ class SMTSimulator:
         return its timing state."""
         program = self.program
         main_state = ThreadState(
-            tid=0, pc=program.function_entry[program.entry])
+            0, program.function_entry[program.entry], slots=self._slots)
         #: Final main-thread architectural state (the differential oracle
         #: compares it across execution engines after ``run``).
         self.main_state = main_state

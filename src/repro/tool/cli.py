@@ -676,9 +676,13 @@ def _service_command(argv: List[str]) -> int:
         print(f"worker {worker.worker_id}: {processed} job(s) — "
               + render_counters(worker.counters,
                                 always=("executed", "deduped", "failures")))
-        if injector is not None and injector.fired:
-            fired = "  ".join(f"{site}={count}" for site, count
-                              in sorted(injector.fired.items()))
+        # ``fired`` counts every planned site from zero: report only the
+        # sites that fired.
+        fired = "  ".join(
+            f"{site}={count}" for site, count
+            in sorted(injector.fired.items() if injector else ())
+            if count)
+        if fired:
             print(f"faults injected: {fired}")
         print(f"summary written to {summary_path}")
         return EXIT_OK

@@ -2,9 +2,11 @@
 
 :func:`execute` is an independent statement of what each opcode does,
 over :class:`~repro.isa.instructions.Instruction` objects, reporting in
-an :class:`ExecResult`.  Production code defines the semantics once, in
-:func:`repro.isa.decode.step_decoded`; this module is the oracle it is
-held equal to.
+an :class:`ExecResult`.  It names registers: it reaches a
+:class:`~repro.isa.interp.ThreadState`'s register lists only through the
+state's name -> slot view.  Production code defines the semantics once,
+in the step closures of :mod:`repro.isa.decode`; this module is the
+oracle they are held equal to.
 
 Each simulator class overrides ``run`` with the original per-cycle loop,
 which interprets Instruction objects and steps them through
@@ -14,7 +16,9 @@ over the pre-decoded issue tables of :mod:`repro.isa.decode`;
 between the two on every paper workload and a fuzz corpus.  Everything
 else (construction, the context policy of :mod:`repro.sim.smt` —
 spawning, release, budget kills, the ``chk.c`` gate — and
-checkpointing) is inherited, so only the loops are compared.
+checkpointing) is inherited, so only the loops are compared.  The
+reference loops keep their own name-keyed scoreboards and their own heap
+of outstanding main-thread misses.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.isa import registers as regs
 from repro.isa.instructions import Instruction
+from repro.isa.decode import decode_program
 from repro.isa.interp import ExecutionError, ThreadState
 from repro.isa.memory import Heap
 from repro.isa.program import Program
@@ -74,46 +79,69 @@ class ExecResult:
         self.chk_taken = chk_taken
 
 
+def new_state(program: Program, tid: int = 0, pc: int = 0,
+              speculative: bool = False) -> ThreadState:
+    """A thread state over ``program``'s register slots."""
+    return ThreadState(tid, pc, speculative,
+                       slots=decode_program(program).slots)
+
+
+def _get(state: ThreadState, reg: str) -> int:
+    return state.regs[state.slots.regs[reg]]
+
+
+def _set(state: ThreadState, reg: str, value) -> None:
+    state.regs[state.slots.regs[reg]] = value
+    if reg == regs.ZERO:
+        state.regs[state.slots.regs[reg]] = 0      # hard-wired
+
+
+def _pred(state: ThreadState, reg: str) -> bool:
+    return state.preds[state.slots.preds[reg]]
+
+
+def _set_pred(state: ThreadState, reg: str, value: bool) -> None:
+    state.preds[state.slots.preds[reg]] = value
+    if reg == regs.TRUE_PREDICATE:
+        state.preds[state.slots.preds[reg]] = True  # hard-wired
+
+
 def execute(program: Program, heap: Heap, state: ThreadState,
             instr: Instruction, chk_fires: bool = False) -> ExecResult:
     """Execute ``instr`` architecturally on ``state``.
 
     ``chk_fires`` tells a ``chk.c`` whether a free hardware context is
     available (the timing model's decision); when false the check behaves
-    like a nop, per Section 3.4.2.
+    like a nop, per Section 3.4.2.  Whatever the opcode, a write to ``r0``
+    leaves it 0 and a write to ``p0`` leaves it true.
     """
     pc = state.pc
     op = instr.op
 
     # Predication: a false qualifying predicate squashes the instruction.
-    if instr.pred is not None and not state.preds.get(instr.pred, False):
+    if instr.pred is not None and not _pred(state, instr.pred):
         state.pc = pc + 1
         return ExecResult(pc + 1, executed=False)
 
-    rd = state.regs
-
     if op in _ALU:
-        a = rd.get(instr.srcs[0], 0)
-        b = rd.get(instr.srcs[1], 0) if len(instr.srcs) > 1 else instr.imm
-        rd[instr.dest] = _ALU[op](a, b)
-        if instr.dest == regs.ZERO:
-            rd[regs.ZERO] = 0
+        a = _get(state, instr.srcs[0])
+        b = _get(state, instr.srcs[1]) if len(instr.srcs) > 1 else instr.imm
+        _set(state, instr.dest, _ALU[op](a, b))
         state.pc = pc + 1
         return ExecResult(pc + 1)
 
     if op == "mov":
-        rd[instr.dest] = rd.get(instr.srcs[0], 0) if instr.srcs else instr.imm
-        if instr.dest == regs.ZERO:
-            rd[regs.ZERO] = 0
+        _set(state, instr.dest,
+             _get(state, instr.srcs[0]) if instr.srcs else instr.imm)
         state.pc = pc + 1
         return ExecResult(pc + 1)
 
     if op == "ld":
-        addr = rd.get(instr.srcs[0], 0) + (instr.imm or 0)
+        addr = _get(state, instr.srcs[0]) + (instr.imm or 0)
         if heap.valid(addr):
-            rd[instr.dest] = heap.load(addr)
+            _set(state, instr.dest, heap.load(addr))
         elif state.speculative:
-            rd[instr.dest] = 0     # deferred exception: NaT-like zero
+            _set(state, instr.dest, 0)  # deferred exception: NaT-like zero
             addr = None            # no memory access is made
         else:
             raise ExecutionError(
@@ -126,27 +154,25 @@ def execute(program: Program, heap: Heap, state: ThreadState,
             raise ExecutionError(
                 "speculative thread attempted a store — the emitter must "
                 f"never place stores in p-slices ({instr} at pc {pc})")
-        addr = rd.get(instr.srcs[0], 0) + (instr.imm or 0)
+        addr = _get(state, instr.srcs[0]) + (instr.imm or 0)
         if not heap.valid(addr):
             raise ExecutionError(
                 f"bad store address {addr:#x} at pc {pc} ({instr})")
-        heap.store(addr, rd.get(instr.srcs[1], 0))
+        heap.store(addr, _get(state, instr.srcs[1]))
         state.pc = pc + 1
         return ExecResult(pc + 1, mem_addr=addr)
 
     if op == "lfetch":
-        addr = rd.get(instr.srcs[0], 0) + (instr.imm or 0)
+        addr = _get(state, instr.srcs[0]) + (instr.imm or 0)
         if not heap.valid(addr):
             addr = None            # non-faulting prefetch: dropped
         state.pc = pc + 1
         return ExecResult(pc + 1, mem_addr=addr)
 
     if op == "cmp":
-        a = rd.get(instr.srcs[0], 0)
-        b = rd.get(instr.srcs[1], 0) if len(instr.srcs) > 1 else instr.imm
-        state.preds[instr.dest] = _RELATIONS[instr.relation](a, b)
-        if instr.dest == regs.TRUE_PREDICATE:
-            state.preds[regs.TRUE_PREDICATE] = True
+        a = _get(state, instr.srcs[0])
+        b = _get(state, instr.srcs[1]) if len(instr.srcs) > 1 else instr.imm
+        _set_pred(state, instr.dest, _RELATIONS[instr.relation](a, b))
         state.pc = pc + 1
         return ExecResult(pc + 1)
 
@@ -156,26 +182,26 @@ def execute(program: Program, heap: Heap, state: ThreadState,
         return ExecResult(target, taken=True)
 
     if op == "br.cond":
-        taken = state.preds.get(instr.pred, False) if instr.pred else True
+        taken = _pred(state, instr.pred) if instr.pred else True
         target = program.branch_target[pc] if taken else pc + 1
         state.pc = target
         return ExecResult(target, taken=taken)
 
     if op == "br.call":
         target = program.branch_target[pc]
-        state.call_stack.append((pc + 1, dict(rd)))
+        state.call_stack.append((pc + 1, list(state.regs)))
         state.pc = target
         return ExecResult(target, taken=True)
 
     if op == "br.call.ind":
-        fid = rd.get(instr.srcs[0], 0)
+        fid = _get(state, instr.srcs[0])
         if not 0 <= fid < len(program.function_by_id):
             if state.speculative:
                 state.killed = True
                 return ExecResult(pc, executed=False)
             raise ExecutionError(f"bad indirect call target {fid} at pc {pc}")
         target = program.function_entry[program.function_by_id[fid]]
-        state.call_stack.append((pc + 1, dict(rd)))
+        state.call_stack.append((pc + 1, list(state.regs)))
         state.pc = target
         return ExecResult(target, taken=True)
 
@@ -185,9 +211,9 @@ def execute(program: Program, heap: Heap, state: ThreadState,
             state.halted = True
             return ExecResult(pc, taken=True)
         ret_pc, saved = state.call_stack.pop()
-        ret_val = rd.get(regs.RET_VALUE, 0)
+        ret_val = _get(state, regs.RET_VALUE)
         state.regs = saved
-        state.regs[regs.RET_VALUE] = ret_val
+        _set(state, regs.RET_VALUE, ret_val)
         state.pc = ret_pc
         return ExecResult(ret_pc, taken=True)
 
@@ -215,12 +241,12 @@ def execute(program: Program, heap: Heap, state: ThreadState,
         return ExecResult(pc + 1, spawn_target=target)
 
     if op == "lib.st":
-        state.lib_out[instr.imm] = rd.get(instr.srcs[0], 0)
+        state.lib_out[instr.imm] = _get(state, instr.srcs[0])
         state.pc = pc + 1
         return ExecResult(pc + 1)
 
     if op == "lib.ld":
-        rd[instr.dest] = state.lib_in[instr.imm]
+        _set(state, instr.dest, state.lib_in[instr.imm])
         state.pc = pc + 1
         return ExecResult(pc + 1)
 
@@ -250,8 +276,38 @@ class _Resources:
         self.br = config.branch_units
 
 
+class _RefHWThread(HWThread):
+    """In-order timing state with a scoreboard keyed by register name."""
+
+    __slots__ = ()
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reg_ready = {}
+        self.reg_level = {}
+
+
+class _RefOOOThread(_OOOThread):
+    """OOO timing state with a scoreboard keyed by register name."""
+
+    __slots__ = ()
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reg_complete = {}
+        self.reg_level = {}
+
+
 class ReferenceInOrderSimulator(InOrderSimulator):
     """In-order model driven by the Instruction-object loop."""
+
+    THREAD = _RefHWThread
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Outstanding main-thread misses (completion cycles), for the
+        # Figure 10 Cache+Exec category.  Not part of a snapshot.
+        self._main_misses: List[int] = []
 
     def run(self, checkpoint_every: Optional[int] = None,
             on_checkpoint=None) -> SimStats:
@@ -582,8 +638,11 @@ class ReferenceOOOSimulator(OOOSimulator):
     Like the rest of this loop, they are not part of a snapshot.
     """
 
+    THREAD = _RefOOOThread
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
+        self._main_misses: List[int] = []
         self._ref_fetch: Dict[int, int] = {}
         self._ref_issue: Dict[int, int] = {}
         self._ref_port: Dict[int, int] = {}

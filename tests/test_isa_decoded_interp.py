@@ -2,8 +2,8 @@
 
 :class:`~repro.isa.interp.FunctionalInterpreter` and
 :class:`~repro.codegen.verify.ShadowInterpreter` step the pre-decoded table
-through :func:`~repro.isa.decode.step_decoded`, as do both simulators'
-run loops, the cross-model oracle and the pipeline fuzzer.  This suite
+through the step closures of :mod:`repro.isa.decode`, as do both
+simulators' run loops, the cross-model oracle and the pipeline fuzzer.  This suite
 keeps one check that does not share that step: the two loops below are
 plain re-statements of both interpreters over the generic
 :func:`~repro.isa.interp.execute`, and every run must agree with them on
@@ -33,12 +33,11 @@ from repro.isa.instructions import Instruction
 from repro.isa.interp import (
     ExecutionError,
     FunctionalInterpreter,
-    ThreadState,
     spawn_thread,
 )
 from repro.workloads.base import make_workload
 
-from sim_reference import execute
+from sim_reference import execute, new_state
 from test_guard import _arc_scan, _scan_heap
 from test_sim_fastpath import FUZZ_SEEDS, PAPER_WORKLOADS
 
@@ -49,7 +48,7 @@ from test_sim_fastpath import FUZZ_SEEDS, PAPER_WORKLOADS
 def _execute_functional(program, heap):
     """``FunctionalInterpreter.run`` over ``execute``: (state, exec
     counts, indirect targets, steps)."""
-    state = ThreadState(0, program.function_entry[program.entry])
+    state = new_state(program, pc=program.function_entry[program.entry])
     counts, indirect, steps = {}, {}, 0
     while not state.done:
         instr = program.code[state.pc]
@@ -92,7 +91,7 @@ def _execute_shadow(program, heap, fire_limit=8, spec_step_budget=4096,
                             child, 1, result.spawn_target))
                 steps += 1
 
-    state = ThreadState(0, program.function_entry[program.entry])
+    state = new_state(program, pc=program.function_entry[program.entry])
     while not state.done:
         pc = state.pc
         instr = program.code[pc]

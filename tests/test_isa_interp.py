@@ -14,7 +14,7 @@ from repro.isa import (
 from repro.isa.instructions import Instruction
 
 from helpers import linked_list_heap, list_sum_program
-from sim_reference import execute
+from sim_reference import execute, new_state
 
 
 def run_main(build, heap=None, max_steps=1_000_000):
@@ -240,11 +240,10 @@ class TestMemorySemantics:
         fb.kill()
         prog.finalize()
         heap = Heap(1 << 13)
-        state = ThreadState(tid=1, pc=0, speculative=True)
-        state.regs["r40"] = 3
+        state = new_state(prog, tid=1, speculative=True)
         while not state.done:
             execute(prog, heap, state, prog.code[state.pc])
-        assert state.regs["r60"] == 0
+        assert state.read("r60") == 0
 
     def test_speculative_store_forbidden(self):
         prog = Program(entry="main")
@@ -252,7 +251,7 @@ class TestMemorySemantics:
         fb.store(fb.mov_imm(0x2000), "r0")
         fb.kill()
         prog.finalize()
-        state = ThreadState(tid=1, pc=0, speculative=True)
+        state = new_state(prog, tid=1, speculative=True)
         heap = Heap(1 << 14)
         execute(prog, heap, state, prog.code[0])  # the mov
         with pytest.raises(ExecutionError, match="store"):
@@ -290,19 +289,19 @@ class TestSSPOpcodes:
         fb.rfi()
         prog.finalize()
         heap = Heap(1 << 13)
-        state = ThreadState(tid=0, pc=0)
+        state = new_state(prog)
         while not state.done:
             instr = prog.code[state.pc]
             execute(prog, heap, state, instr, chk_fires=(instr.op == "chk.c"))
-        assert state.regs["r61"] == 1  # stub ran
-        assert state.regs["r60"] == 7  # resumed after the chk
+        assert state.read("r61") == 1  # stub ran
+        assert state.read("r60") == 7  # resumed after the chk
 
     def test_rfi_without_pending_recovery_raises(self):
         prog = Program(entry="main")
         fb = FunctionBuilder(prog.add_function("main"))
         fb.rfi()
         prog.finalize()
-        state = ThreadState(tid=0, pc=0)
+        state = new_state(prog)
         with pytest.raises(ExecutionError, match="rfi"):
             execute(prog, Heap(1 << 13), state, prog.code[0])
 
@@ -321,7 +320,7 @@ class TestSSPOpcodes:
         fb.halt()
         prog.finalize()
         heap = Heap(1 << 13)
-        state = ThreadState(tid=0, pc=0)
+        state = new_state(prog)
         while not state.done:
             execute(prog, heap, state, prog.code[state.pc])
         assert state.lib_out[2] == 77

@@ -442,3 +442,34 @@ class TestSubmitLookups:
         assert all(r.ok for r in runner.run(specs + specs))
         assert sorted(gets) == sorted(
             [spec.content_hash() for spec in specs] * 2)
+
+    def test_service_root_looks_each_miss_up_twice(self, tmp_path,
+                                                   monkeypatch):
+        """On a service root too: the runner's lookup and the worker's
+        dedupe, not a third read in ``submit`` — 56 reads for the 28
+        specs of the tiny matrix, submitted twice over.  A second run of
+        the same specs hits, one read each."""
+        from repro.service import ServiceConfig
+        gets = []
+        real_get = ResultCache.get
+
+        def counting_get(self, spec):
+            gets.append(spec.content_hash())
+            return real_get(self, spec)
+
+        monkeypatch.setattr(ResultCache, "get", counting_get)
+        specs = [RunSpec.create(kernel, scale="tiny", model=model,
+                                variant=variant)
+                 for kernel in ("mcf", "em3d", "health", "mst", "vpr",
+                                "treeadd.df", "treeadd.bf")
+                 for model in ("inorder", "ooo")
+                 for variant in ("base", "ssp")]
+        runner = Runner(jobs=1, service=ServiceConfig(root=tmp_path),
+                        task_fn=counting_task)
+        assert all(r.ok for r in runner.run(specs + specs))
+        hashes = [spec.content_hash() for spec in specs]
+        assert len(gets) == 56
+        assert sorted(gets) == sorted(hashes * 2)
+        gets.clear()
+        assert all(r.ok for r in runner.run(specs))
+        assert sorted(gets) == sorted(hashes)

@@ -419,3 +419,20 @@ class TestServiceCLI:
         assert main(["service", "worker",
                      "--root", str(tmp_path / "svc")]) == 0
         assert "0 job(s)" in capsys.readouterr().out
+
+    def test_worker_reports_only_faults_that_fired(self, tmp_path, capsys):
+        root = str(tmp_path / "svc")
+        assert main(["service", "submit", "treeadd.df", "--scale", "tiny",
+                     "--root", root]) == 0
+        assert main(["service", "worker", "--root", root,
+                     "--inject", "worker.oom:0"]) == 0
+        out = capsys.readouterr().out
+        assert "1 executed" in out
+        assert "faults injected" not in out
+        assert main(["service", "submit", "mcf", "--scale", "tiny",
+                     "--root", root]) == 0
+        assert main(["service", "worker", "--root", root,
+                     "--inject", "worker.oom"]) == 0
+        out = capsys.readouterr().out
+        assert "1 failures" in out
+        assert "faults injected: worker.oom=3" in out

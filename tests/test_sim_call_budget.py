@@ -4,9 +4,10 @@ The profile the post-pass tool consumes is one in-order base run, so the
 cost of that loop is the tool's turnaround.  Wall time is too noisy to
 gate on a shared host; the number of Python-level function calls per
 issued main-thread instruction is not.  The loop makes one call per
-instruction (``step_decoded``) plus ``MemorySystem.access`` per memory
-operation, ``GsharePredictor.predict_and_update`` per conditional branch
-and the decoded ALU/compare callables; a helper call creeping back onto
+instruction (its decoded step closure, predicated or not) plus
+``MemorySystem.access`` per memory operation,
+``GsharePredictor.predict_and_update`` per conditional branch and the
+decoded ALU/compare callables; a helper call creeping back onto
 the per-instruction or per-cycle path raises the count on every
 interpreter version, without timing anything.
 
@@ -17,7 +18,7 @@ out-of-order loop alone, which carries the Figure 8 OOO column.
 
 Every bound is the count measured on the tiny workload plus 10%.  The
 ALU and ``cmp`` operations are C ``operator`` functions, so they make no
-Python-level call; each model's count is then one ``step_decoded`` per
+Python-level call; each model's count is then one step closure per
 instruction plus the memory, predictor and context-policy calls.
 
 The opcode rows bound the in-order loop's own work, which a call count
@@ -59,10 +60,10 @@ OOO_BASE_CALL_BUDGET = {"em3d": 1.626 * 1.1, "vpr": 1.247 * 1.1,
 
 
 #: Bytecodes executed in ``InOrderSimulator.run`` per issued main-thread
-#: instruction of the tiny in-order base run, as measured on 3.11 (250.9,
-#: 204.9, 236.8), plus 10%.
-OPCODE_BUDGET = {"em3d": 250.9 * 1.1, "vpr": 204.9 * 1.1,
-                 "mcf": 236.8 * 1.1}
+#: instruction of the tiny in-order base run, as measured on 3.11 (221.4,
+#: 185.7, 210.5; 3.12 measured 222.7, 188.1, 212.8), plus 10%.
+OPCODE_BUDGET = {"em3d": 221.4 * 1.1, "vpr": 185.7 * 1.1,
+                 "mcf": 210.5 * 1.1}
 
 
 def count_calls(sim):

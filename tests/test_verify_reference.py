@@ -11,8 +11,11 @@ an unverified binary.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.check.proof import prove_equivalent
 from repro.codegen.verify import differential_check, speculation_free
 from repro.guard import injecting
 from repro.isa import Heap
@@ -139,6 +142,64 @@ def test_falls_back_when_heap_differs():
     assert factory.calls == 2
     assert with_ref.to_dict() == differential_check(
         program, adapted, other.build_heap).to_dict()
+
+
+class TestProfiledFactory:
+    """The profiling run's own ``build_heap`` builds its heap: the proof
+    and the check take it without a digest.  Any other factory's heap is
+    digested, and a different heap is refused."""
+
+    @staticmethod
+    def count_digests(monkeypatch):
+        calls = []
+        real = Heap.digest
+
+        def counting(heap):
+            calls.append(heap)
+            return real(heap)
+
+        monkeypatch.setattr(Heap, "digest", counting)
+        return calls
+
+    def test_same_bound_method_needs_no_digest(self, monkeypatch):
+        workload, program, profile = _profiled()
+        assert profile.reference.heap_factory == workload.build_heap
+        adapted = SSPPostPassTool().adapt(program, profile).adapted.program
+        digests = self.count_digests(monkeypatch)
+        assert prove_equivalent(program, adapted, profile,
+                                workload.build_heap) is None
+        assert digests == []
+        report = differential_check(program, adapted, workload.build_heap,
+                                    reference=profile.reference)
+        assert report.equivalent
+        assert len(digests) == 1          # the adapted run's final heap
+
+    def test_equal_workload_is_digested(self, monkeypatch):
+        workload, program, profile = _profiled()
+        adapted = SSPPostPassTool().adapt(program, profile).adapted.program
+        twin = type(workload)(scale="tiny", seed=workload.seed)
+        digests = self.count_digests(monkeypatch)
+        assert prove_equivalent(program, adapted, profile,
+                                twin.build_heap) is None
+        assert len(digests) == 1
+
+    def test_different_heap_is_refused(self):
+        workload, program, profile = _profiled()
+        adapted = SSPPostPassTool().adapt(program, profile).adapted.program
+        other = type(workload)(scale="tiny", seed=workload.seed + 1)
+        assert prove_equivalent(program, adapted, profile,
+                                other.build_heap) == \
+            "reference: verify heap is not the profiled heap"
+        assert not profile.reference.starts_from(other.build_heap)
+
+    def test_recorded_factory_that_is_no_workload_is_digested(self):
+        """Only a workload's image is known never to change."""
+        workload, program, profile = _profiled()
+        factory = CountingFactory(workload.build_heap)
+        reference = dataclasses.replace(profile.reference,
+                                        heap_factory=factory)
+        assert reference.starts_from(factory)
+        assert factory.calls == 1
 
 
 def test_falls_back_when_original_is_not_the_profiled_program():
