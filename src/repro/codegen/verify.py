@@ -23,7 +23,7 @@ from ..guard import faultinject
 from ..isa.decode import D_KIND, D_STEP, K_CHK, K_SPAWN, decode_program
 from ..isa.instructions import OP_CHK_C, OP_SPAWN
 from ..isa.interp import ExecutionError, ThreadState, spawn_thread
-from ..isa.memory import Heap
+from ..isa.memory import Heap, HeapImage
 from ..isa.program import Program
 
 #: Forced fires per ``chk.c`` site in a shadow run.
@@ -176,7 +176,16 @@ def _architectural_outcome(state: ThreadState) -> Dict[str, Any]:
     return outcome
 
 
-@dataclass(frozen=True)
+def workload_image(heap_factory: Callable[[], Heap]) -> Optional[HeapImage]:
+    """The image a workload's own ``build_heap`` thaws every heap from
+    (laid out on its first call), or None for any other factory."""
+    from ..workloads.base import Workload
+    if getattr(heap_factory, "__func__", None) is Workload.build_heap:
+        return heap_factory.__self__._image
+    return None
+
+
+@dataclass(frozen=True, eq=False)
 class ReferenceRun:
     """A recorded run of an original binary, standing in for the
     differential check's reference run.
@@ -186,11 +195,10 @@ class ReferenceRun:
     ``chk.c`` and no ``spawn`` (:func:`speculation_free`): there the
     timing run's main thread and a shadow run step identically, so
     re-running the shadow interpreter would repeat the recorded run on
-    the same heap.
+    the same heap.  Two records are equal when their initial digests,
+    outcomes, final digests and decode versions are.
     """
 
-    #: :meth:`~repro.isa.memory.Heap.digest` of the initial heap.
-    heap_digest: str
     #: :func:`_architectural_outcome` of the final main-thread state.
     outcome: Dict[str, Any]
     #: :meth:`~repro.isa.memory.Heap.digest` of the final heap.
@@ -198,9 +206,31 @@ class ReferenceRun:
     #: The binary's ``_decode_version`` when it ran (bumped by every
     #: ``finalize()``), so a re-finalised binary is never trusted.
     decode_version: int
-    #: The ``heap_factory`` the run's heap came from (not compared).
-    heap_factory: Optional[Callable[[], Heap]] = field(default=None,
-                                                       compare=False)
+    #: The ``heap_factory`` the run's heap came from.
+    heap_factory: Optional[Callable[[], Heap]] = None
+    #: :meth:`~repro.isa.memory.Heap.digest` of the initial heap; None
+    #: when it is derived on demand from ``image``.
+    heap_digest: Optional[str] = None
+    #: The workload image the initial heap was thawed from, if any.
+    image: Optional[HeapImage] = None
+
+    @property
+    def initial_digest(self) -> str:
+        """The digest of the initial heap, taken from ``image`` when the
+        run did not record one."""
+        if self.heap_digest is not None:
+            return self.heap_digest
+        return self.image.digest()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ReferenceRun):
+            return NotImplemented
+        return (self.outcome, self.final_digest, self.decode_version,
+                self.initial_digest) == (
+                    other.outcome, other.final_digest, other.decode_version,
+                    other.initial_digest)
+
+    __hash__ = object.__hash__
 
     def starts_from(self, heap_factory: Callable[[], Heap],
                     heap: Optional[Heap] = None) -> bool:
@@ -212,14 +242,12 @@ class ReferenceRun:
         factory the digest of ``heap``, its fresh heap (built here when
         not given), is compared.
         """
-        if heap_factory == self.heap_factory:
-            from ..workloads.base import Workload
-            if getattr(heap_factory, "__func__", None) is \
-                    Workload.build_heap:
-                return True
+        if heap_factory == self.heap_factory \
+                and workload_image(heap_factory) is not None:
+            return True
         if heap is None:
             heap = heap_factory()
-        return heap.digest() == self.heap_digest
+        return heap.digest() == self.initial_digest
 
 
 def speculation_free(program: Program) -> bool:

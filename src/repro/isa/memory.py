@@ -116,11 +116,7 @@ class Heap:
         zero digests like an absent word — two heaps digest equal exactly
         when :meth:`diff` finds nothing between them.
         """
-        words = self._words
-        keys = sorted([k for k, v in words.items() if v])
-        values = [words[k] for k in keys]
-        return hashlib.sha256(
-            repr((self.size, keys, values)).encode()).hexdigest()
+        return _digest(self.size, self._words)
 
     def valid(self, addr: int) -> bool:
         """True if ``addr`` is a mapped, aligned word address.
@@ -152,12 +148,23 @@ class HeapImage:
         self.keys = _compact(words)
         self.values = _compact(words.values())
 
+    def digest(self) -> str:
+        """:meth:`Heap.digest` of the heap imaged, without thawing it."""
+        return _digest(self.size, dict(zip(self.keys, self.values)))
+
     def thaw(self) -> Heap:
         """A fresh heap equal to the one imaged."""
         heap = Heap(self.size)
         heap._words = dict(zip(self.keys, self.values))
         heap._brk = self.brk
         return heap
+
+
+def _digest(size: int, words: Dict[int, int]) -> str:
+    """SHA-256 over ``size`` and the non-zero words (see Heap.digest)."""
+    keys = sorted([k for k, v in words.items() if v])
+    values = [words[k] for k in keys]
+    return hashlib.sha256(repr((size, keys, values)).encode()).hexdigest()
 
 
 def _compact(ints) -> array:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..codegen.verify import ReferenceRun, _architectural_outcome, \
-    speculation_free
+    speculation_free, workload_image
 from ..isa.memory import Heap
 from ..isa.program import Program
 from ..sim.config import MachineConfig, inorder_config
@@ -46,17 +46,22 @@ def collect_profile(program: Program,
         program.finalize()
 
     heap = heap_factory()
-    initial_digest = heap.digest() if speculation_free(program) else None
+    recorded = speculation_free(program)
+    # A workload's heap is a thawed copy of its image, whose digest the
+    # record derives only if asked; any other heap is digested now.
+    image = workload_image(heap_factory) if recorded else None
+    initial_digest = heap.digest() if recorded and image is None else None
     sim = InOrderSimulator(program, heap, config, spawning=False)
     stats = sim.run()
     reference = None
-    if initial_digest is not None:
+    if recorded:
         reference = ReferenceRun(
-            heap_digest=initial_digest,
             outcome=_architectural_outcome(sim.main_state),
             final_digest=heap.digest(),
             decode_version=program._decode_version,
-            heap_factory=heap_factory)
+            heap_factory=heap_factory,
+            heap_digest=initial_digest,
+            image=image)
     if on_run is not None:
         on_run(sim)
 

@@ -158,8 +158,6 @@ class MemorySystem:
         self._fills: List[int] = []
         # Statistics.
         self.load_stats: Dict[int, LoadStats] = {}
-        self.level_counts = {lvl: 0 for lvl in LEVELS}
-        self.partial_counts = {lvl: 0 for lvl in (L2, L3, MEM)}
         self.tlb_misses = 0
         self.prefetches_issued = 0
         self.prefetches_dropped = 0
@@ -328,10 +326,8 @@ class MemorySystem:
         stats.accesses += 1
         if partial:
             stats.partials[level] += 1
-            self.partial_counts[level] += 1
         else:
             stats.hits[level] += 1
-            self.level_counts[level] += 1
         if level != L1:
             beyond_l1 = (ready - now) - self._l1_latency
             if beyond_l1 > 0:
@@ -358,9 +354,28 @@ class MemorySystem:
 
     # -- inspection --------------------------------------------------------------
 
+    @property
+    def level_counts(self) -> Dict[str, int]:
+        """Main-thread demand loads per supplying level, partial misses
+        excluded: the sum of the per-load ``hits``."""
+        counts = {lvl: 0 for lvl in LEVELS}
+        for ls in self.load_stats.values():
+            for lvl, n in ls.hits.items():
+                counts[lvl] += n
+        return counts
+
+    @property
+    def partial_counts(self) -> Dict[str, int]:
+        """Main-thread partial misses per fill origin: the sum of the
+        per-load ``partials``."""
+        counts = {lvl: 0 for lvl in (L2, L3, MEM)}
+        for ls in self.load_stats.values():
+            for lvl, n in ls.partials.items():
+                counts[lvl] += n
+        return counts
+
     def total_accesses(self) -> int:
-        return (sum(self.level_counts.values())
-                + sum(self.partial_counts.values()))
+        return sum(ls.accesses for ls in self.load_stats.values())
 
     def flush(self) -> None:
         """Cold caches/TLB, clear transit state (not statistics)."""

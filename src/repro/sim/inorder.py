@@ -19,6 +19,13 @@ Long stalls are skipped in O(1): when no context can issue, the clock jumps
 to the earliest wake-up, charging the skipped cycles to the main thread's
 current stall category (Figure 10 accounting).
 
+While the main thread is the only live context, it issues cycle after
+cycle in one *stretch*.  Once a run has issued ``COMPILE_AFTER`` main
+instructions per static instruction of its program — enough to pay for
+compiling it — its stretches run issue groups compiled from the program
+(:mod:`repro.sim.groups`) instead of the interpreted issue body, with
+byte-identical results.  Short runs never compile.
+
 Contexts come from the shared policy of :mod:`repro.sim.smt`.  This loop
 decides only when: finished threads are reaped at the top of a cycle, and
 a chaining spawn with no free context parks until one is reaped, for at
@@ -54,6 +61,18 @@ from .caches import L1
 from .config import MachineConfig
 from .smt import _FAR_FUTURE, DEFAULT_MAX_CYCLES, SMTSimulator
 from .stats import STALL_CATEGORY, SimStats
+
+#: Main-thread instructions a run issues per static instruction of its
+#: program before its stretch is compiled (:mod:`repro.sim.groups`): the
+#: compile cost per static instruction (about 205 us) over the time the
+#: compiled stretch saves per issued instruction (about 0.37 us), both
+#: measured on the 7 default kernels (see DESIGN.md).  Tiny runs issue
+#: at most 152 per static instruction and never compile; default runs
+#: issue at least 726.
+COMPILE_AFTER = 550
+
+#: Cycles between two checks of a run against that threshold.
+_COMPILE_CHECK_CYCLES = 1 << 14
 
 #: The Figure 10 category of a cycle stalled on a register its supplying
 #: level has not delivered yet.  A short L1-hit interlock counts as
@@ -161,6 +180,18 @@ class InOrderSimulator(SMTSimulator):
             name = program.function_by_id[fid]
             per_site[name] = per_site.get(name, 0) + 1
 
+    def _compiled_stretch(self, main: HWThread, now: int):
+        """``(stretch, next check)``: this run's compiled stretch once it
+        has issued ``COMPILE_AFTER`` main-thread instructions per static
+        instruction, else None and the cycle to check again."""
+        left = COMPILE_AFTER * len(self._dcode) - self.stats.main_instructions
+        if left > 0:
+            return None, now + max(-(-left // self.config.issue_width),
+                                   _COMPILE_CHECK_CYCLES)
+        from .groups import compile_stretch
+        compiled = compile_stretch(self.program, self._decoded, self.config)
+        return compiled.bind(self, main), _FAR_FUTURE
+
     @property
     def cycle(self) -> int:
         """Current simulated cycle (updated at checkpoint boundaries)."""
@@ -213,7 +244,10 @@ class InOrderSimulator(SMTSimulator):
         accounting for itself, with its instruction and Exec/CacheExec
         cycle counts in locals written back when the stretch ends: at a
         spawn, a halt or kill, or before the next event or cycle-budget
-        deadline.
+        deadline.  Once the run has issued enough main instructions (the
+        compile threshold is checked as an event), a stretch with no
+        recovery pending runs the compiled groups instead, from the
+        cycle it would issue to the cycle it would leave after.
         """
         if not self._started:
             self._begin()
@@ -227,7 +261,12 @@ class InOrderSimulator(SMTSimulator):
             next_checkpoint = now + checkpoint_every
         max_cycles = self.max_cycles
         prof_next = self._prof_next
-        next_event = min(next_checkpoint, max_cycles, prof_next)
+        # The compiled stretch, once this run has issued enough
+        # main-thread instructions to pay for compiling it; checked as an
+        # event, first on the first iteration.
+        compiled = None
+        compile_at = now
+        next_event = min(next_checkpoint, max_cycles, prof_next, compile_at)
         prof = None
 
         dcode = self._dcode
@@ -286,7 +325,10 @@ class InOrderSimulator(SMTSimulator):
                 if now >= prof_next:
                     prof = self._profiler
                     t_prof = prof.begin(now)
-                next_event = min(next_checkpoint, max_cycles, prof_next)
+                if now >= compile_at:
+                    compiled, compile_at = self._compiled_stretch(main, now)
+                next_event = min(next_checkpoint, max_cycles, prof_next,
+                                 compile_at)
 
             # Reap finished speculative threads and wake parked spawners.
             # The slot walk only runs when a context can actually have
@@ -406,15 +448,30 @@ class InOrderSimulator(SMTSimulator):
                     # The stretch ends before the next event or
                     # cycle-budget deadline.  A sampled iteration has
                     # already put ``next_event`` at or below ``now``, so
-                    # it never continues.
+                    # it never continues.  Once compiled, a stretch runs
+                    # its compiled groups while no recovery is pending.
+                    stretch = None
                     if not have_spec:
                         limit = next_event
                         if deadlines and deadlines[0] < limit:
                             limit = deadlines[0]
+                        stretch = compiled
 
                     # One pass per cycle; more than one only in a stretch,
                     # the main thread alone issuing cycle after cycle.
                     while True:
+                        if stretch is not None and not rfi_stack:
+                            out = stretch(now, bound, horizon, limit)
+                            if out is not None:
+                                # It issued up to cycle ``now`` and left
+                                # the stretch there.
+                                (now, issued, k_issued, k_exec, k_cache_exec,
+                                 k_stalls, bound, horizon, have_spec) = out
+                                n_issued += k_issued
+                                n_exec += k_exec
+                                n_cache_exec += k_cache_exec
+                                n_stalls += k_stalls
+                                break
                         issued = 0
                         while issued < stop:
                             pc = state.pc
@@ -708,7 +765,8 @@ class InOrderSimulator(SMTSimulator):
                 prof.lap("account", t_prof)
                 self._prof_next = prof_next = prof.sample(
                     now, stats, issued_main, cand0 is None)
-                next_event = min(next_checkpoint, max_cycles, prof_next)
+                next_event = min(next_checkpoint, max_cycles, prof_next,
+                                 compile_at)
                 prof = None
 
             # Only an issuing main thread can halt or kill itself, so a
@@ -748,6 +806,8 @@ class InOrderSimulator(SMTSimulator):
                 breakdown[category] += skip
             now = wake
 
+        if compiled is not None:
+            compiled.release()
         self._rr = rr
         self._now = now
         self._miss_horizon = horizon

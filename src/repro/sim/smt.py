@@ -63,7 +63,7 @@ class SMTSimulator:
         if not program.finalized:
             program.finalize()
         self.program = program
-        decoded = decode_program(program)
+        decoded = self._decoded = decode_program(program)
         self._dcode = decoded.table
         self._slots = decoded.slots
         self.heap = heap

@@ -255,8 +255,6 @@ class SimStats:
             ls.prefetch_timely = ls_data.get("prefetch_timely", 0)
             ls.prefetch_late = ls_data.get("prefetch_late", 0)
             mem.load_stats[int(uid_str)] = ls
-        mem.level_counts.update(mem_data["level_counts"])
-        mem.partial_counts.update(mem_data["partial_counts"])
         for uid_str, ps_data in mem_data.get("prefetch_stats", {}).items():
             ps = PrefetchStats()
             ps.issued = ps_data["issued"]

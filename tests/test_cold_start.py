@@ -27,11 +27,13 @@ DENY = ("networkx", "repro.runner", "repro.service", "repro.resilience",
         "repro.tool")
 
 #: Modules that ``import repro.tool.cli`` and the service client's
-#: commands must leave unloaded: the simulators, codegen, the tool, the
-#: profiler, the proof and the execution layer.
+#: commands must leave unloaded: the simulators, the in-order model's
+#: group compiler, codegen, the tool, the profiler, the proof and the
+#: execution layer.
 CLIENT_DENY = ("networkx", "repro.sim.inorder", "repro.sim.ooo",
-               "repro.sim.smt", "repro.codegen", "repro.tool.postpass",
-               "repro.profiling", "repro.check", "repro.runner.worker")
+               "repro.sim.smt", "repro.sim.groups", "repro.codegen",
+               "repro.tool.postpass", "repro.profiling", "repro.check",
+               "repro.runner.worker")
 
 #: Prepended to every script: makes ``import networkx`` fail the way it
 #: does where the package is not installed.
@@ -66,6 +68,20 @@ def _denied(modules: list, deny=DENY) -> list:
 class TestImportGate:
     def test_import_repro_loads_no_layer(self, tmp_path):
         assert _denied(_loaded_after("import repro", tmp_path)) == []
+
+    def test_short_run_loads_no_group_compiler(self, tmp_path):
+        """Only a run long enough to compile its stretch imports the group
+        compiler: a tiny simulation and a tiny profile leave it out."""
+        loaded = _loaded_after(
+            "from repro.workloads import make_workload\n"
+            "from repro.profiling import collect_profile\n"
+            "from repro.sim.machine import simulate\n"
+            "w = make_workload('vpr', 'tiny')\n"
+            "collect_profile(w.build_program(), w.build_heap)\n"
+            "simulate(w.build_program(), w.build_heap(), 'inorder')",
+            tmp_path)
+        assert "repro.sim.inorder" in loaded
+        assert "repro.sim.groups" not in loaded
 
     def test_cli_import_loads_no_networkx(self, tmp_path):
         """Each CLI handler imports its own layers, so importing the CLI

@@ -23,9 +23,12 @@ instruction plus the memory, predictor and context-policy calls.
 
 The opcode rows bound the in-order loop's own work, which a call count
 cannot see: bytecodes executed in ``InOrderSimulator.run`` itself per
-issued main-thread instruction of the tiny base run.  Bytecode differs
-between interpreter versions, so these rows are pinned on 3.11 and 3.12
-only.
+issued main-thread instruction of the tiny base run, which never
+compiles its stretch.  The compiled rows bound the same on the compiled
+stretch (``repro.sim.groups``, threshold lowered to 0): bytecodes in
+``run`` and in the compiled code per issued main-thread instruction of
+the small base run.  Bytecode differs between interpreter versions, so
+these rows are pinned on 3.11 and 3.12 only.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import sys
 
 import pytest
 
+import repro.sim.inorder as inorder
 from repro.runner.worker import WorkloadArtifacts
 from repro.sim import make_simulator
 from repro.sim.config import inorder_config
@@ -126,9 +130,17 @@ def test_ooo_base_calls_per_executed_instruction(name):
         f"instruction, budget {OOO_BASE_CALL_BUDGET[name]:.3f}")
 
 
+#: Bytecodes executed in ``InOrderSimulator.run`` and the compiled
+#: stretch per issued main-thread instruction of the small in-order base
+#: run, compiled from its first cycle, as measured on 3.11 (116.5, 76.9,
+#: 96.0), plus 10%.
+COMPILED_OPCODE_BUDGET = {"em3d": 116.5 * 1.1, "vpr": 76.9 * 1.1,
+                          "mcf": 96.0 * 1.1}
+
+
 def count_run_opcodes(sim):
-    """Run ``sim`` counting the bytecodes its ``run`` frame executes:
-    (stats, opcodes)."""
+    """Run ``sim`` counting the bytecodes its ``run`` frame and the
+    compiled stretch's code execute: (stats, opcodes)."""
     code = InOrderSimulator.run.__code__
     opcodes = 0
 
@@ -139,7 +151,8 @@ def count_run_opcodes(sim):
         return count
 
     def calls(frame, event, arg):
-        if frame.f_code is not code:
+        if frame.f_code is not code \
+                and frame.f_code.co_filename != "<issue groups>":
             return None
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
@@ -174,3 +187,24 @@ def test_run_loop_opcodes_per_issued_instruction(name):
     assert measured <= OPCODE_BUDGET[name], (
         f"{name}: {measured:.1f} run-loop bytecodes per issued main-thread "
         f"instruction, budget {OPCODE_BUDGET[name]:.1f}")
+
+
+@pytest.mark.skipif(sys.version_info[:2] not in ((3, 11), (3, 12)),
+                    reason="bytecode counts are pinned on 3.11 and 3.12")
+@pytest.mark.parametrize("name", sorted(COMPILED_OPCODE_BUDGET))
+def test_compiled_opcodes_per_issued_instruction(name, monkeypatch):
+    monkeypatch.setattr(inorder, "COMPILE_AFTER", 0)
+    workload = make_workload(name, "small")
+    for _ in range(2):
+        sim = InOrderSimulator(workload.build_program(),
+                               workload.build_heap(), inorder_config(),
+                               spawning=False)
+        stats, opcodes = count_run_opcodes(sim)
+        if opcodes:
+            break
+    assert opcodes > 0, "no opcode events were traced"
+    measured = opcodes / stats.main_instructions
+    assert measured <= COMPILED_OPCODE_BUDGET[name], (
+        f"{name}: {measured:.1f} bytecodes per issued main-thread "
+        f"instruction on the compiled stretch, budget "
+        f"{COMPILED_OPCODE_BUDGET[name]:.1f}")

@@ -8,7 +8,7 @@ from repro.sim.machine import simulate
 from repro.sim.stats import CYCLE_CATEGORIES, SimStats
 from repro.tool import SSPPostPassTool
 from repro.profiling import collect_profile
-from repro.workloads import make_workload
+from repro.workloads import PAPER_ORDER, make_workload
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +88,31 @@ class TestRoundTrip:
         stats = fresh_stats()
         assert SimStats.from_dict(stats.to_dict()).to_dict() == \
             stats.to_dict()
+
+
+class TestDerivedLevelCounts:
+    """``level_counts``/``partial_counts`` are sums of the per-load
+    statistics, not counters of their own: a round trip carries them
+    through ``load_stats`` alone, byte for byte."""
+
+    @pytest.mark.parametrize("ssp", [False, True], ids=["base", "ssp"])
+    @pytest.mark.parametrize("name", PAPER_ORDER)
+    def test_round_trip(self, name, ssp):
+        from repro.runner.worker import WorkloadArtifacts
+        artifacts = WorkloadArtifacts(name, "tiny")
+        program = artifacts.tool_result.program if ssp \
+            else artifacts.workload.build_program()
+        stats = simulate(program, artifacts.workload.build_heap(),
+                         "inorder")
+        data = stats.to_dict()
+        mem = data["memory"]
+        hits = {lvl: sum(ls["hits"][lvl] for ls in mem["load_stats"].values())
+                for lvl in mem["level_counts"]}
+        partials = {lvl: sum(ls["partials"][lvl]
+                             for ls in mem["load_stats"].values())
+                    for lvl in mem["partial_counts"]}
+        assert mem["level_counts"] == hits
+        assert mem["partial_counts"] == partials
+        assert sum(hits.values()) + sum(partials.values()) == \
+            stats.memory.total_accesses()
+        assert SimStats.from_dict(data).to_dict() == data

@@ -192,6 +192,27 @@ class TestProfiledFactory:
             "reference: verify heap is not the profiled heap"
         assert not profile.reference.starts_from(other.build_heap)
 
+    def test_profile_of_a_workload_digests_only_the_final_heap(
+            self, monkeypatch):
+        """A workload's initial heap is a copy of its image: the profile
+        records its digest on demand, not before the run."""
+        workload = make_workload("mcf", "tiny")
+        program = workload.build_program()
+        digests = self.count_digests(monkeypatch)
+        profile = collect_profile(program, workload.build_heap)
+        assert len(digests) == 1
+        # Derived on demand, it is the digest of the profiled heap.
+        assert profile.reference.initial_digest == \
+            workload.build_heap().digest()
+
+    def test_profile_of_any_other_factory_digests_both_heaps(
+            self, monkeypatch):
+        workload = make_workload("mcf", "tiny")
+        program = workload.build_program()
+        digests = self.count_digests(monkeypatch)
+        collect_profile(program, CountingFactory(workload.build_heap))
+        assert len(digests) == 2
+
     def test_recorded_factory_that_is_no_workload_is_digested(self):
         """Only a workload's image is known never to change."""
         workload, program, profile = _profiled()
